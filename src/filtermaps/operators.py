@@ -21,6 +21,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.ndimage import shift as ndimage_shift
 
 from .density import (
+    CoverageError,
     GridDensity,
     GridMismatchError,
     moments,
@@ -31,7 +32,9 @@ from .density import (
 from .gaussian import Array, BlockStructure, chol_spd
 from .model import ModelSpec, fingerprint
 
-#: Largest P-kernel matrix (entries) kept in memory; larger grids stream in chunks.
+#: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
+#: the per-axis factors (sum(state_shape) * m entries for m state points) are
+#: cached when they fit; otherwise kernel rows are streamed in chunks of this size.
 KERNEL_CACHE_MAX = 2**24
 
 #: Fraction of mass that may leave the state box in ``transport`` before it is an error.
@@ -63,9 +66,13 @@ class OperatorWorkspace:
     y_points : int
         Points on the data axis.
 
-    The prediction kernel matrix exp(-1/2 |u_i - Psi(v_j)|^2_Sigma) w_j is
-    cached when it fits ``KERNEL_CACHE_MAX`` entries and streamed in row
-    chunks otherwise. The likelihood tensor N(y; H(u), Gamma) is always cached.
+    The prediction kernel N(u_i; Psi(v_j), Sigma) w_j factors exactly per
+    state axis when Sigma is diagonal:
+    K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
+    Those factors, one (state_shape[a], m) matrix per axis, are cached when
+    they fit ``KERNEL_CACHE_MAX`` entries in total; a non-diagonal Sigma or
+    larger factors stream the full kernel in row chunks instead. The
+    likelihood tensor N(y; H(u), Gamma) is always cached.
     """
 
     def __init__(self, model: ModelSpec, state_lo, state_hi, state_shape,
@@ -96,15 +103,31 @@ class OperatorWorkspace:
         self._sigma_chol = chol_spd(model.Sigma)
         norm = (2.0 * np.pi) ** (-0.5 * self.d) / np.prod(np.diag(self._sigma_chol))
         self._kernel_norm = float(norm)
-        m = self._mesh.shape[0]
-        self._kernel = self._kernel_rows(np.arange(m)) * self._state_w[None, :] \
-            if m * m <= KERNEL_CACHE_MAX else None
+        sigma = model.Sigma
+        self._factors = None
+        if (np.array_equal(sigma, np.diag(np.diag(sigma)))
+                and sum(self.state_shape) * self._mesh.shape[0] <= KERNEL_CACHE_MAX):
+            self._factors = [self._axis_factor(a, sigma[a, a]) for a in range(self.d)]
+            # the first factor also carries the normalization and the source weights w_j
+            self._factors[0] *= self._kernel_norm * self._state_w
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma = float(model.Gamma[0, 0])
         like = np.exp(-0.5 * (self.y_axis[None, :] - h_mesh[:, None]) ** 2 / gamma)
         like /= np.sqrt(2.0 * np.pi * gamma)
         self._likelihood = like.reshape(self.state_shape + (int(y_points),))
+
+    def _axis_factor(self, a: int, var: float) -> Array:
+        """exp(-(u_a,i - Psi_a(v_j))^2 / (2 var)) over output points i, source points j.
+
+        Built in place in one buffer: chained full-size temporaries fragment the
+        heap when many workspaces are built in one process.
+        """
+        f = np.subtract.outer(self.state_axes[a], self._psi_mesh[:, a])
+        f *= f
+        f *= -0.5 / var
+        np.exp(f, out=f)
+        return f
 
     def _kernel_rows(self, rows: Array) -> Array:
         """Markov-kernel rows N(u_i; Psi(v_j), Sigma) for the output points ``rows``."""
@@ -134,9 +157,7 @@ class OperatorWorkspace:
     def apply_markov(self, state_values: Array) -> Array:
         """Quadrature image of the Markov kernel on a state-value tensor (unnormalized)."""
         flat = state_values.reshape(-1)
-        if self._kernel is not None:
-            out = self._kernel @ flat
-        else:
+        if self._factors is None:
             weighted = self._state_w * flat
             m = flat.size
             chunk = max(1, KERNEL_CACHE_MAX // m)
@@ -144,6 +165,10 @@ class OperatorWorkspace:
             for start in range(0, m, chunk):
                 rows = np.arange(start, min(start + chunk, m))
                 out[rows] = self._kernel_rows(rows) @ weighted
+        elif self.d == 1:
+            out = self._factors[0] @ flat
+        else:
+            out = (self._factors[0] * flat) @ self._factors[1].T
         return out.reshape(self.state_shape)
 
 
@@ -254,8 +279,6 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     """
     if joint.blocks is None or joint.blocks.K != 1:
         raise ValueError("grid transport requires a joint with a scalar data axis")
-    from .density import CoverageError  # local import to keep module deps one-way
-
     y = float(np.asarray(y_dagger, dtype=float).reshape(-1)[0])
     gain = kalman_gain(joint)[:, 0]
     d = joint.blocks.d

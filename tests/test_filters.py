@@ -22,7 +22,7 @@ from filtermaps.filters import (
     trajectory_to_csv,
 )
 from filtermaps.gaussian import GaussianMeasure, sample
-from filtermaps.model import bounded_model_1d, linear_model_1d, sweep_model
+from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
 from filtermaps.operators import OutOfDomainError, default_workspace
 
 
@@ -93,6 +93,39 @@ def test_grid_true_filter_tracks_kalman():
     for j in range(traj.J + 1):
         assert_allclose(run.diagnostics["mean"][j], oracle[j].mean, atol=5e-4)
         assert_allclose(run.diagnostics["cov"][j], oracle[j].cov, atol=5e-4)
+
+
+def test_grid_filters_track_kalman_in_2d():
+    model = ModelSpec(
+        d=2, K=1,
+        psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
+        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+        Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
+        m0=[0.0, 0.0], S0=np.eye(2).tolist(),
+    )
+    traj = generate_data(model, J=3, seed=2)
+    oracle = kalman_analytic(model, traj)
+    results = run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj,
+                         config=FilterConfig(state_shape=(48, 48), y_points=48))
+    # Tolerances are grid error on a 48^2 state grid (cell about 0.28 against a
+    # prior stdev of 1) with 48 data points (cell about 0.34); measured errors are
+    # at most half of each bound:
+    # - gpf_bg conditions the quadrature moments of a lifted Gaussian, which the
+    #   trapezoid rule integrates to near rounding level;
+    # - true slices the joint at the datum by linear interpolation between data nodes;
+    # - enkf_mf and gpf_gt transport by linear interpolation on the state grid,
+    #   which smooths by about cell^2 / 6 of variance per step.
+    tolerances = {"gpf_bg": (1e-9, 1e-8), "true": (3e-3, 3e-2),
+                  "enkf_mf": (3e-3, 5e-2), "gpf_gt": (3e-3, 5e-2)}
+    for kind, (atol_mean, atol_cov) in tolerances.items():
+        diag = results[kind].diagnostics
+        for j in range(traj.J + 1):
+            assert_allclose(diag["mean"][j], oracle[j].mean, atol=atol_mean)
+            assert_allclose(diag["cov"][j], oracle[j].cov, atol=atol_cov)
+    # a Gaussian joint stays Gaussian under transport, so both transport forms coincide
+    for key in ("mean", "cov"):
+        for a, b in zip(results["enkf_mf"].diagnostics[key], results["gpf_gt"].diagnostics[key]):
+            assert_allclose(a, b, atol=1e-6)
 
 
 def test_run_filter_matches_manual_step_loop():

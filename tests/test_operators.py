@@ -13,6 +13,7 @@ from filtermaps.density import (
     marginal_u,
     moments,
     normalized,
+    weight_tensor,
 )
 from filtermaps.gaussian import BlockStructure, GaussianMeasure
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d
@@ -280,16 +281,55 @@ def test_workspace_dimension_limits():
         )
 
 
-def test_chunked_kernel_matches_cached(monkeypatch):
-    model = bounded_model_1d()
-    mu_args = dict(box_lo=[-7.0], box_hi=[7.0], shape=(256,))
-    mu = from_gaussian(GaussianMeasure([0.4], [[0.8]]), **mu_args)
-    ws_cached = default_workspace(model, [-7.0], [7.0], (256,), y_points=64)
-    assert ws_cached._kernel is not None
+def _linear_model_2d(sigma):
+    return ModelSpec(
+        d=2, K=1,
+        psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
+        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+        Sigma=sigma, Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2).tolist(),
+    )
+
+
+_KERNEL_CASES = {
+    "1d": (bounded_model_1d(), [-7.0], [7.0], (256,), GaussianMeasure([0.4], [[0.8]])),
+    "2d": (_linear_model_2d((0.25 * np.eye(2)).tolist()), [-7.0, -7.0], [7.0, 7.0], (24, 24),
+           GaussianMeasure([0.4, -0.3], [[0.8, 0.2], [0.2, 0.6]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_chunked_kernel_matches_cached(monkeypatch, case):
+    # a diagonal Sigma caches per-axis kernel factors; shrinking the cache streams rows
+    model, lo, hi, shape, prior = _KERNEL_CASES[case]
+    mu = from_gaussian(prior, box_lo=lo, box_hi=hi, shape=shape)
+    ws_cached = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
+    assert ws_cached._factors is not None and len(ws_cached._factors) == model.d
     reference = predict(mu, model, ws_cached)
 
     monkeypatch.setattr(ops, "KERNEL_CACHE_MAX", 1024)
-    ws_chunked = default_workspace(model, [-7.0], [7.0], (256,), y_points=64)
-    assert ws_chunked._kernel is None
+    ws_chunked = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
+    assert ws_chunked._factors is None
     assert_allclose(predict(mu, model, ws_chunked).values, reference.values,
                     rtol=1e-12, atol=1e-15)
+
+
+def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
+    sigma = np.array([[0.3, 0.1], [0.1, 0.2]])
+    model = _linear_model_2d(sigma.tolist())
+    lo, hi, shape = [-6.0, -5.0], [6.0, 5.0], (20, 18)
+    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    assert ws._factors is None
+    mu = from_gaussian(GaussianMeasure([0.5, -0.4], [[0.5, 0.1], [0.1, 0.4]]), lo, hi, shape)
+    got = predict(mu, model, ws).values
+
+    # direct quadrature of N(u_i; A v_j, Sigma) w_j mu(v_j) over every pair of grid points
+    u1, u2 = np.meshgrid(np.linspace(lo[0], hi[0], shape[0]),
+                         np.linspace(lo[1], hi[1], shape[1]), indexing="ij")
+    pts = np.stack([u1.ravel(), u2.ravel()], axis=1)
+    w = weight_tensor(lo, hi, shape).ravel()
+    diff = pts[:, None, :] - (pts @ np.array([[0.8, 0.1], [0.0, 0.7]]).T)[None, :, :]
+    q = np.einsum("ija,ab,ijb->ij", diff, np.linalg.inv(sigma), diff)
+    kernel = np.exp(-0.5 * q) / (2.0 * np.pi * np.sqrt(np.linalg.det(sigma)))
+    raw = (kernel @ (w * mu.values.ravel())).reshape(shape)
+    expected = raw / np.sum(raw * weight_tensor(lo, hi, shape))
+    assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
