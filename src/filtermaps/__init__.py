@@ -83,10 +83,7 @@ from .filters import (
     lipschitz_q,
     plan_workspace,
     run_filter,
-    step_enkf_meanfield,
     step_enkf_particles,
-    step_gpf,
-    step_true,
     trajectory_to_csv,
 )
 from .verify import PropertyResult, measure_sweep, run_suites, write_report
@@ -113,8 +110,7 @@ __all__ = [
     # filters
     "Ensemble", "FilterConfig", "FilterStepError", "FilterTrajectory",
     "generate_data", "kalman_analytic", "lipschitz_p", "lipschitz_q",
-    "plan_workspace", "run_filter", "step_enkf_meanfield", "step_enkf_particles",
-    "step_gpf", "step_true", "trajectory_to_csv",
+    "plan_workspace", "run_filter", "step_enkf_particles", "trajectory_to_csv",
     # verify
     "PropertyResult", "measure_sweep", "run_suites", "write_report",
 ]

@@ -50,13 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import density, filters, model, verify
+from . import __version__, density, filters, model, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
-
-_VERSION = "0.1.0"
 
 _SCENARIOS = ("linear_1d", "bounded_1d", "sweep")
 _DEFAULT_KINDS = ("true", "enkf_mf", "gpf_bg", "gpf_gt")
@@ -186,7 +184,7 @@ def _ensure_writable(out_dir: str) -> None:
 def _write_metadata(out_dir: str, cfg: ExperimentConfig | None, spec, timings: dict,
                     extra: dict | None = None) -> None:
     meta = {
-        "version": _VERSION,
+        "version": __version__,
         "seed": None if cfg is None else cfg.seed,
         "config": None if cfg is None else cfg.to_dict(),
         "model_fingerprint": None if spec is None else model.fingerprint(spec),
@@ -263,15 +261,9 @@ def _write_summary(results: dict, path: str) -> None:
             fh.write(f"{quantity},{kind_name},{'%.17g' % value}\n")
 
 
-def _sweep_point(delta: float, J: int, seed: int, state_points: int | None,
-                 y_points: int | None, n_particles: int) -> dict:
+def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) -> dict:
     """One sweep point; top-level so process pools can pickle it."""
-    spec = model.sweep_model(delta)
-    shape = None if state_points is None else (int(state_points),) * spec.d
-    cfg = filters.FilterConfig(seed=seed, state_shape=shape,
-                               y_points=None if y_points is None else int(y_points),
-                               n_particles=n_particles)
-    return verify.measure_sweep(deltas=[delta], J=J, seed=seed, config=cfg)[0]
+    return verify.measure_sweep(deltas=[delta], J=J, seed=seed, config=config)[0]
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -282,8 +274,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         raise ConfigError("'deltas' must be sorted ascending")
     _ensure_writable(out_dir)
     spec0 = model.sweep_model(cfg.deltas[0])
-    args = [(float(d), cfg.J, cfg.seed, cfg.state_points, cfg.y_points, cfg.n_particles)
-            for d in cfg.deltas]
+    fcfg = cfg.filter_config(spec0)
+    args = [(float(d), cfg.J, cfg.seed, fcfg) for d in cfg.deltas]
     t0 = time.perf_counter()
     try:
         with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:

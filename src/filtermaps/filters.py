@@ -10,10 +10,14 @@ Five filter kinds over a shared trajectory of observed data:
                (equivalent form of the same Gaussian projected filter),
 - ``enkf_N``   finite ensemble with perturbed observations.
 
-``run_filter`` drives any subset of kinds over one data realization on a
-shared workspace, recording per-step measures, the near-Gaussianity defect
-eps_j of each lifted prediction, and pairwise weighted-TV distances between
-kinds. ``kalman_analytic`` is the closed-form oracle for linear models.
+Each composition is written once, as the step of its kind in the table
+``_KINDS`` (kind -> (init, step)); ``FILTER_KINDS`` are its keys. A step
+returns the next measure and the lifted prediction it analysed (None for
+``enkf_N``). ``run_filter`` drives any subset of kinds through that table
+over one data realization on a shared workspace, recording per-step
+measures, the near-Gaussianity defect eps_j of each lifted prediction, and
+pairwise weighted-TV distances between kinds. ``kalman_analytic`` is the
+closed-form oracle for linear models.
 """
 
 from __future__ import annotations
@@ -26,17 +30,19 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import density
-from .density import GridDensity, from_gaussian, lifted_epsilon, moments
+from .density import GridDensity, lifted_epsilon, moments
 from .gaussian import Array, GaussianMeasure, chol_spd, condition, sample
 from .model import ModelSpec
-from .operators import OperatorWorkspace, bayes, lift, predict, transport
-
-GRID_KINDS = ("true", "enkf_mf")
-GAUSSIAN_KINDS = ("gpf_bg", "gpf_gt")
-FILTER_KINDS = GRID_KINDS + GAUSSIAN_KINDS + ("enkf_N",)
+from .operators import OperatorWorkspace, bayes, default_resolution, lift, predict, transport
 
 #: Jitter scale added to the empirical data covariance of the particle filter.
 ENSEMBLE_JITTER = 1e-10
+
+#: Size of the pilot ensemble that ``plan_workspace`` sizes the grids from.
+PILOT_SIZE = 4096
+
+#: Padding of the planned state and data boxes, as a fraction of their width.
+BOX_PAD = 0.05
 
 _PILOT_STREAM = 101
 _PARTICLE_STREAM = 202
@@ -145,14 +151,12 @@ def generate_data(model: ModelSpec, J: int, seed: int) -> FilterTrajectory:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Knobs for a filter run: resolutions, seeds, ensemble and pilot sizes."""
+    """Knobs for a filter run: resolutions, seed and ensemble size."""
 
     seed: int = 0
     state_shape: tuple[int, ...] | None = None
     y_points: int | None = None
     n_particles: int = 1000
-    pilot_size: int = 4096
-    box_pad: float = 0.05
 
 
 def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
@@ -169,7 +173,7 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
     if model.K != 1:
         raise ValueError("grid filtering supports K = 1 only")
     rng = np.random.default_rng([config.seed, _PILOT_STREAM])
-    ens = sample(model.initial_law(), rng, config.pilot_size)
+    ens = sample(model.initial_law(), rng, PILOT_SIZE)
     L_sig = chol_spd(model.Sigma)
     L_gam = chol_spd(model.Gamma)
 
@@ -187,13 +191,14 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
     if not np.isfinite(y_lo):
         y_lo, y_hi = -1.0, 1.0
 
-    pad_u = config.box_pad * (u_hi - u_lo)
+    pad_u = BOX_PAD * (u_hi - u_lo)
     u_lo, u_hi = u_lo - pad_u, u_hi + pad_u
-    pad_y = config.box_pad * (y_hi - y_lo)
+    pad_y = BOX_PAD * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    state_shape = config.state_shape or ((1024,) if model.d == 1 else (96, 96))
-    y_points = config.y_points or (512 if model.d == 1 else 96)
+    default_shape, default_points = default_resolution(model.d)
+    state_shape = config.state_shape or default_shape
+    y_points = config.y_points or default_points
     if trajectory.J:
         cell = (y_hi - y_lo) / (y_points - 1)
         y_lo = min(y_lo, float(trajectory.data.min()) - 5.0 * cell)
@@ -210,43 +215,6 @@ def _particle_analysis(ens: Array, yhat: Array, y_dagger: Array) -> Array:
     c_yy = np.atleast_2d(both)[d:, d:] + ENSEMBLE_JITTER * np.trace(np.atleast_2d(both)[d:, d:]) / K * np.eye(K)
     gain = cho_solve((chol_spd(c_yy), True), c_uy.T).T
     return ens + (y_dagger - yhat) @ gain.T
-
-
-def _lifted_prediction(mu: GridDensity, model: ModelSpec, ws: OperatorWorkspace) -> GridDensity:
-    return lift(predict(mu, model, ws), model, ws)
-
-
-def step_true(mu: GridDensity, model: ModelSpec, y_dagger, ws: OperatorWorkspace) -> GridDensity:
-    """One step of the exact filter: condition the lifted prediction on the datum."""
-    return bayes(_lifted_prediction(mu, model, ws), y_dagger)
-
-
-def step_enkf_meanfield(mu: GridDensity, model: ModelSpec, y_dagger, ws: OperatorWorkspace) -> GridDensity:
-    """One step of the mean-field ensemble Kalman filter: Kalman transport of the lifted prediction."""
-    return transport(_lifted_prediction(mu, model, ws), y_dagger)
-
-
-def step_gpf(mu: GaussianMeasure, model: ModelSpec, y_dagger, ws: OperatorWorkspace,
-             form: str = "bg") -> GaussianMeasure:
-    """One step of the Gaussian projected filter, in either equivalent form.
-
-    ``bg``: project the lifted prediction to a joint Gaussian (grid moment
-    matching), then condition in closed form. ``gt``: transport the lifted
-    prediction on the grid, then project the state density. The two forms
-    agree up to grid error.
-    """
-    gridded = from_gaussian(mu, ws.state_lo, ws.state_hi, ws.state_shape)
-    joint = _lifted_prediction(gridded, model, ws)
-    return _gpf_analysis(joint, y_dagger, form)
-
-
-def _gpf_analysis(joint: GridDensity, y_dagger, form: str) -> GaussianMeasure:
-    if form == "bg":
-        proj = density.gaussian_projection(joint)
-        return condition(proj, joint.blocks, np.atleast_1d(y_dagger))
-    if form == "gt":
-        return density.gaussian_projection(transport(joint, y_dagger))
-    raise ValueError(f"unknown GPF form '{form}'; use 'bg' or 'gt'")
 
 
 def step_enkf_particles(ens: Ensemble, model: ModelSpec, y_dagger,
@@ -316,13 +284,60 @@ def kalman_analytic(model: ModelSpec, trajectory: FilterTrajectory) -> list[Gaus
 # -- sequential driver ---------------------------------------------------------
 
 
-def _grid_of(measure, ws: OperatorWorkspace) -> GridDensity | None:
-    """State-grid view of a measure for cross-kind distances; None for ensembles."""
-    if isinstance(measure, GridDensity):
-        return measure
-    if isinstance(measure, GaussianMeasure):
-        return from_gaussian(measure, ws.state_lo, ws.state_hi, ws.state_shape)
-    return None
+def _lifted_prediction(mu, model: ModelSpec, ws: OperatorWorkspace) -> GridDensity:
+    return lift(predict(ws.state_grid(mu), model, ws), model, ws)
+
+
+# Each kind is (init, step). init(model, ws, config, rng) gives the step-0
+# measure; step(measure, model, y_dagger, ws, rng) gives the next measure and
+# the lifted joint it analysed. The bodies look the measure maps up as module
+# globals at call time, so rebinding a map (e.g. to trace it) reaches the table.
+
+def _init_grid(model, ws, config, rng):
+    return ws.state_grid(model.initial_law())
+
+
+def _init_gaussian(model, ws, config, rng):
+    return model.initial_law()
+
+
+def _init_ensemble(model, ws, config, rng):
+    return Ensemble(sample(model.initial_law(), rng, config.n_particles))
+
+
+def _step_true(mu, model, y_dagger, ws, rng):
+    joint = _lifted_prediction(mu, model, ws)
+    return bayes(joint, y_dagger), joint
+
+
+def _step_enkf_mf(mu, model, y_dagger, ws, rng):
+    joint = _lifted_prediction(mu, model, ws)
+    return transport(joint, y_dagger), joint
+
+
+def _step_gpf_bg(mu, model, y_dagger, ws, rng):
+    joint = _lifted_prediction(mu, model, ws)
+    proj = density.gaussian_projection(joint)
+    return condition(proj, joint.blocks, np.atleast_1d(y_dagger)), joint
+
+
+def _step_gpf_gt(mu, model, y_dagger, ws, rng):
+    joint = _lifted_prediction(mu, model, ws)
+    return density.gaussian_projection(transport(joint, y_dagger)), joint
+
+
+def _step_enkf_n(ens, model, y_dagger, ws, rng):
+    return step_enkf_particles(ens, model, y_dagger, rng), None
+
+
+_KINDS = {
+    "true": (_init_grid, _step_true),
+    "enkf_mf": (_init_grid, _step_enkf_mf),
+    "gpf_bg": (_init_gaussian, _step_gpf_bg),
+    "gpf_gt": (_init_gaussian, _step_gpf_gt),
+    "enkf_N": (_init_ensemble, _step_enkf_n),
+}
+FILTER_KINDS = tuple(_KINDS)
 
 
 def _measure_moments(measure) -> tuple[Array, Array]:
@@ -363,25 +378,17 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
         if k not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
     config = config or FilterConfig()
-    needs_grid = [k for k in kinds if k != "enkf_N"]
-    if needs_grid:
+    if any(k != "enkf_N" for k in kinds):
         if model.d not in (1, 2) or model.K != 1:
             raise ValueError("grid filter kinds require d in {1, 2} and K = 1")
         if ws is None:
             ws = plan_workspace(model, trajectory, config)
 
+    rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
     current: dict[str, object] = {}
     results: dict[str, FilterTrajectory] = {}
     for k in kinds:
-        if k in GRID_KINDS:
-            init = from_gaussian(model.initial_law(), ws.state_lo, ws.state_hi, ws.state_shape)
-        elif k in GAUSSIAN_KINDS:
-            init = model.initial_law()
-        else:
-            rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
-            init = Ensemble(sample(model.initial_law(), rng, config.n_particles))
-            current["_enkf_rng"] = rng
-        current[k] = init
+        current[k] = init = _KINDS[k][0](model, ws, config, rng)
         mean0, cov0 = _measure_moments(init)
         results[k] = FilterTrajectory(
             data=trajectory.data, states=trajectory.states, kappa_y=trajectory.kappa_y,
@@ -394,18 +401,8 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
         yd = trajectory.data[j]
         for k in kinds:
             try:
-                eps_j = None
-                if k in GRID_KINDS:
-                    joint = _lifted_prediction(current[k], model, ws)
-                    eps_j = lifted_epsilon(joint)
-                    nxt = bayes(joint, yd) if k == "true" else transport(joint, yd)
-                elif k in GAUSSIAN_KINDS:
-                    gridded = from_gaussian(current[k], ws.state_lo, ws.state_hi, ws.state_shape)
-                    joint = _lifted_prediction(gridded, model, ws)
-                    eps_j = lifted_epsilon(joint)
-                    nxt = _gpf_analysis(joint, yd, "bg" if k == "gpf_bg" else "gt")
-                else:
-                    nxt = step_enkf_particles(current[k], model, yd, current["_enkf_rng"])
+                nxt, joint = _KINDS[k][1](current[k], model, yd, ws, rng)
+                eps_j = None if joint is None else lifted_epsilon(joint)
             except Exception as exc:  # noqa: BLE001 - step index must be attached
                 raise FilterStepError(j, k, exc) from exc
             current[k] = nxt
@@ -417,7 +414,7 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
 
     if len(kinds) > 1 and ws is not None:
         grids = {
-            k: [_grid_of(m, ws) for m in results[k].measures]
+            k: [ws.state_grid(m) for m in results[k].measures]
             for k in kinds if k != "enkf_N"
         }
         for a in grids:
@@ -428,7 +425,7 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
     return results[kinds[0]] if single else results
 
 
-def trajectory_to_csv(results, path, model: ModelSpec | None = None) -> None:
+def trajectory_to_csv(results, path) -> None:
     """Write per-step records as CSV: step, kind, moments, eps, dg_to_true.
 
     ``results`` may be a single FilterTrajectory or a dict of them. Mean

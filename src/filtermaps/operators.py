@@ -24,12 +24,13 @@ from .density import (
     CoverageError,
     GridDensity,
     GridMismatchError,
+    from_gaussian,
     moments,
     normalized,
     quad_weights,
     weight_tensor,
 )
-from .gaussian import Array, BlockStructure, chol_spd
+from .gaussian import Array, BlockStructure, GaussianMeasure, chol_spd
 from .model import ModelSpec, fingerprint
 
 #: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
@@ -39,6 +40,11 @@ KERNEL_CACHE_MAX = 2**24
 
 #: Fraction of mass that may leave the state box in ``transport`` before it is an error.
 TRANSPORT_COVERAGE_MIN = 0.9
+
+
+def default_resolution(d: int) -> tuple[tuple[int, ...], int]:
+    """Default ``(state_shape, y_points)`` of a workspace for state dimension ``d``."""
+    return ((1024,), 512) if d == 1 else ((96,) * d, 96)
 
 
 class WorkspaceMismatchError(ValueError):
@@ -151,6 +157,14 @@ class OperatorWorkspace:
             and np.array_equal(pi.box_hi, self.joint_hi)
         )
 
+    def state_grid(self, measure) -> GridDensity:
+        """A measure on the state grid: a Gaussian is evaluated there, a grid density passes."""
+        if isinstance(measure, GaussianMeasure):
+            return from_gaussian(measure, self.state_lo, self.state_hi, self.state_shape)
+        if isinstance(measure, GridDensity) and self.state_matches(measure):
+            return measure
+        raise GridMismatchError("measure is neither a Gaussian nor a density on the state grid")
+
     def state_density(self, values: Array, context: str) -> GridDensity:
         return normalized(self.state_lo, self.state_hi, values, context=context)
 
@@ -180,10 +194,11 @@ def default_workspace(model: ModelSpec, state_lo, state_hi, state_shape=None,
     around zero (the a priori envelope of the lifted law); bounded observation
     maps are required unless explicit y bounds are passed.
     """
+    default_shape, default_points = default_resolution(model.d)
     if state_shape is None:
-        state_shape = (1024,) if model.d == 1 else (96, 96)
+        state_shape = default_shape
     if y_points is None:
-        y_points = 512 if model.d == 1 else 96
+        y_points = default_points
     if y_lo is None or y_hi is None:
         kappa_h = model.h_bound()
         if kappa_h is None:

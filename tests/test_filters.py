@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from filtermaps.density import from_gaussian, moments
+from filtermaps.density import GridDensity, from_gaussian, gaussian_projection, lifted_epsilon, moments
 from filtermaps.filters import (
     Ensemble,
     FilterConfig,
@@ -17,13 +17,11 @@ from filtermaps.filters import (
     plan_workspace,
     run_filter,
     step_enkf_particles,
-    step_gpf,
-    step_true,
     trajectory_to_csv,
 )
-from filtermaps.gaussian import GaussianMeasure, sample
+from filtermaps.gaussian import GaussianMeasure, condition, sample
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
-from filtermaps.operators import OutOfDomainError, default_workspace
+from filtermaps.operators import OutOfDomainError, bayes, default_workspace, lift, predict, transport
 
 
 SMALL = FilterConfig(state_shape=(256,), y_points=128)
@@ -128,16 +126,44 @@ def test_grid_filters_track_kalman_in_2d():
             assert_allclose(a, b, atol=1e-6)
 
 
-def test_run_filter_matches_manual_step_loop():
+# The analysis of each kind applied to the lifted prediction Q.P, composed by hand.
+ANALYSES = {
+    "true": bayes,
+    "enkf_mf": transport,
+    "gpf_bg": lambda joint, y: condition(gaussian_projection(joint), joint.blocks,
+                                         np.atleast_1d(y)),
+    "gpf_gt": lambda joint, y: gaussian_projection(transport(joint, y)),
+}
+
+
+def _on_grid(measure, ws):
+    if isinstance(measure, GridDensity):
+        return measure
+    return from_gaussian(measure, ws.state_lo, ws.state_hi, ws.state_shape)
+
+
+def _same_measure(a, b):
+    if isinstance(a, GridDensity):
+        return np.array_equal(a.values, b.values)
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+
+
+@pytest.mark.parametrize("kind", list(ANALYSES))
+def test_run_filter_matches_manual_step_loop(kind):
     model = bounded_model_1d()
     traj = generate_data(model, J=3, seed=7)
     ws = plan_workspace(model, traj, SMALL)
-    run = run_filter("true", model, traj, config=SMALL, ws=ws)
+    run = run_filter(kind, model, traj, config=SMALL, ws=ws)
 
-    mu = from_gaussian(model.initial_law(), ws.state_lo, ws.state_hi, ws.state_shape)
+    mu = model.initial_law()
+    if kind in ("true", "enkf_mf"):
+        mu = _on_grid(mu, ws)
+    assert _same_measure(run.measures[0], mu)
     for j in range(traj.J):
-        mu = step_true(mu, model, traj.data[j], ws)
-    assert np.array_equal(run.measures[-1].values, mu.values)
+        joint = lift(predict(_on_grid(mu, ws), model, ws), model, ws)
+        mu = ANALYSES[kind](joint, traj.data[j])
+        assert _same_measure(run.measures[j + 1], mu)
+        assert run.diagnostics["eps"][j + 1] == lifted_epsilon(joint)
 
 
 def test_particle_step_matches_kalman_for_linear_model():
@@ -168,12 +194,11 @@ def test_gpf_forms_agree():
     model = bounded_model_1d()
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     mu = GaussianMeasure([0.2], [[0.8]])
-    bg = step_gpf(mu, model, [0.1], ws, form="bg")
-    gt = step_gpf(mu, model, [0.1], ws, form="gt")
+    joint = lift(predict(_on_grid(mu, ws), model, ws), model, ws)
+    bg = ANALYSES["gpf_bg"](joint, [0.1])
+    gt = ANALYSES["gpf_gt"](joint, [0.1])
     assert_allclose(bg.mean, gt.mean, atol=5e-3)
     assert_allclose(bg.cov, gt.cov, atol=5e-3)
-    with pytest.raises(ValueError):
-        step_gpf(mu, model, [0.1], ws, form="midpoint")
 
 
 def test_run_filter_multi_kind_contract():
@@ -241,7 +266,7 @@ def test_trajectory_to_csv_layout(tmp_path):
 
     def render(path):
         results = run_filter(kinds, model, traj, config=SMALL)
-        trajectory_to_csv(results, path, model=model)
+        trajectory_to_csv(results, path)
         return path.read_bytes()
 
     first = render(tmp_path / "a.csv")

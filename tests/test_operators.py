@@ -261,6 +261,22 @@ def test_default_workspace_requires_bounded_h_or_explicit_axis():
     assert ws.y_axis[0] == -9.0 and ws.y_axis[-1] == 9.0
 
 
+def test_state_grid_views_gaussians_and_state_densities():
+    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (256,))
+    g = GaussianMeasure([0.3], [[0.5]])
+    grid = ws.state_grid(g)
+    assert np.array_equal(grid.values, from_gaussian(g, ws.state_lo, ws.state_hi, ws.state_shape).values)
+    assert ws.state_grid(grid) is grid
+    with pytest.raises(GridMismatchError):
+        ws.state_grid(from_gaussian(g, [-6.0], [6.0], (256,)))
+
+
+def test_default_workspace_takes_the_default_resolution():
+    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0])
+    assert (ws.state_shape, ws.joint_shape[-1]) == ops.default_resolution(1) == ((1024,), 512)
+    assert ops.default_resolution(2) == ((96, 96), 96)
+
+
 def test_workspace_dimension_limits():
     with pytest.raises(ValueError):
         OperatorWorkspace(
