@@ -12,105 +12,11 @@ inequalities; the ``cli`` module batches experiments.
 
 __version__ = "0.1.0"
 
-from .gaussian import (
-    BlockStructure,
-    GaussianMeasure,
-    SingularCovarianceError,
-    chol_spd,
-    condition,
-    density_at,
-    dg_upper_bound,
-    g2_moment,
-    kl_divergence,
-    log_density_at,
-    sample,
-)
-from .density import (
-    CoverageError,
-    GridDensity,
-    GridMismatchError,
-    Moments,
-    ResolutionWarning,
-    dg_distance,
-    from_function,
-    from_gaussian,
-    gaussian_projection,
-    lifted_epsilon,
-    load_binary,
-    marginal_u,
-    moments,
-    save_binary,
-    save_csv,
-    tv_distance,
-)
-from .model import (
-    AssumptionReport,
-    MapSpec,
-    ModelSpec,
-    bounded_model_1d,
-    fingerprint,
-    from_config,
-    linear_model_1d,
-    load_config,
-    registered_families,
-    save_config,
-    sweep_model,
-    to_config,
-    validate_assumptions,
-)
-from .operators import (
-    DegenerateEvidenceError,
-    OperatorWorkspace,
-    OutOfDomainError,
-    WorkspaceMismatchError,
-    bayes,
-    default_workspace,
-    kalman_gain,
-    lift,
-    lifted_envelope,
-    predict,
-    prediction_envelope,
-    transport,
-)
-from .filters import (
-    Ensemble,
-    FilterConfig,
-    FilterStepError,
-    FilterTrajectory,
-    generate_data,
-    kalman_analytic,
-    lipschitz_p,
-    lipschitz_q,
-    plan_workspace,
-    run_filter,
-    step_enkf_particles,
-    trajectory_to_csv,
-)
-from .verify import PropertyResult, measure_sweep, run_suites, write_report
+from .model import MapSpec, ModelSpec, sweep_model
+from .filters import FilterConfig, generate_data, plan_workspace, run_filter
 
 __all__ = [
     "__version__",
-    # gaussian
-    "BlockStructure", "GaussianMeasure", "SingularCovarianceError", "chol_spd",
-    "condition", "density_at", "dg_upper_bound", "g2_moment", "kl_divergence",
-    "log_density_at", "sample",
-    # density
-    "CoverageError", "GridDensity", "GridMismatchError", "Moments",
-    "ResolutionWarning", "dg_distance", "from_function", "from_gaussian",
-    "gaussian_projection", "lifted_epsilon", "load_binary", "marginal_u",
-    "moments", "save_binary", "save_csv", "tv_distance",
-    # model
-    "AssumptionReport", "MapSpec", "ModelSpec", "bounded_model_1d", "fingerprint",
-    "from_config", "linear_model_1d", "load_config", "registered_families",
-    "save_config", "sweep_model", "to_config", "validate_assumptions",
-    # operators
-    "DegenerateEvidenceError", "OperatorWorkspace", "OutOfDomainError",
-    "WorkspaceMismatchError", "bayes", "default_workspace", "kalman_gain", "lift",
-    "lifted_envelope", "predict", "prediction_envelope", "transport",
-    # filters
-    "Ensemble", "FilterConfig", "FilterStepError", "FilterTrajectory",
-    "generate_data", "kalman_analytic", "lipschitz_p", "lipschitz_q",
-    "plan_workspace", "run_filter", "step_enkf_particles", "trajectory_to_csv",
-    # verify
-    "PropertyResult", "measure_sweep", "run_suites", "write_report",
+    "FilterConfig", "MapSpec", "ModelSpec", "generate_data", "plan_workspace",
+    "run_filter", "sweep_model",
 ]

@@ -64,6 +64,16 @@ class ConfigError(ValueError):
     """The experiment config or environment is unusable; exits with code 2."""
 
 
+_NUMBER = (int, float)
+
+
+def _typed(key: str, value, types: tuple):
+    """``value`` if it is an instance of ``types`` (a bool only where bool is listed)."""
+    if isinstance(value, bool) and bool not in types or not isinstance(value, types):
+        raise ConfigError(f"config key '{key}' has the wrong type: {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; one instance drives one subcommand."""
@@ -90,18 +100,19 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        deltas = _typed("deltas", raw.get("deltas", model.SWEEP_DELTAS), (list, tuple))
         cfg = cls(
             scenario=raw.get("scenario"),
-            delta=float(raw.get("delta", 0.0)),
+            delta=float(_typed("delta", raw.get("delta", 0.0), _NUMBER)),
             model_cfg=raw.get("model"),
-            J=int(raw.get("J", 10)),
-            seed=int(raw.get("seed", 0)),
-            kinds=tuple(raw.get("kinds", _DEFAULT_KINDS)),
-            state_points=raw.get("state_points"),
-            y_points=raw.get("y_points"),
-            n_particles=int(raw.get("n_particles", 1000)),
-            deltas=tuple(float(x) for x in raw.get("deltas", model.SWEEP_DELTAS)),
-            save_densities=bool(raw.get("save_densities", False)),
+            J=_typed("J", raw.get("J", 10), (int,)),
+            seed=_typed("seed", raw.get("seed", 0), (int,)),
+            kinds=tuple(_typed("kinds", raw.get("kinds", _DEFAULT_KINDS), (list, tuple))),
+            state_points=_typed("state_points", raw.get("state_points"), (int, type(None))),
+            y_points=_typed("y_points", raw.get("y_points"), (int, type(None))),
+            n_particles=_typed("n_particles", raw.get("n_particles", 1000), (int,)),
+            deltas=tuple(float(_typed("deltas", x, _NUMBER)) for x in deltas),
+            save_densities=_typed("save_densities", raw.get("save_densities", False), (bool,)),
             out=str(raw.get("out", "results")),
         )
         cfg.validate()

@@ -1,10 +1,15 @@
 """Grid densities: probability measures on truncated boxes in R^n.
 
 A ``GridDensity`` stores nonnegative values on a uniform tensor grid and is
-always normalized to unit mass under trapezoidal quadrature. This module owns
-the quadrature, moments, the weighted total-variation metric d_g with weight
-g(v) = 1 + |v|^2, Gaussian projection (moment matching), and the flat binary /
-CSV serialization formats.
+always normalized to unit mass under trapezoidal quadrature. This module is the
+one home of grid quadrature and coordinates: :func:`integrate` is the only
+integration rule (per-axis trapezoidal weights contracted one axis at a time),
+open-mesh axes (``np.ix_(*mu.axes())``) supply coordinates that broadcast
+against a value tensor, and :func:`grid_points` is the only flat point list,
+used wherever a function is evaluated at every grid point. On these it builds
+moments, the weighted total-variation metric d_g with weight g(v) = 1 + |v|^2,
+Gaussian projection (moment matching), and the flat binary / CSV serialization
+formats.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
 trailing axes as the data block. Densities on different grids cannot be
@@ -103,7 +108,7 @@ class GridDensity:
             raise ValueError(f"every axis needs at least {MIN_POINTS} points, got shape {vals.shape}")
         if vals.min() < 0.0:
             raise ValueError("density values must be nonnegative")
-        mass = float(_reduce_weights(vals, quad_weights(lo, hi, vals.shape)))
+        mass = integrate(vals, lo, hi)
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"density mass {mass:.12f} is not 1 within {MASS_TOL}")
         if self.blocks is not None and self.blocks.n != vals.ndim:
@@ -157,11 +162,17 @@ def weight_tensor(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
     return reduce(np.multiply.outer, quad_weights(lo, hi, shape))
 
 
-def _reduce_weights(values: Array, ws: list[Array]) -> float:
-    """Integrate a value tensor against per-axis weights without forming the outer product."""
+def integrate(values: Array, lo: Array, hi: Array) -> float:
+    """Trapezoidal integral of a value tensor over the box [lo, hi].
+
+    The per-axis weights are contracted one axis at a time, never formed into
+    their full outer product. ``einsum`` contracts without calling BLAS: a
+    threaded BLAS call costs more than the whole contraction when several
+    processes share the cores, as the sweep's worker pool does.
+    """
     out = values
-    for w in reversed(ws):
-        out = np.tensordot(out, w, axes=([out.ndim - 1], [0]))
+    for w in reversed(quad_weights(lo, hi, values.shape)):
+        out = np.einsum("...i,i->...", out, w)
     return float(out)
 
 
@@ -187,7 +198,7 @@ def normalized(
         if values.min() < floor:
             raise ValueError(f"density values have a substantial negative entry ({values.min():.3e})")
         values = np.clip(values, 0.0, None)
-    mass = _reduce_weights(values, quad_weights(box_lo, box_hi, values.shape))
+    mass = integrate(values, box_lo, box_hi)
     if mass <= 0.0 or not np.isfinite(mass):
         raise ValueError(f"cannot normalize {context}: mass is {mass}")
     if expect_unit_mass and abs(mass - 1.0) > DRIFT_WARN:
@@ -213,16 +224,11 @@ def default_box(g: GaussianMeasure) -> tuple[Array, Array]:
     return g.mean - half, g.mean + half
 
 
-def _mesh_points(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
+def grid_points(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
     """All grid points as a (prod(shape), n) matrix in row-major order."""
     axes = [np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-def coordinate_grids(mu: GridDensity) -> list[Array]:
-    """Full coordinate tensors, one per axis (meshgrid with matrix indexing)."""
-    return list(np.meshgrid(*mu.axes(), indexing="ij"))
 
 
 def from_gaussian(
@@ -253,7 +259,7 @@ def from_gaussian(
         raise CoverageError(
             f"box [{box_lo}, {box_hi}] does not cover mean +- 6 max-stdev ([{needed_lo}, {needed_hi}])"
         )
-    logs = log_density_at(g, _mesh_points(box_lo, box_hi, shape))
+    logs = log_density_at(g, grid_points(box_lo, box_hi, shape))
     values = np.exp(np.asarray(logs)).reshape(tuple(shape))
     return normalized(box_lo, box_hi, values, blocks, context="from_gaussian")
 
@@ -270,22 +276,21 @@ def from_function(
     box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
     if shape is None:
         shape = default_shape(box_lo.size)
-    values = np.asarray(f(_mesh_points(box_lo, box_hi, shape)), dtype=float).reshape(tuple(shape))
+    values = np.asarray(f(grid_points(box_lo, box_hi, shape)), dtype=float).reshape(tuple(shape))
     return normalized(box_lo, box_hi, values, blocks, expect_unit_mass=False, context="from_function")
 
 
 def moments(mu: GridDensity) -> Moments:
     """Trapezoidal-quadrature mean and covariance (covariance symmetrized)."""
-    W = weight_tensor(mu.box_lo, mu.box_hi, mu.shape)
-    wr = W * mu.values
-    coords = coordinate_grids(mu)
-    mean = np.array([float(np.sum(wr * X)) for X in coords])
+    lo, hi, vals = mu.box_lo, mu.box_hi, mu.values
+    coords = np.ix_(*mu.axes())
+    mean = np.array([integrate(vals * X, lo, hi) for X in coords])
     n = mu.ndim
     cov = np.empty((n, n))
     centered = [coords[i] - mean[i] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            cov[i, j] = cov[j, i] = float(np.sum(wr * centered[i] * centered[j]))
+            cov[i, j] = cov[j, i] = integrate(vals * centered[i] * centered[j], lo, hi)
     return Moments(mean, cov)
 
 
@@ -303,16 +308,14 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     Both densities must live on the identical grid.
     """
     _require_same_grid(mu1, mu2)
-    W = weight_tensor(mu1.box_lo, mu1.box_hi, mu1.shape)
-    g = 1.0 + sum(X * X for X in coordinate_grids(mu1))
-    return float(np.sum(W * g * np.abs(mu1.values - mu2.values)))
+    g = 1.0 + sum(X * X for X in np.ix_(*mu1.axes()))
+    return integrate(g * np.abs(mu1.values - mu2.values), mu1.box_lo, mu1.box_hi)
 
 
 def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     """Plain total variation: integral of |rho1 - rho2| dv on the shared grid."""
     _require_same_grid(mu1, mu2)
-    W = weight_tensor(mu1.box_lo, mu1.box_hi, mu1.shape)
-    return float(np.sum(W * np.abs(mu1.values - mu2.values)))
+    return integrate(np.abs(mu1.values - mu2.values), mu1.box_lo, mu1.box_hi)
 
 
 def gaussian_projection(mu: GridDensity) -> GaussianMeasure:
@@ -332,7 +335,7 @@ def lifted_epsilon(joint: GridDensity) -> float:
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
     proj = gaussian_projection(joint)
-    logs = log_density_at(proj, _mesh_points(joint.box_lo, joint.box_hi, joint.shape))
+    logs = log_density_at(proj, grid_points(joint.box_lo, joint.box_hi, joint.shape))
     values = np.exp(np.asarray(logs)).reshape(joint.shape)
     gridded = normalized(joint.box_lo, joint.box_hi, values, joint.blocks,
                          expect_unit_mass=False, context="lifted_epsilon")
@@ -379,7 +382,7 @@ def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
 
 def save_csv(mu: GridDensity, path) -> None:
     """Write one row per grid point: coordinates then value, row-major order."""
-    pts = _mesh_points(mu.box_lo, mu.box_hi, mu.shape)
+    pts = grid_points(mu.box_lo, mu.box_hi, mu.shape)
     vals = mu.values.reshape(-1)
     cols = [f"x{i}" for i in range(mu.ndim)] + ["value"]
     with open(path, "w", newline="") as fh:

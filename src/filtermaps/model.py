@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .density import grid_points
 from .gaussian import Array, GaussianMeasure, chol_spd
 
 #: Number of probe points used by the assumption checks.
@@ -331,14 +332,6 @@ class AssumptionReport:
         return out
 
 
-def _probe_mesh(d: int) -> Array:
-    """Fixed deterministic probe mesh: ~PROBE_POINTS points over [-25, 25]^d."""
-    per_axis = {1: PROBE_POINTS, 2: 100, 3: 22}[d]
-    axes = [np.linspace(-PROBE_RANGE, PROBE_RANGE, per_axis)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
 def validate_assumptions(model: ModelSpec) -> AssumptionReport:
     """Probe the standing assumptions: SPD noises, bounded maps, Lipschitz observation.
 
@@ -352,7 +345,9 @@ def validate_assumptions(model: ModelSpec) -> AssumptionReport:
         checks.append(AssumptionCheck(name, floor > 0.0, value=floor, bound=0.0))
     checks.append(AssumptionCheck("s0_spd", float(np.linalg.eigvalsh(model.S0)[0]) > 0.0))
 
-    pts = _probe_mesh(model.d)
+    per_axis = {1: PROBE_POINTS, 2: 100, 3: 22}[model.d]
+    half = np.full(model.d, PROBE_RANGE)
+    pts = grid_points(-half, half, (per_axis,) * model.d)
     for label, handle, apply_fn, bound in (
         ("psi_bounded", model.psi_handle, model.psi_apply, model.psi_bound()),
         ("h_bounded", model.h_handle, model.h_apply, model.h_bound()),

@@ -8,7 +8,7 @@ specific model:
 - ``lift`` extends a state density to the joint state x data space,
 - ``bayes`` conditions a joint on an observed datum (slice + renormalize),
 - ``transport`` pushes a joint through the affine Kalman map
-  u + C_uy C_yy^-1 (y_dagger - y).
+  u + C_uy C_yy^-1 (y_dagger - y), one per-axis linear shift for d in {1, 2}.
 
 Grid operators support state dimension d in {1, 2} with a scalar data axis
 (K = 1); the joint therefore has at most 3 axes.
@@ -16,15 +16,18 @@ Grid operators support state dimension d in {1, 2} with a scalar data axis
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.ndimage import shift as ndimage_shift
 
 from .density import (
     CoverageError,
     GridDensity,
     GridMismatchError,
     from_gaussian,
+    grid_points,
+    integrate,
     moments,
     normalized,
     quad_weights,
@@ -99,11 +102,9 @@ class OperatorWorkspace:
         self.y_axis = np.linspace(float(y_lo), float(y_hi), int(y_points))
         self.y_weights = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], (int(y_points),))[0]
 
-        axes = [np.linspace(self.state_lo[a], self.state_hi[a], self.state_shape[a])
-                for a in range(self.d)]
-        self.state_axes = axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self._mesh = np.stack([m.reshape(-1) for m in mesh], axis=1)
+        self.state_axes = [np.linspace(self.state_lo[a], self.state_hi[a], self.state_shape[a])
+                           for a in range(self.d)]
+        self._mesh = grid_points(self.state_lo, self.state_hi, self.state_shape)
         self._state_w = weight_tensor(self.state_lo, self.state_hi, self.state_shape).reshape(-1)
         self._psi_mesh = np.asarray(model.psi_apply(self._mesh), dtype=float)
         self._sigma_chol = chol_spd(model.Sigma)
@@ -266,7 +267,7 @@ def bayes(joint: GridDensity, y_dagger) -> GridDensity:
     slc = _slice_at_datum(joint, y_dagger)
     d = joint.blocks.d
     lo, hi = joint.box_lo[:d], joint.box_hi[:d]
-    mass = float(np.tensordot(slc, weight_tensor(lo, hi, slc.shape), axes=slc.ndim))
+    mass = integrate(slc, lo, hi)
     if mass < 1e-300:
         raise DegenerateEvidenceError(f"joint density carries no mass at datum {y_dagger}")
     return normalized(lo, hi, slc, expect_unit_mass=False, context="bayes")
@@ -283,14 +284,40 @@ def kalman_gain(joint: GridDensity) -> Array:
     return cho_solve((L_yy, True), c_uy.T).T
 
 
+def _shift_axis(a: Array, axis: int, t: float) -> Array:
+    """``a`` resampled at index i - t along ``axis`` by linear interpolation.
+
+    A sample whose position falls off the grid is zero; no value is
+    interpolated between the edge and the outside. With t = k + f (k integer,
+    0 <= f < 1), output i blends input i - k with weight 1 - f and input
+    i - k - 1 with weight f, so the integer part is a slice and the
+    fractional part one blend.
+    """
+    n = a.shape[axis]
+    k = math.floor(t)
+    f = t - k
+    src = a.swapaxes(0, axis)
+    out = np.zeros_like(a)
+    dst = out.swapaxes(0, axis)
+    # outputs whose neighbours i - k (and i - k - 1 when f > 0) are both on the grid
+    first, stop = max(k + 1 if f > 0.0 else k, 0), min(n + k, n)
+    if first < stop:
+        dst[first:stop] = (1.0 - f) * src[first - k:stop - k]
+        if f > 0.0:
+            dst[first:stop] += f * src[first - k - 1:stop - k - 1]
+    return out
+
+
 def transport(joint: GridDensity, y_dagger) -> GridDensity:
     """Kalman transport map: push the joint through (u, y) -> u + A (y_dagger - y).
 
     Realized by the change-of-variables integral
-    (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy with linear
-    interpolation of pi at the shifted points. More than 10% of the mass
-    leaving the state box raises :class:`CoverageError` from the normalization
-    step; the output mean equals M_u + A (y_dagger - M_y) up to grid error.
+    (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy: for each data point
+    the state plane is shifted by A (y_dagger - y) with one per-axis linear
+    shift, the same code for d in {1, 2}, and points shifted in from outside
+    the box are zero. More than 10% of the mass leaving the state box raises
+    :class:`CoverageError`; the output mean equals M_u + A (y_dagger - M_y)
+    up to grid error.
     """
     if joint.blocks is None or joint.blocks.K != 1:
         raise ValueError("grid transport requires a joint with a scalar data axis")
@@ -302,21 +329,12 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     wy = quad_weights(joint.box_lo[-1:], joint.box_hi[-1:], (ya.size,))[0]
     spacings = [joint.spacing(a) for a in range(d)]
     out = np.zeros(joint.shape[:d])
-    if d == 1:
-        xu = joint.axis(0)
-        for j in range(ya.size):
-            s = gain[0] * (y - ya[j])
-            out += wy[j] * np.interp(xu - s, xu, joint.values[:, j], left=0.0, right=0.0)
-    else:
-        for j in range(ya.size):
-            s = gain * (y - ya[j])
-            plane = ndimage_shift(
-                joint.values[:, :, j],
-                shift=[s[a] / spacings[a] for a in range(d)],
-                order=1, mode="constant", cval=0.0,
-            )
-            out += wy[j] * plane
-    mass = float(np.tensordot(out, weight_tensor(lo, hi, out.shape), axes=out.ndim))
+    for j in range(ya.size):
+        plane = joint.values[..., j]
+        for a in range(d):
+            plane = _shift_axis(plane, a, gain[a] * (y - ya[j]) / spacings[a])
+        out += wy[j] * plane
+    mass = integrate(out, lo, hi)
     if mass < TRANSPORT_COVERAGE_MIN:
         raise CoverageError(
             f"transport image escapes the state box: only {mass:.4f} of the mass remains"

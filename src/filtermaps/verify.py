@@ -78,26 +78,23 @@ def _gridded_pair(g1, g2, shape):
             density.from_gaussian(g2, lo, hi, shape))
 
 
-def _flat_mesh(mu: density.GridDensity) -> np.ndarray:
-    return np.stack([c.reshape(-1) for c in density.coordinate_grids(mu)], axis=-1)
-
-
 def _kl_quadrature(mu1: density.GridDensity, g1: gaussian.GaussianMeasure,
                    g2: gaussian.GaussianMeasure) -> float:
     """Quadrature of rho1 (log phi1 - log phi2) over mu1's grid."""
-    mesh = _flat_mesh(mu1)
-    diff = gaussian.log_density_at(g1, mesh) - gaussian.log_density_at(g2, mesh)
-    w = density.weight_tensor(mu1.box_lo, mu1.box_hi, mu1.shape).reshape(-1)
-    return float(np.sum(w * mu1.values.reshape(-1) * diff))
+    pts = density.grid_points(mu1.box_lo, mu1.box_hi, mu1.shape)
+    diff = gaussian.log_density_at(g1, pts) - gaussian.log_density_at(g2, pts)
+    return density.integrate(mu1.values * diff.reshape(mu1.shape), mu1.box_lo, mu1.box_hi)
 
 
 def _grid_kl_to_gaussian(mu: density.GridDensity, g: gaussian.GaussianMeasure) -> float:
     """Quadrature KL(mu || g) for a grid density against a Gaussian."""
-    logphi = gaussian.log_density_at(g, _flat_mesh(mu))
-    vals = mu.values.reshape(-1)
-    w = density.weight_tensor(mu.box_lo, mu.box_hi, mu.shape).reshape(-1)
+    pts = density.grid_points(mu.box_lo, mu.box_hi, mu.shape)
+    logphi = gaussian.log_density_at(g, pts).reshape(mu.shape)
+    vals = mu.values
     mask = vals > 0.0
-    return float(np.sum(w[mask] * vals[mask] * (np.log(vals[mask]) - logphi[mask])))
+    integrand = np.zeros_like(vals)
+    integrand[mask] = vals[mask] * (np.log(vals[mask]) - logphi[mask])
+    return density.integrate(integrand, mu.box_lo, mu.box_hi)
 
 
 def _random_mixture(rng: np.random.Generator, lo, hi, shape) -> density.GridDensity:
@@ -359,8 +356,7 @@ def check_mass_conservation(seed: int = 2, cases: int = 10) -> PropertyResult:
         joint = operators.lift(pred, spec, ws)
         yd = rng.uniform(-1.0, 1.0, 1)
         for out in (pred, joint, operators.bayes(joint, yd), operators.transport(joint, yd)):
-            w = density.weight_tensor(out.box_lo, out.box_hi, out.shape)
-            worst = max(worst, abs(float(np.tensordot(out.values, w, axes=out.ndim)) - 1.0))
+            worst = max(worst, abs(density.integrate(out.values, out.box_lo, out.box_hi) - 1.0))
     return PropertyResult("operators", "mass_conservation", worst <= 1e-8, worst, 1e-8,
                           detail=f"{cases} chains of P, Q, B, T")
 

@@ -129,7 +129,7 @@ def test_sweep_rejects_bad_delta_lists(tmp_path):
     assert cli.main(["sweep", "--config", empty_cfg, "--out", str(out)]) == 2
 
 
-def test_config_validation_exit_codes(tmp_path):
+def test_config_validation_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
     bad_key = tmp_path / "bad.json"
@@ -142,6 +142,13 @@ def test_config_validation_exit_codes(tmp_path):
 
     bad_kind = _write_config(tmp_path / "kind.json", kinds=["true", "smoother"])
     assert cli.main(["run", "--config", bad_kind]) == 2
+
+    # malformed values are config errors naming the key, not tracebacks or
+    # silent coercions (a kinds string used to be split into characters)
+    for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true")):
+        bad = _write_config(tmp_path / f"{key}.json", **{key: value})
+        assert cli.main(["run", "--config", bad]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_verify_subcommand_reports_and_exit_codes(tmp_path):

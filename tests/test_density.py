@@ -1,6 +1,7 @@
 """Grid densities: quadrature, the weighted-TV metric, projection, and files."""
 
 import csv
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from filtermaps.density import (
     from_function,
     from_gaussian,
     gaussian_projection,
+    integrate,
     lifted_epsilon,
     load_binary,
     marginal_u,
@@ -51,6 +53,34 @@ def test_weight_tensor_outer_product():
     W = weight_tensor(np.array([0.0, 0.0]), np.array([1.0, 2.0]), (17, 33))
     assert W.shape == (17, 33)
     assert_allclose(W.sum(), 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(33,), (17, 21), (17, 20, 23)], ids=["1axis", "2axis", "3axis"])
+def test_quadrature_matches_full_tensor_sums(shape):
+    # integrate, moments and d_g against brute-force sums over the explicit
+    # outer product of the per-axis weights and meshgrid coordinate tensors
+    rng = np.random.default_rng(len(shape))
+    lo = np.array([-1.0, 0.5, -2.0])[: len(shape)]
+    hi = np.array([2.0, 3.0, 1.5])[: len(shape)]
+    raw1, raw2 = rng.uniform(0.5, 1.5, shape), rng.uniform(0.5, 1.5, shape)
+    W = reduce(np.multiply.outer, quad_weights(lo, hi, shape))
+    X = np.meshgrid(*[np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))],
+                    indexing="ij")
+    assert_allclose(integrate(raw1, lo, hi), np.sum(W * raw1), rtol=1e-12)
+
+    mu1 = normalized(lo, hi, raw1, expect_unit_mass=False)
+    mu2 = normalized(lo, hi, raw2, expect_unit_mass=False)
+    rho = mu1.values
+    mean = np.array([np.sum(W * rho * Xi) for Xi in X])
+    cov = np.array([[np.sum(W * rho * (Xi - mean[i]) * (Xj - mean[j]))
+                     for j, Xj in enumerate(X)] for i, Xi in enumerate(X)])
+    mom = moments(mu1)
+    assert_allclose(mom.mean, mean, rtol=1e-12)
+    assert_allclose(mom.cov, cov, rtol=1e-12)
+
+    g = 1.0 + sum(Xi * Xi for Xi in X)
+    expected = np.sum(W * g * np.abs(mu1.values - mu2.values))
+    assert_allclose(dg_distance(mu1, mu2), expected, rtol=1e-12)
 
 
 def test_moments_mixture_hand_values():

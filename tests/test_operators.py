@@ -1,18 +1,23 @@
 """Grid measure maps: prediction, lifting, conditioning, transport."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
 import filtermaps.operators as ops
 from filtermaps.density import (
     CoverageError,
     GridMismatchError,
+    ResolutionWarning,
     dg_distance,
     from_gaussian,
     marginal_u,
     moments,
     normalized,
+    quad_weights,
     weight_tensor,
 )
 from filtermaps.gaussian import BlockStructure, GaussianMeasure
@@ -226,6 +231,59 @@ def test_transport_mean_identity():
     y_dagger = 0.3
     expected = mom.mean[0] + gain * (y_dagger - mom.mean[1])
     assert moments(transport(joint, y_dagger)).mean[0] == pytest.approx(expected, abs=3e-3)
+
+
+def _transport_reference(joint, y_dagger, gain):
+    """Unnormalized transport by interpolation routines from numpy and scipy.
+
+    d = 1 interpolates each state column with np.interp, d = 2 shifts each
+    state plane with ndimage.shift; both read zero off the grid.
+    """
+    d = joint.blocks.d
+    ya = joint.axis(d)
+    wy = quad_weights(joint.box_lo[d:], joint.box_hi[d:], (ya.size,))[0]
+    spacings = np.array([joint.spacing(a) for a in range(d)])
+    out = np.zeros(joint.shape[:d])
+    for j in range(ya.size):
+        s = gain * (y_dagger - ya[j])
+        if d == 1:
+            xu = joint.axis(0)
+            out += wy[j] * np.interp(xu - s[0], xu, joint.values[:, j], left=0.0, right=0.0)
+        else:
+            out += wy[j] * ndimage.shift(joint.values[..., j], s / spacings, order=1,
+                                         mode="constant", cval=0.0)
+    return out
+
+
+# Box [-9, 9] with 73 state points (spacing 0.25) and 37 data / 2-D state
+# points (spacing 0.5): every grid coordinate is exact in binary, so the
+# "integer" gains shift by whole cells with a fractional part of exactly 0.
+@pytest.mark.parametrize("d, gain, y_dagger, escapes", [
+    (1, [0.37], 0.6, False),
+    (1, [-0.61], -0.8, False),
+    (1, [0.0], 0.3, False),
+    (1, [0.5], 0.0, False),
+    (1, [2.0], 2.5, True),
+    (2, [0.37, -0.23], 0.6, False),
+    (2, [-0.61, 0.45], -0.8, False),
+    (2, [0.0, 0.0], 0.3, False),
+    (2, [1.0, -2.0], 0.0, False),
+    (2, [2.0, -1.5], 2.5, True),
+], ids=["1d_pos", "1d_neg", "1d_zero", "1d_integer", "1d_edge",
+        "2d_pos", "2d_neg", "2d_zero", "2d_integer", "2d_edge"])
+def test_transport_matches_interpolation_back_ends(monkeypatch, d, gain, y_dagger, escapes):
+    cov = [[1.0, 0.5], [0.5, 1.0]] if d == 1 else [[1.0, 0.2, 0.5], [0.2, 1.0, 0.3], [0.5, 0.3, 1.0]]
+    shape = (73, 37) if d == 1 else (37, 37, 37)
+    joint = from_gaussian(GaussianMeasure(np.zeros(d + 1), cov), [-9.0] * (d + 1), [9.0] * (d + 1),
+                          shape, blocks=BlockStructure(d, 1))
+    gain = np.array(gain)
+    monkeypatch.setattr(ops, "kalman_gain", lambda _: gain.reshape(-1, 1))
+    raw = _transport_reference(joint, y_dagger, gain)
+    mass = np.sum(weight_tensor(joint.box_lo[:d], joint.box_hi[:d], raw.shape) * raw)
+    assert (mass < 0.99) == escapes
+    with pytest.warns(ResolutionWarning) if escapes else nullcontext():
+        moved = transport(joint, y_dagger)
+    assert_allclose(moved.values, raw / mass, rtol=1e-12)
 
 
 def test_transport_coverage_error():
