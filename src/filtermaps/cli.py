@@ -23,7 +23,7 @@ Config file schema (JSON), all keys optional unless noted::
       "model": { ... },          # inline model config, exclusive with scenario
       "J": 10,                   # number of assimilation steps (>= 0)
       "seed": 0,
-      "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],
+      "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct
       "state_points": 1024,      # grid points per state axis
       "y_points": 512,           # grid points on the data axis
       "n_particles": 1000,       # ensemble size for enkf_N
@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown filter kinds {bad}; known: {filters.FILTER_KINDS}")
         if not self.kinds:
             raise ConfigError("kinds must be nonempty")
+        if len(set(self.kinds)) != len(self.kinds):
+            raise ConfigError(f"kinds must be distinct, got {list(self.kinds)}")
         if self.state_points is not None and self.state_points < density.MIN_POINTS:
             raise ConfigError(f"state_points must be >= {density.MIN_POINTS}")
         if self.y_points is not None and self.y_points < density.MIN_POINTS:

@@ -7,9 +7,9 @@ integration rule (per-axis trapezoidal weights contracted one axis at a time),
 open-mesh axes (``np.ix_(*mu.axes())``) supply coordinates that broadcast
 against a value tensor, and :func:`grid_points` is the only flat point list,
 used wherever a function is evaluated at every grid point. On these it builds
-moments, the weighted total-variation metric d_g with weight g(v) = 1 + |v|^2,
-Gaussian projection (moment matching), and the flat binary / CSV serialization
-formats.
+moments (computed once per density and kept on it), the weighted
+total-variation metric d_g with weight g(v) = 1 + |v|^2, Gaussian projection
+(moment matching), and the flat binary serialization format.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
 trailing axes as the data block. Densities on different grids cannot be
@@ -19,7 +19,7 @@ compared; callers must construct compatible grids.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -91,6 +91,7 @@ class GridDensity:
     box_hi: Array
     values: Array
     blocks: BlockStructure | None = None
+    _moments: Moments | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
@@ -281,7 +282,19 @@ def from_function(
 
 
 def moments(mu: GridDensity) -> Moments:
-    """Trapezoidal-quadrature mean and covariance (covariance symmetrized)."""
+    """Trapezoidal-quadrature mean and covariance (covariance symmetrized).
+
+    The quadrature runs once per density; the result is kept on ``mu``, whose
+    values and box are read-only, and every later call returns the same
+    ``Moments``. Gaussian projection, ``lifted_epsilon`` and the Kalman gain of
+    a joint therefore share one pass.
+    """
+    if mu._moments is None:
+        object.__setattr__(mu, "_moments", _quadrature_moments(mu))
+    return mu._moments
+
+
+def _quadrature_moments(mu: GridDensity) -> Moments:
     lo, hi, vals = mu.box_lo, mu.box_hi, mu.values
     coords = np.ix_(*mu.axes())
     mean = np.array([integrate(vals * X, lo, hi) for X in coords])
@@ -379,13 +392,3 @@ def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
     values = raw[1 + 3 * n : 1 + 3 * n + count].reshape(shape)
     return GridDensity(lo, hi, values, blocks)
 
-
-def save_csv(mu: GridDensity, path) -> None:
-    """Write one row per grid point: coordinates then value, row-major order."""
-    pts = grid_points(mu.box_lo, mu.box_hi, mu.shape)
-    vals = mu.values.reshape(-1)
-    cols = [f"x{i}" for i in range(mu.ndim)] + ["value"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row, v in zip(pts, vals):
-            fh.write(",".join("%.17g" % c for c in row) + ",%.17g\n" % v)

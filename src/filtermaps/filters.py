@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import density
 from .density import GridDensity, lifted_epsilon, moments
-from .gaussian import Array, GaussianMeasure, chol_spd, condition, sample
+from .gaussian import Array, BlockStructure, GaussianMeasure, chol_spd, condition, sample
 from .model import ModelSpec
 from .operators import OperatorWorkspace, bayes, default_resolution, lift, predict, transport
 
@@ -208,13 +207,10 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
 
 def _particle_analysis(ens: Array, yhat: Array, y_dagger: Array) -> Array:
     """Perturbed-observation analysis: u + C_uy C_yy^-1 (y_dagger - yhat) per particle."""
-    K = yhat.shape[1]
+    d, K = ens.shape[1], yhat.shape[1]
     both = np.cov(np.hstack([ens, yhat]).T, ddof=1)
-    d = ens.shape[1]
-    c_uy = np.atleast_2d(both)[:d, d:]
-    c_yy = np.atleast_2d(both)[d:, d:] + ENSEMBLE_JITTER * np.trace(np.atleast_2d(both)[d:, d:]) / K * np.eye(K)
-    gain = cho_solve((chol_spd(c_yy), True), c_uy.T).T
-    return ens + (y_dagger - yhat) @ gain.T
+    both[d:, d:] += ENSEMBLE_JITTER * np.trace(both[d:, d:]) / K * np.eye(K)
+    return ens + (y_dagger - yhat) @ BlockStructure(d, K).gain(both).T
 
 
 def step_enkf_particles(ens: Ensemble, model: ModelSpec, y_dagger,
@@ -260,24 +256,25 @@ def lipschitz_q(model: ModelSpec) -> float:
 def kalman_analytic(model: ModelSpec, trajectory: FilterTrajectory) -> list[GaussianMeasure]:
     """Closed-form Kalman recursion for linear models; the exactness oracle.
 
-    Returns J + 1 Gaussians: the initial law and each posterior. Raises for
-    models whose maps are not declared linear.
+    It is the Gaussian form of the maps: each step lifts the predicted law
+    N(m, S), m = A m_prev, S = A S_prev A^T + Sigma, to the joint
+    N([m; C m], [[S, S C^T], [C S, C S C^T + Gamma]]) and conditions it on
+    the datum. Returns J + 1 Gaussians: the initial law and each posterior.
+    Raises for models whose maps are not declared linear.
     """
     if not model.is_linear():
         raise ValueError("kalman_analytic requires linear psi and h with explicit matrices")
     A = model.psi_handle.matrix
     C = model.h_handle.matrix
+    blocks = BlockStructure(model.d, model.K)
     out = [model.initial_law()]
-    m, S = model.m0.copy(), model.S0.copy()
     for j in range(trajectory.J):
-        m = A @ m
-        S = A @ S @ A.T + model.Sigma
-        innov_cov = C @ S @ C.T + model.Gamma
-        gain = cho_solve((chol_spd(innov_cov), True), C @ S).T
-        m = m + gain @ (trajectory.data[j] - C @ m)
-        S = S - gain @ C @ S
-        S = 0.5 * (S + S.T)
-        out.append(GaussianMeasure(m, S))
+        m = A @ out[-1].mean
+        S = A @ out[-1].cov @ A.T + model.Sigma
+        SC = S @ C.T
+        joint = GaussianMeasure(np.concatenate([m, C @ m]),
+                                np.block([[S, SC], [SC.T, C @ SC + model.Gamma]]))
+        out.append(condition(joint, blocks, trajectory.data[j]))
     return out
 
 
@@ -357,8 +354,8 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
     ----------
     kind : str or sequence of str
         Any of 'true', 'enkf_mf', 'gpf_bg', 'gpf_gt', 'enkf_N'. A sequence
-        runs all kinds on one shared workspace and records pairwise
-        weighted-TV distances between the density-representable kinds.
+        of distinct kinds runs them all on one shared workspace and records
+        pairwise weighted-TV distances between the density-representable kinds.
     model, trajectory, config : problem definition, data realization, knobs
     ws : OperatorWorkspace, optional
         Reuse an existing workspace (must match the model).
@@ -377,6 +374,8 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
     for k in kinds:
         if k not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"filter kinds must be distinct, got {kinds}")
     config = config or FilterConfig()
     if any(k != "enkf_N" for k in kinds):
         if model.d not in (1, 2) or model.K != 1:

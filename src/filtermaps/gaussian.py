@@ -141,6 +141,11 @@ class BlockStructure:
     def cov_yy(self, cov: Array) -> Array:
         return np.asarray(cov)[self.d :, self.d :]
 
+    def gain(self, cov: Array) -> Array:
+        """Kalman gain C_uy C_yy^-1 of a joint covariance, shape (d, K)."""
+        L_yy = chol_spd(self.cov_yy(cov))
+        return cho_solve((L_yy, True), self.cov_uy(cov).T).T
+
 
 def log_density_at(g: GaussianMeasure, x: Array) -> Array | float:
     """Log density of ``g`` at one point (shape (n,)) or a batch (shape (m, n))."""
@@ -154,22 +159,6 @@ def log_density_at(g: GaussianMeasure, x: Array) -> Array | float:
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     out = -0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
     return float(out[0]) if single else out
-
-
-def density_at(g: GaussianMeasure, x: Array) -> Array | float:
-    """Gaussian density of ``g`` at ``x``; strictly positive.
-
-    Parameters
-    ----------
-    g : GaussianMeasure
-    x : ndarray, shape (n,) or (m, n)
-
-    Returns
-    -------
-    float or ndarray
-        (2 pi)^(-n/2) det(cov)^(-1/2) exp(-1/2 |x - mean|^2_cov).
-    """
-    return np.exp(log_density_at(g, x))
 
 
 def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -> GaussianMeasure:
@@ -189,11 +178,9 @@ def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -
     y_dagger = np.asarray(y_dagger, dtype=float).reshape(-1)
     if y_dagger.size != blocks.K:
         raise ValueError(f"dimension mismatch: y_dagger has {y_dagger.size} entries, K = {blocks.K}")
-    s_uy = blocks.cov_uy(joint.cov)
-    L_yy = chol_spd(blocks.cov_yy(joint.cov))
-    gain = cho_solve((L_yy, True), s_uy.T).T
+    gain = blocks.gain(joint.cov)
     mean = blocks.mean_u(joint.mean) + gain @ (y_dagger - blocks.mean_y(joint.mean))
-    cov = blocks.cov_uu(joint.cov) - gain @ s_uy.T
+    cov = blocks.cov_uu(joint.cov) - gain @ blocks.cov_uy(joint.cov).T
     return GaussianMeasure(mean, 0.5 * (cov + cov.T))
 
 

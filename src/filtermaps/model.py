@@ -47,7 +47,7 @@ class MapHandle:
     matrix: Array | None = None
 
 
-def _componentwise(family, params, dim_in, dim_out, scalar_fn, bound_per_comp, lipschitz):
+def _componentwise(family, dim_in, dim_out, scalar_fn, bound_per_comp, lipschitz):
     if dim_out != dim_in:
         raise ValueError(f"family '{family}' is componentwise; needs dim_out == dim_in")
     fn = lambda x: scalar_fn(np.asarray(x, dtype=float))
@@ -87,7 +87,7 @@ def _build_tanh(params, dim_in, dim_out):
     a = float(params["scale"])
     R = float(params.get("radius", 1.0))
     return _componentwise(
-        "tanh", params, dim_in, dim_out,
+        "tanh", dim_in, dim_out,
         lambda x: a * R * np.tanh(x / R),
         bound_per_comp=abs(a) * R,
         lipschitz=abs(a),
@@ -100,7 +100,7 @@ def _build_tanh_sin(params, dim_in, dim_out):
     delta = float(params["delta"])
     freq = float(params.get("freq", 3.0))
     return _componentwise(
-        "tanh_sin", params, dim_in, dim_out,
+        "tanh_sin", dim_in, dim_out,
         lambda x: a * R * np.tanh(x / R) + delta * np.sin(freq * x),
         bound_per_comp=abs(a) * R + abs(delta),
         lipschitz=abs(a) + abs(delta) * abs(freq),
@@ -115,7 +115,7 @@ def _build_tanh_rational(params, dim_in, dim_out):
     R = float(params.get("radius", 1.0))
     delta = float(params["delta"])
     return _componentwise(
-        "tanh_rational", params, dim_in, dim_out,
+        "tanh_rational", dim_in, dim_out,
         lambda x: R * np.tanh(x / R) + delta * x * x / (1.0 + x * x),
         bound_per_comp=R + abs(delta),
         lipschitz=1.0 + abs(delta) * _RATIONAL_SLOPE,
@@ -123,28 +123,25 @@ def _build_tanh_rational(params, dim_in, dim_out):
 
 
 _FAMILIES = {
-    "linear": (_build_linear, {"matrix": "required, dim_out x dim_in row-major"}),
-    "constant": (_build_constant, {"value": "required, length dim_out"}),
-    "tanh": (_build_tanh, {"scale": "required", "radius": "default 1.0"}),
-    "tanh_sin": (
-        _build_tanh_sin,
-        {"scale": "required", "delta": "required", "radius": "default 1.0", "freq": "default 3.0"},
-    ),
-    "tanh_rational": (_build_tanh_rational, {"delta": "required", "radius": "default 1.0"}),
+    "linear": _build_linear,
+    "constant": _build_constant,
+    "tanh": _build_tanh,
+    "tanh_sin": _build_tanh_sin,
+    "tanh_rational": _build_tanh_rational,
 }
 
 
-def registered_families() -> dict[str, dict[str, str]]:
-    """Catalog of built-in map families and their parameter schemas."""
-    return {name: dict(schema) for name, (_, schema) in _FAMILIES.items()}
-
-
 def make_map(family: str, params: dict, dim_in: int, dim_out: int) -> MapHandle:
-    """Realize a registered family with the given parameters and dimensions."""
+    """Realize a registered family with the given parameters and dimensions.
+
+    Families and their ``params`` (defaults after ``=``): ``linear`` matrix
+    (dim_out x dim_in, row-major); ``constant`` value (length dim_out);
+    ``tanh`` scale, radius=1; ``tanh_sin`` scale, delta, radius=1, freq=3;
+    ``tanh_rational`` delta, radius=1.
+    """
     if family not in _FAMILIES:
         raise ValueError(f"unknown map family '{family}'; known: {sorted(_FAMILIES)}")
-    builder, _ = _FAMILIES[family]
-    return builder(params, dim_in, dim_out)
+    return _FAMILIES[family](params, dim_in, dim_out)
 
 
 @dataclass(frozen=True)
@@ -335,17 +332,18 @@ class AssumptionReport:
 def validate_assumptions(model: ModelSpec) -> AssumptionReport:
     """Probe the standing assumptions: SPD noises, bounded maps, Lipschitz observation.
 
-    Sup-norm bounds are probed on a fixed 10^4-point mesh; the Lipschitz bound
-    by finite differences along each axis with 5% slack. Unbounded families
-    (linear maps) fail the boundedness check with a note that such models are
-    for exactness tests only.
+    Sup-norm bounds are probed on a fixed mesh of about 10^4 points
+    (round(10^4 ** (1/d)) per axis); the Lipschitz bound by finite
+    differences along each axis with 5% slack. Unbounded families (linear
+    maps) fail the boundedness check with a note that such models are for
+    exactness tests only.
     """
     checks = []
     for name, floor in (("sigma_spd", model.sigma_floor()), ("gamma_spd", model.gamma_floor())):
         checks.append(AssumptionCheck(name, floor > 0.0, value=floor, bound=0.0))
     checks.append(AssumptionCheck("s0_spd", float(np.linalg.eigvalsh(model.S0)[0]) > 0.0))
 
-    per_axis = {1: PROBE_POINTS, 2: 100, 3: 22}[model.d]
+    per_axis = round(PROBE_POINTS ** (1 / model.d))
     half = np.full(model.d, PROBE_RANGE)
     pts = grid_points(-half, half, (per_axis,) * model.d)
     for label, handle, apply_fn, bound in (

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .density import (
     CoverageError,
@@ -100,7 +100,6 @@ class OperatorWorkspace:
         self.joint_hi = np.concatenate([self.state_hi, [float(y_hi)]])
         self.joint_shape = self.state_shape + (int(y_points),)
         self.y_axis = np.linspace(float(y_lo), float(y_hi), int(y_points))
-        self.y_weights = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], (int(y_points),))[0]
 
         self.state_axes = [np.linspace(self.state_lo[a], self.state_hi[a], self.state_shape[a])
                            for a in range(self.d)]
@@ -149,13 +148,6 @@ class OperatorWorkspace:
             mu.shape == self.state_shape
             and np.array_equal(mu.box_lo, self.state_lo)
             and np.array_equal(mu.box_hi, self.state_hi)
-        )
-
-    def joint_matches(self, pi: GridDensity) -> bool:
-        return (
-            pi.shape == self.joint_shape
-            and np.array_equal(pi.box_lo, self.joint_lo)
-            and np.array_equal(pi.box_hi, self.joint_hi)
         )
 
     def state_grid(self, measure) -> GridDensity:
@@ -277,11 +269,7 @@ def kalman_gain(joint: GridDensity) -> Array:
     """Gain A = C_uy C_yy^-1 of a joint density, from its quadrature moments."""
     if joint.blocks is None:
         raise ValueError("transport requires a joint density with a BlockStructure")
-    mom = moments(joint)
-    blocks = joint.blocks
-    c_uy = blocks.cov_uy(mom.cov)
-    L_yy = chol_spd(blocks.cov_yy(mom.cov))
-    return cho_solve((L_yy, True), c_uy.T).T
+    return joint.blocks.gain(moments(joint).cov)
 
 
 def _shift_axis(a: Array, axis: int, t: float) -> Array:

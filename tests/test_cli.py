@@ -143,6 +143,10 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     bad_kind = _write_config(tmp_path / "kind.json", kinds=["true", "smoother"])
     assert cli.main(["run", "--config", bad_kind]) == 2
 
+    # a repeated kind would assimilate each datum twice into one steps.csv
+    repeated = _write_config(tmp_path / "repeat.json", kinds=["true", "true"])
+    assert cli.main(["run", "--config", repeated]) == 2
+
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)
     for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true")):

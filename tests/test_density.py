@@ -1,6 +1,5 @@
 """Grid densities: quadrature, the weighted-TV metric, projection, and files."""
 
-import csv
 from functools import reduce
 
 import numpy as np
@@ -25,7 +24,6 @@ from filtermaps.density import (
     normalized,
     quad_weights,
     save_binary,
-    save_csv,
     tv_distance,
     weight_tensor,
 )
@@ -90,6 +88,11 @@ def test_moments_mixture_hand_values():
     mom = moments(mu)
     assert_allclose(mom.mean, [0.0], atol=1e-9)
     assert_allclose(mom.cov, [[4.25]], atol=1e-6)
+
+
+def test_moments_computed_once_per_density():
+    mu = _mixture_1d(points=64)
+    assert moments(mu) is moments(mu)
 
 
 def test_moments_skewed_density():
@@ -275,18 +278,6 @@ def test_binary_roundtrip_and_layout(tmp_path):
     assert_allclose(raw[3:5], [-7.0, -7.0])
     assert_allclose(raw[5:7], [7.0, 7.0])
     assert_allclose(raw[7:].reshape(64, 96), mu.values)
-
-
-def test_csv_export(tmp_path):
-    mu = _mixture_1d(points=64)
-    path = tmp_path / "density.csv"
-    save_csv(mu, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x0", "value"]
-    assert len(rows) == 1 + 64
-    vals = np.array([float(r[1]) for r in rows[1:]])
-    assert_allclose(vals, mu.values, rtol=1e-15)
 
 
 def test_bayes_conditioning_consistency_with_gaussian_module():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from filtermaps import density, filters
 from filtermaps.density import GridDensity, from_gaussian, gaussian_projection, lifted_epsilon, moments
 from filtermaps.filters import (
     Ensemble,
@@ -25,6 +26,16 @@ from filtermaps.operators import OutOfDomainError, bayes, default_workspace, lif
 
 
 SMALL = FilterConfig(state_shape=(256,), y_points=128)
+
+
+def _linear_model_2d():
+    return ModelSpec(
+        d=2, K=1,
+        psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
+        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+        Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
+        m0=[0.0, 0.0], S0=np.eye(2).tolist(),
+    )
 
 
 def test_generate_data_shapes_and_determinism():
@@ -77,6 +88,30 @@ def test_kalman_recursion_hand_case():
     assert_allclose(chain[1].cov, [[2.0 / 3.0]], rtol=1e-14)
 
 
+def _textbook_kalman(model, data):
+    """Covariance-form Kalman filter with an explicit inverse, as in the textbooks."""
+    A, C = model.psi_handle.matrix, model.h_handle.matrix
+    m, P = model.m0, model.S0
+    out = [(m, P)]
+    for y in data:
+        m, P = A @ m, A @ P @ A.T + model.Sigma
+        gain = P @ C.T @ np.linalg.inv(C @ P @ C.T + model.Gamma)
+        m, P = m + gain @ (y - C @ m), (np.eye(model.d) - gain @ C) @ P
+        out.append((m, P))
+    return out
+
+
+@pytest.mark.parametrize("model", [linear_model_1d(), _linear_model_2d()], ids=["1d", "2d"])
+def test_kalman_analytic_matches_textbook_recursion(model):
+    traj = generate_data(model, J=6, seed=4)
+    chain = kalman_analytic(model, traj)
+    reference = _textbook_kalman(model, traj.data)
+    assert len(chain) == len(reference)
+    for g, (m, P) in zip(chain, reference):
+        assert_allclose(g.mean, m, rtol=0, atol=1e-12)
+        assert_allclose(g.cov, P, rtol=0, atol=1e-12)
+
+
 def test_kalman_analytic_requires_linear_maps():
     traj = FilterTrajectory(data=[[0.1]])
     with pytest.raises(ValueError):
@@ -94,13 +129,7 @@ def test_grid_true_filter_tracks_kalman():
 
 
 def test_grid_filters_track_kalman_in_2d():
-    model = ModelSpec(
-        d=2, K=1,
-        psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
-        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
-        Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
-        m0=[0.0, 0.0], S0=np.eye(2).tolist(),
-    )
+    model = _linear_model_2d()
     traj = generate_data(model, J=3, seed=2)
     oracle = kalman_analytic(model, traj)
     results = run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj,
@@ -223,6 +252,30 @@ def test_run_filter_multi_kind_contract():
     assert "dg_vs_true" not in results["enkf_N"].diagnostics
 
 
+def test_run_filter_makes_one_moment_pass_per_lifted_joint(monkeypatch):
+    # the Kalman gain, the Gaussian projection and eps of a joint share its moments
+    lifted, passes = [], []
+    real_lift, real_pass = filters.lift, density._quadrature_moments
+
+    def recording_lift(*args):
+        lifted.append(real_lift(*args))
+        return lifted[-1]
+
+    def recording_pass(mu):
+        passes.append(mu)
+        return real_pass(mu)
+
+    monkeypatch.setattr(filters, "lift", recording_lift)
+    monkeypatch.setattr(density, "_quadrature_moments", recording_pass)
+    model = bounded_model_1d()
+    traj = generate_data(model, J=2, seed=3)
+    run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, config=SMALL)
+    joint_passes = [mu for mu in passes if mu.blocks is not None]
+    assert len(lifted) == 4 * traj.J
+    assert len(joint_passes) == len(lifted)
+    assert {id(mu) for mu in joint_passes} == {id(mu) for mu in lifted}
+
+
 def test_run_filter_zero_steps():
     model = bounded_model_1d()
     traj = FilterTrajectory(data=np.zeros((0, 1)))
@@ -237,6 +290,14 @@ def test_run_filter_rejects_unknown_kind():
     traj = generate_data(model, J=1, seed=0)
     with pytest.raises(ValueError):
         run_filter("particle_flow", model, traj)
+
+
+def test_run_filter_rejects_repeated_kind():
+    # a repeated kind would assimilate each datum twice into one record
+    model = bounded_model_1d()
+    traj = generate_data(model, J=1, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        run_filter(["true", "true"], model, traj, config=SMALL)
 
 
 def test_filter_step_error_carries_location():

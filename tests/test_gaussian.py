@@ -10,7 +10,6 @@ from filtermaps.gaussian import (
     SingularCovarianceError,
     chol_spd,
     condition,
-    density_at,
     dg_upper_bound,
     g2_moment,
     kl_divergence,
@@ -29,11 +28,11 @@ def _pdf_1d(g, x):
     return np.exp(-0.5 * (x - g.mean[0]) ** 2 / s2) / np.sqrt(2 * np.pi * s2)
 
 
-def test_density_at_hand_value():
-    # N(1, 4) evaluated at 3: exp(-1/2) / sqrt(8 pi)
+def test_log_density_at_hand_value():
+    # N(1, 4) evaluated at 3: exp(-1/2) / sqrt(8 pi), in logs
     g = GaussianMeasure([1.0], [[4.0]])
-    expected = np.exp(-0.5) / np.sqrt(8.0 * np.pi)
-    assert_allclose(density_at(g, np.array([3.0])), expected, rtol=1e-14)
+    expected = -0.5 - 0.5 * np.log(8.0 * np.pi)
+    assert_allclose(log_density_at(g, np.array([3.0])), expected, rtol=1e-14)
 
 
 def test_log_density_batch_matches_scalar():
@@ -105,6 +104,17 @@ def test_condition_block_shapes():
     assert out.mean.shape == (2,)
     assert out.cov.shape == (2, 2)
     chol_spd(out.cov)  # posterior covariance stays SPD
+
+
+@pytest.mark.parametrize("d, K", [(1, 1), (2, 1)])
+def test_block_gain_matches_linear_solve(d, K):
+    rng = np.random.default_rng(10 * d + K)
+    a = rng.standard_normal((d + K, d + K))
+    cov = a @ a.T + 0.5 * np.eye(d + K)
+    gain = BlockStructure(d, K).gain(cov)
+    # C_uy C_yy^-1 = (C_yy^-1 C_yu)^T for a symmetric C_yy
+    assert gain.shape == (d, K)
+    assert_allclose(gain, np.linalg.solve(cov[d:, d:], cov[d:, :d]).T, rtol=1e-12)
 
 
 def test_kl_matches_quadrature_and_direction():

@@ -16,18 +16,11 @@ from filtermaps.model import (
     linear_model_1d,
     load_config,
     make_map,
-    registered_families,
     save_config,
     sweep_model,
     to_config,
     validate_assumptions,
 )
-
-
-def test_registered_families_complete():
-    fams = registered_families()
-    for name in ("linear", "constant", "tanh", "tanh_sin", "tanh_rational"):
-        assert name in fams
 
 
 def test_make_map_unknown_family():
@@ -135,6 +128,16 @@ def test_validate_assumptions_linear_mode():
     report = validate_assumptions(linear_model_1d())
     assert report.linear_exactness_mode
     assert any("linear" in line.lower() for line in report.lines())
+
+
+def test_validate_assumptions_beyond_three_state_axes():
+    # d = 4 probes round(10^4 ** (1/4)) = 10 points per axis
+    eye = np.eye(4).tolist()
+    model = ModelSpec(d=4, K=4, psi=MapSpec("tanh", {"scale": 0.9}), h=MapSpec("tanh", {"scale": 1.0}),
+                      Sigma=eye, Gamma=eye, m0=[0.0] * 4, S0=eye)
+    report = validate_assumptions(model)
+    assert report.passed
+    assert {c.name for c in report.checks} >= {"psi_bounded", "h_bounded", "h_lipschitz"}
 
 
 def test_probe_reproducibility():
