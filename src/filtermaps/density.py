@@ -2,14 +2,17 @@
 
 A ``GridDensity`` stores nonnegative values on a uniform tensor grid and is
 always normalized to unit mass under trapezoidal quadrature. This module is the
-one home of grid quadrature and coordinates: :func:`integrate` is the only
-integration rule (per-axis trapezoidal weights contracted one axis at a time),
-open-mesh axes (``np.ix_(*mu.axes())``) supply coordinates that broadcast
-against a value tensor, and :func:`grid_points` is the only flat point list,
-used wherever a function is evaluated at every grid point. On these it builds
-moments (computed once per density and kept on it), the weighted
-total-variation metric d_g with weight g(v) = 1 + |v|^2, Gaussian projection
-(moment matching), and the flat binary serialization format.
+one home of grid quadrature and coordinates. Everything of product form is
+evaluated from per-axis factors: :func:`integrate` is the only integration
+rule (per-axis trapezoidal weights contracted one axis at a time), moments and
+the weighted total-variation metric d_g (weight g(v) = 1 + |v|^2) are the same
+contractions with per-axis coordinate factors in the weights, and Gaussians
+are evaluated on the open mesh (``np.ix_`` of the grid axes), whose
+coordinates broadcast against a value tensor. :func:`grid_points`, the only
+flat point list, serves model maps that are evaluated point by point. On
+these the module builds moments (computed once per density and kept on it),
+d_g, Gaussian projection (moment matching), and the flat binary
+serialization format.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
 trailing axes as the data block. Densities on different grids cannot be
@@ -96,7 +99,9 @@ class GridDensity:
     def __post_init__(self) -> None:
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
         hi = np.array(self.box_hi, dtype=float).reshape(-1)
-        vals = np.array(self.values, dtype=float)
+        vals = self.values
+        if not _frozen(vals):
+            vals = np.array(vals, dtype=float)
         if vals.ndim != lo.size or lo.size != hi.size:
             raise ValueError(
                 f"dimension mismatch: values have {vals.ndim} axes, box corners have {lo.size}/{hi.size}"
@@ -134,7 +139,7 @@ class GridDensity:
         return np.linspace(self.box_lo[i], self.box_hi[i], self.shape[i])
 
     def axes(self) -> list[Array]:
-        return [self.axis(i) for i in range(self.ndim)]
+        return _grid_axes(self.box_lo, self.box_hi, self.shape)
 
     def spacing(self, i: int) -> float:
         return float((self.box_hi[i] - self.box_lo[i]) / (self.shape[i] - 1))
@@ -145,6 +150,12 @@ class GridDensity:
             and np.array_equal(self.box_lo, other.box_lo)
             and np.array_equal(self.box_hi, other.box_hi)
         )
+
+
+def _frozen(a) -> bool:
+    """A float64 array that cannot be written through, nor the array it views."""
+    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
+            and (not isinstance(a.base, np.ndarray) or not a.base.flags.writeable))
 
 
 def quad_weights(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
@@ -167,12 +178,22 @@ def integrate(values: Array, lo: Array, hi: Array) -> float:
     """Trapezoidal integral of a value tensor over the box [lo, hi].
 
     The per-axis weights are contracted one axis at a time, never formed into
-    their full outer product. ``einsum`` contracts without calling BLAS: a
-    threaded BLAS call costs more than the whole contraction when several
-    processes share the cores, as the sweep's worker pool does.
+    their full outer product (see :func:`_contract`).
+    """
+    return _contract(values, quad_weights(lo, hi, values.shape))
+
+
+def _contract(values: Array, weights: Sequence[Array]) -> float:
+    """sum over the grid of values * prod_a weights[a], one axis at a time.
+
+    Every integral of a product-form integrand is one such contraction with
+    per-axis weights, so no full-grid tensor of weights or coordinates is
+    built. ``einsum`` contracts without calling BLAS: a threaded BLAS call
+    costs more than the whole contraction when several processes share the
+    cores, as the sweep's worker pool does.
     """
     out = values
-    for w in reversed(quad_weights(lo, hi, values.shape)):
+    for w in reversed(weights):
         out = np.einsum("...i,i->...", out, w)
     return float(out)
 
@@ -208,7 +229,9 @@ def normalized(
             ResolutionWarning,
             stacklevel=2,
         )
-    return GridDensity(box_lo, box_hi, values / mass, blocks)
+    values = values / mass
+    values.setflags(write=False)
+    return GridDensity(box_lo, box_hi, values, blocks)
 
 
 def default_shape(n: int) -> tuple[int, ...]:
@@ -225,11 +248,20 @@ def default_box(g: GaussianMeasure) -> tuple[Array, Array]:
     return g.mean - half, g.mean + half
 
 
+def _grid_axes(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
+    """Grid coordinates along each axis."""
+    return [np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))]
+
+
 def grid_points(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
     """All grid points as a (prod(shape), n) matrix in row-major order."""
-    axes = [np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_grid_axes(lo, hi, shape), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def _gaussian_values(g: GaussianMeasure, lo: Array, hi: Array, shape: Sequence[int]) -> Array:
+    """Unnormalized density values of ``g`` on a grid, evaluated on its open mesh."""
+    return np.exp(log_density_at(g, np.ix_(*_grid_axes(lo, hi, shape))))
 
 
 def from_gaussian(
@@ -260,8 +292,7 @@ def from_gaussian(
         raise CoverageError(
             f"box [{box_lo}, {box_hi}] does not cover mean +- 6 max-stdev ([{needed_lo}, {needed_hi}])"
         )
-    logs = log_density_at(g, grid_points(box_lo, box_hi, shape))
-    values = np.exp(np.asarray(logs)).reshape(tuple(shape))
+    values = _gaussian_values(g, box_lo, box_hi, shape)
     return normalized(box_lo, box_hi, values, blocks, context="from_gaussian")
 
 
@@ -295,15 +326,25 @@ def moments(mu: GridDensity) -> Moments:
 
 
 def _quadrature_moments(mu: GridDensity) -> Moments:
-    lo, hi, vals = mu.box_lo, mu.box_hi, mu.values
-    coords = np.ix_(*mu.axes())
-    mean = np.array([integrate(vals * X, lo, hi) for X in coords])
+    """Mean and covariance as per-axis contractions of the value tensor.
+
+    The mean on axis a weights that axis by w_a x_a; a covariance entry
+    weights its axes by w_a (x_a - m_a) (by w_a (x_a - m_a)^2 on the diagonal).
+    """
+    w = quad_weights(mu.box_lo, mu.box_hi, mu.shape)
+    axes = mu.axes()
     n = mu.ndim
+
+    def weighted(factors: dict[int, Array]) -> float:
+        return _contract(mu.values, [w[a] * factors[a] if a in factors else w[a] for a in range(n)])
+
+    mean = np.array([weighted({a: axes[a]}) for a in range(n)])
+    centered = [axes[a] - mean[a] for a in range(n)]
     cov = np.empty((n, n))
-    centered = [coords[i] - mean[i] for i in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            cov[i, j] = cov[j, i] = integrate(vals * centered[i] * centered[j], lo, hi)
+        cov[i, i] = weighted({i: centered[i] ** 2})
+        for j in range(i + 1, n):
+            cov[i, j] = cov[j, i] = weighted({i: centered[i], j: centered[j]})
     return Moments(mean, cov)
 
 
@@ -321,8 +362,13 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     Both densities must live on the identical grid.
     """
     _require_same_grid(mu1, mu2)
-    g = 1.0 + sum(X * X for X in np.ix_(*mu1.axes()))
-    return integrate(g * np.abs(mu1.values - mu2.values), mu1.box_lo, mu1.box_hi)
+    diff = np.abs(mu1.values - mu2.values)
+    w = quad_weights(mu1.box_lo, mu1.box_hi, mu1.shape)
+    # g is a sum of product-form terms: 1 and x_a^2 for each axis a
+    out = _contract(diff, w)
+    for a, x in enumerate(mu1.axes()):
+        out += _contract(diff, w[:a] + [w[a] * x * x] + w[a + 1:])
+    return out
 
 
 def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
@@ -347,24 +393,10 @@ def lifted_epsilon(joint: GridDensity) -> float:
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
-    proj = gaussian_projection(joint)
-    logs = log_density_at(proj, grid_points(joint.box_lo, joint.box_hi, joint.shape))
-    values = np.exp(np.asarray(logs)).reshape(joint.shape)
+    values = _gaussian_values(gaussian_projection(joint), joint.box_lo, joint.box_hi, joint.shape)
     gridded = normalized(joint.box_lo, joint.box_hi, values, joint.blocks,
                          expect_unit_mass=False, context="lifted_epsilon")
     return dg_distance(joint, gridded)
-
-
-def marginal_u(joint: GridDensity) -> GridDensity:
-    """Integrate out the data block of a joint density; returns the state marginal."""
-    if joint.blocks is None:
-        raise ValueError("marginal_u requires a joint density with a BlockStructure")
-    d = joint.blocks.d
-    ws = quad_weights(joint.box_lo, joint.box_hi, joint.shape)
-    vals = joint.values
-    for _ in range(joint.blocks.K):
-        vals = np.tensordot(vals, ws[vals.ndim - 1], axes=([vals.ndim - 1], [0]))
-    return normalized(joint.box_lo[:d], joint.box_hi[:d], vals, context="marginal_u")
 
 
 def save_binary(mu: GridDensity, path) -> None:

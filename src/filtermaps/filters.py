@@ -346,6 +346,22 @@ def _measure_moments(measure) -> tuple[Array, Array]:
     return measure.moments()
 
 
+def _state_grids(traj: FilterTrajectory, ws: OperatorWorkspace) -> list[GridDensity]:
+    """Each measure of a run on the state grid, for the pairwise distances.
+
+    A failure raises :class:`FilterStepError` naming the kind and the step
+    that produced the measure (measure i comes from step i - 1; the initial
+    law counts as step 0).
+    """
+    out = []
+    for i, measure in enumerate(traj.measures):
+        try:
+            out.append(ws.state_grid(measure))
+        except Exception as exc:  # noqa: BLE001 - step index must be attached
+            raise FilterStepError(max(i - 1, 0), traj.kind, exc) from exc
+    return out
+
+
 def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTrajectory,
                config: FilterConfig | None = None, ws: OperatorWorkspace | None = None):
     """Drive one or several filter kinds over a shared data realization.
@@ -366,8 +382,9 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
         One trajectory per kind with measures (J + 1 entries), per-step
         moment records, eps_j for kinds with a grid joint, and
         ``dg_vs_<other>`` diagnostics when several kinds run together.
-        A failing step aborts with :class:`FilterStepError` carrying the
-        step index.
+        A failing step, or a measure the pairwise distances cannot put on
+        the state grid, aborts with :class:`FilterStepError` carrying the
+        step index and the kind.
     """
     single = isinstance(kind, str)
     kinds = [kind] if single else list(kind)
@@ -412,10 +429,7 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
             results[k].diagnostics["eps"].append(eps_j)
 
     if len(kinds) > 1 and ws is not None:
-        grids = {
-            k: [ws.state_grid(m) for m in results[k].measures]
-            for k in kinds if k != "enkf_N"
-        }
+        grids = {k: _state_grids(results[k], ws) for k in kinds if k != "enkf_N"}
         for a in grids:
             for b in grids:
                 results[a].diagnostics[f"dg_vs_{b}"] = [

@@ -147,18 +147,31 @@ class BlockStructure:
         return cho_solve((L_yy, True), self.cov_uy(cov).T).T
 
 
-def log_density_at(g: GaussianMeasure, x: Array) -> Array | float:
-    """Log density of ``g`` at one point (shape (n,)) or a batch (shape (m, n))."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != g.dim:
-        raise ValueError(f"dimension mismatch: points have {pts.shape[1]} columns, measure has {g.dim}")
+def log_density_at(g: GaussianMeasure, x) -> Array | float:
+    """Log density of ``g`` at coordinates given coordinate first.
+
+    ``x[i]`` is the i-th coordinate; the n arrays broadcast against each other
+    and the result has their broadcast shape. A point of shape (n,) gives a
+    float, a list of m points is passed transposed (shape (n, m)), and a
+    tensor grid as its open mesh ``np.ix_(*axes)``, so no point list is built.
+    The quadratic form is sum_i (sum_{j<=i} (L^-1)_ij (x_j - m_j))^2 with L the
+    Cholesky factor of the covariance: L^-1 is n x n, so the points meet only
+    scalar multiply-adds and no BLAS call.
+    """
+    if len(x) != g.dim:
+        raise ValueError(f"dimension mismatch: {len(x)} coordinates, measure has {g.dim}")
+    centered = [np.asarray(xi, dtype=float) - mi for xi, mi in zip(x, g.mean)]
     L = chol_spd(g.cov)
-    z = solve_triangular(L, (pts - g.mean).T, lower=True)
+    L_inv = np.linalg.inv(L)
+    quad = 0.0
+    for i in range(g.dim):
+        z = L_inv[i, 0] * centered[0]
+        for j in range(1, i + 1):
+            z = z + L_inv[i, j] * centered[j]
+        quad = quad + z * z
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    out = -0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
-    return float(out[0]) if single else out
+    out = -0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + quad)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -> GaussianMeasure:

@@ -81,15 +81,14 @@ def _gridded_pair(g1, g2, shape):
 def _kl_quadrature(mu1: density.GridDensity, g1: gaussian.GaussianMeasure,
                    g2: gaussian.GaussianMeasure) -> float:
     """Quadrature of rho1 (log phi1 - log phi2) over mu1's grid."""
-    pts = density.grid_points(mu1.box_lo, mu1.box_hi, mu1.shape)
-    diff = gaussian.log_density_at(g1, pts) - gaussian.log_density_at(g2, pts)
-    return density.integrate(mu1.values * diff.reshape(mu1.shape), mu1.box_lo, mu1.box_hi)
+    mesh = np.ix_(*mu1.axes())
+    diff = gaussian.log_density_at(g1, mesh) - gaussian.log_density_at(g2, mesh)
+    return density.integrate(mu1.values * diff, mu1.box_lo, mu1.box_hi)
 
 
 def _grid_kl_to_gaussian(mu: density.GridDensity, g: gaussian.GaussianMeasure) -> float:
     """Quadrature KL(mu || g) for a grid density against a Gaussian."""
-    pts = density.grid_points(mu.box_lo, mu.box_hi, mu.shape)
-    logphi = gaussian.log_density_at(g, pts).reshape(mu.shape)
+    logphi = gaussian.log_density_at(g, np.ix_(*mu.axes()))
     vals = mu.values
     mask = vals > 0.0
     integrand = np.zeros_like(vals)

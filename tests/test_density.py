@@ -19,7 +19,6 @@ from filtermaps.density import (
     integrate,
     lifted_epsilon,
     load_binary,
-    marginal_u,
     moments,
     normalized,
     quad_weights,
@@ -133,6 +132,29 @@ def test_normalized_drift_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         normalized([-6.0], [6.0], vals, context="test")
+
+
+def test_density_values_are_read_only_and_never_aliased():
+    x = np.linspace(-5.0, 5.0, 64)
+    raw = np.exp(-0.5 * x**2)
+    mu = normalized([-5.0], [5.0], raw, expect_unit_mass=False)
+    assert not mu.values.flags.writeable
+    with pytest.raises(ValueError):
+        mu.values[0] = 1.0
+    before = mu.values.copy()
+    raw[:] = 0.0
+    assert np.array_equal(mu.values, before)
+    # a read-only array is taken as it is; a writable one, or a read-only
+    # view of a writable one, is copied
+    assert GridDensity(mu.box_lo, mu.box_hi, mu.values).values is mu.values
+    writable = before.copy()
+    view = writable.view()
+    view.setflags(write=False)
+    copied = [GridDensity(mu.box_lo, mu.box_hi, a) for a in (writable, view)]
+    writable[:] = 0.0
+    for other in copied:
+        assert np.array_equal(other.values, before)
+        assert not other.values.flags.writeable
 
 
 def test_grid_density_validation():
@@ -253,7 +275,8 @@ def test_marginal_u_matches_conditional_algebra():
     blocks = BlockStructure(1, 1)
     joint = GaussianMeasure([0.5, -0.2], [[1.5, 0.6], [0.6, 1.1]])
     grid = from_gaussian(joint, [-9.0, -9.0], [9.0, 9.0], (512, 512), blocks=blocks)
-    marg = marginal_u(grid)
+    w_y = quad_weights(grid.box_lo, grid.box_hi, grid.shape)[1]
+    marg = normalized(grid.box_lo[:1], grid.box_hi[:1], grid.values @ w_y)
     mom = moments(marg)
     assert_allclose(mom.mean, [0.5], atol=1e-6)
     assert_allclose(mom.cov, [[1.5]], atol=1e-5)

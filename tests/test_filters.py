@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from filtermaps import density, filters
-from filtermaps.density import GridDensity, from_gaussian, gaussian_projection, lifted_epsilon, moments
+from filtermaps.density import CoverageError, GridDensity, from_gaussian, gaussian_projection, lifted_epsilon, moments
 from filtermaps.filters import (
     Ensemble,
     FilterConfig,
@@ -310,6 +310,42 @@ def test_filter_step_error_carries_location():
     assert err.value.kind == "true"
     assert "step 1" in str(err.value)
     assert isinstance(err.value.__cause__, OutOfDomainError)
+
+
+def test_distance_block_failure_carries_step_and_kind():
+    # Every step completes, but the gpf_bg posterior after step 2 is too
+    # correlated to pass from_gaussian's max-stdev coverage rule on the planned
+    # box; putting it on the state grid for the pairwise distances fails.
+    model = ModelSpec(
+        d=2, K=1,
+        psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": 32.0, "delta": 0.2}),
+        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+        Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
+        m0=[0.0, 0.0], S0=np.eye(2).tolist(),
+    )
+    traj = generate_data(model, J=3, seed=2)
+    with pytest.raises(FilterStepError) as err:
+        run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, FilterConfig(seed=2))
+    assert (err.value.step, err.value.kind) == (2, "gpf_bg")
+    assert isinstance(err.value.__cause__, CoverageError)
+
+
+def test_run_filter_never_builds_a_flat_point_list(monkeypatch):
+    # Gaussians, moments and d_g are evaluated from per-axis factors; only the
+    # workspace, built before the run, evaluates the model maps point by point
+    model = sweep_model(0.2)
+    traj = generate_data(model, J=2, seed=1)
+    config = FilterConfig(seed=1, state_shape=(128,), y_points=64)
+    ws = plan_workspace(model, traj, config)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid_points called during run_filter")
+
+    monkeypatch.setattr(density, "grid_points", forbidden)
+    results = run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, config, ws)
+    for traj_k in results.values():
+        assert len(traj_k.diagnostics["eps"]) == traj.J + 1
+        assert len(traj_k.diagnostics["dg_vs_true"]) == traj.J + 1
 
 
 def test_lipschitz_constant_values():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import multivariate_normal
 
 from filtermaps.gaussian import (
     BlockStructure,
@@ -39,7 +40,7 @@ def test_log_density_batch_matches_scalar():
     rng = np.random.default_rng(0)
     g = GaussianMeasure([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])
     pts = rng.normal(size=(50, 2))
-    batch = log_density_at(g, pts)
+    batch = log_density_at(g, pts.T)
     singles = [float(log_density_at(g, p)) for p in pts]
     assert_allclose(batch, singles, rtol=1e-13)
     # direct formula check at one point
@@ -48,6 +49,30 @@ def test_log_density_batch_matches_scalar():
     quad = diff @ np.linalg.solve(g.cov, diff)
     expect = -0.5 * quad - 0.5 * np.log((2 * np.pi) ** 2 * np.linalg.det(g.cov))
     assert_allclose(batch[0], expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_density_on_open_mesh_matches_scipy(n):
+    # coordinates first: the open mesh broadcasts to the grid without a point list
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    g = GaussianMeasure(rng.normal(size=n), A @ A.T + 0.5 * np.eye(n))
+    axes = [np.linspace(-3.0, 3.0, s) for s in (9, 7, 5)[:n]]
+    got = log_density_at(g, np.ix_(*axes))
+    assert got.shape == tuple(a.size for a in axes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    expect = multivariate_normal(g.mean, g.cov).logpdf(pts).reshape(got.shape)
+    assert_allclose(got, expect, rtol=1e-12)
+
+
+def test_log_density_single_point_gives_float():
+    g = GaussianMeasure([0.3, -0.2, 0.1], [[1.5, 0.4, -0.3], [0.4, 0.8, 0.2], [-0.3, 0.2, 1.1]])
+    p = np.array([0.7, 0.1, -0.4])
+    val = log_density_at(g, p)
+    assert isinstance(val, float)
+    assert_allclose(val, multivariate_normal(g.mean, g.cov).logpdf(p), rtol=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        log_density_at(g, p[:2])
 
 
 def test_g2_moment_standard_normal():
@@ -86,7 +111,7 @@ def test_condition_matches_slice_quadrature():
     y = 0.8
     u = np.linspace(-12, 12, 60001)
     pts = np.stack([u, np.full_like(u, y)], axis=1)
-    slc = np.exp(log_density_at(joint, pts))
+    slc = np.exp(log_density_at(joint, pts.T))
     slc /= np.trapezoid(slc, u)
     mean = np.trapezoid(u * slc, u)
     var = np.trapezoid((u - mean) ** 2 * slc, u)
