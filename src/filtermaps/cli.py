@@ -5,9 +5,9 @@ Three subcommands:
 - ``run``     one experiment: filter kinds over a generated trajectory;
               writes steps.csv, summary.csv, optional binary densities,
               and metadata.json.
-- ``sweep``   the nonlinearity sweep: one run per delta in the scenario
-              family; writes sweep.csv with (delta, eps_measured, err_enkf,
-              err_gpf) plus monotonicity/ratio checks in the report.
+- ``sweep``   the nonlinearity sweep: one run per delta of the "sweep"
+              scenario, the only one it takes; writes sweep.csv with (delta,
+              eps_measured, err_enkf, err_gpf) and monotonicity/ratio checks.
 - ``verify``  the property suites; writes a CSV report and exits 0 only if
               every check passes.
 
@@ -113,7 +113,7 @@ class ExperimentConfig:
             n_particles=_typed("n_particles", raw.get("n_particles", 1000), (int,)),
             deltas=tuple(float(_typed("deltas", x, _NUMBER)) for x in deltas),
             save_densities=_typed("save_densities", raw.get("save_densities", False), (bool,)),
-            out=str(raw.get("out", "results")),
+            out=_typed("out", raw.get("out", "results"), (str,)),
         )
         cfg.validate()
         return cfg
@@ -281,6 +281,9 @@ def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     """Sweep the scenario family over the configured deltas and write sweep.csv."""
+    if cfg.scenario != "sweep":
+        key = "model" if cfg.model_cfg is not None else "scenario"
+        raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
     if not cfg.deltas:
         raise ConfigError("sweep needs a nonempty 'deltas' list")
     if list(cfg.deltas) != sorted(cfg.deltas):

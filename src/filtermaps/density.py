@@ -273,9 +273,10 @@ def from_gaussian(
 ) -> GridDensity:
     """Evaluate a Gaussian on a grid and normalize.
 
-    The box must cover mean +- 6 max-stdev on every axis (a smaller box raises
-    :class:`CoverageError`). Box and shape default to :func:`default_box` and
-    :func:`default_shape`.
+    The box must cover mean +- 6 marginal stdev sqrt(C_aa) on every axis a,
+    the rule planned workspace boxes are sized by (a smaller box raises
+    :class:`CoverageError`). Box and shape default to :func:`default_box`,
+    which is wider, and :func:`default_shape`.
     """
     if box_lo is None or box_hi is None:
         box_lo, box_hi = default_box(g)
@@ -285,12 +286,11 @@ def from_gaussian(
         raise ValueError(f"dimension mismatch: box has {box_lo.size} axes, measure has {g.dim}")
     if shape is None:
         shape = default_shape(g.dim)
-    smax = float(np.sqrt(np.linalg.eigvalsh(g.cov)[-1]))
-    needed_lo = g.mean - 6.0 * smax
-    needed_hi = g.mean + 6.0 * smax
+    half = 6.0 * np.sqrt(np.diag(g.cov))
+    needed_lo, needed_hi = g.mean - half, g.mean + half
     if np.any(box_lo > needed_lo) or np.any(box_hi < needed_hi):
         raise CoverageError(
-            f"box [{box_lo}, {box_hi}] does not cover mean +- 6 max-stdev ([{needed_lo}, {needed_hi}])"
+            f"box [{box_lo}, {box_hi}] does not cover mean +- 6 stdev ([{needed_lo}, {needed_hi}])"
         )
     values = _gaussian_values(g, box_lo, box_hi, shape)
     return normalized(box_lo, box_hi, values, blocks, context="from_gaussian")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import density
 from .density import GridDensity, lifted_epsilon, moments
-from .gaussian import Array, BlockStructure, GaussianMeasure, chol_spd, condition, sample
+from .gaussian import Array, BlockStructure, GaussianMeasure, condition, sample
 from .model import ModelSpec
 from .operators import OperatorWorkspace, bayes, default_resolution, lift, predict, transport
 
@@ -135,14 +135,12 @@ def generate_data(model: ModelSpec, J: int, seed: int) -> FilterTrajectory:
     if J < 1:
         raise ValueError("generate_data requires J >= 1")
     rng = np.random.default_rng(seed)
-    L_sig = chol_spd(model.Sigma)
-    L_gam = chol_spd(model.Gamma)
     u = sample(model.initial_law(), rng, 1)[0]
     states = [u]
     data = []
     for _ in range(J):
-        u = model.psi_apply(u[None, :])[0] + L_sig @ rng.standard_normal(model.d)
-        y = model.h_apply(u[None, :])[0] + L_gam @ rng.standard_normal(model.K)
+        u = model.psi_apply(u[None, :])[0] + model.sigma_chol @ rng.standard_normal(model.d)
+        y = model.h_apply(u[None, :])[0] + model.gamma_chol @ rng.standard_normal(model.K)
         states.append(u)
         data.append(y)
     return FilterTrajectory(data=np.array(data), states=np.array(states))
@@ -173,15 +171,12 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
         raise ValueError("grid filtering supports K = 1 only")
     rng = np.random.default_rng([config.seed, _PILOT_STREAM])
     ens = sample(model.initial_law(), rng, PILOT_SIZE)
-    L_sig = chol_spd(model.Sigma)
-    L_gam = chol_spd(model.Gamma)
 
     u_lo = ens.mean(axis=0) - 6.0 * np.maximum(ens.std(axis=0), 1e-9)
     u_hi = ens.mean(axis=0) + 6.0 * np.maximum(ens.std(axis=0), 1e-9)
     y_lo, y_hi = np.inf, -np.inf
     for j in range(trajectory.J):
-        ens = model.psi_apply(ens) + rng.standard_normal(ens.shape) @ L_sig.T
-        yhat = model.h_apply(ens) + rng.standard_normal((ens.shape[0], model.K)) @ L_gam.T
+        ens, yhat = _forecast(ens, model, rng)
         u_lo = np.minimum(u_lo, ens.mean(axis=0) - 6.0 * ens.std(axis=0))
         u_hi = np.maximum(u_hi, ens.mean(axis=0) + 6.0 * ens.std(axis=0))
         y_lo = min(y_lo, float(yhat.mean() - 6.0 * yhat.std()))
@@ -203,6 +198,13 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
         y_lo = min(y_lo, float(trajectory.data.min()) - 5.0 * cell)
         y_hi = max(y_hi, float(trajectory.data.max()) + 5.0 * cell)
     return OperatorWorkspace(model, u_lo, u_hi, state_shape, y_lo, y_hi, y_points)
+
+
+def _forecast(ens: Array, model: ModelSpec, rng: np.random.Generator) -> tuple[Array, Array]:
+    """Particles pushed through Psi plus Sigma-noise, and their data H(u) plus Gamma-noise."""
+    pushed = model.psi_apply(ens) + rng.standard_normal(ens.shape) @ model.sigma_chol.T
+    yhat = model.h_apply(pushed) + rng.standard_normal((ens.shape[0], model.K)) @ model.gamma_chol.T
+    return pushed, yhat
 
 
 def _particle_analysis(ens: Array, yhat: Array, y_dagger: Array) -> Array:
@@ -230,10 +232,7 @@ def step_enkf_particles(ens: Ensemble, model: ModelSpec, y_dagger,
             RuntimeWarning,
             stacklevel=2,
         )
-    L_sig = chol_spd(model.Sigma)
-    L_gam = chol_spd(model.Gamma)
-    pushed = model.psi_apply(ens.particles) + rng.standard_normal(ens.particles.shape) @ L_sig.T
-    yhat = model.h_apply(pushed) + rng.standard_normal((ens.N, model.K)) @ L_gam.T
+    pushed, yhat = _forecast(ens.particles, model, rng)
     return Ensemble(_particle_analysis(pushed, yhat, np.atleast_1d(y_dagger)))
 
 

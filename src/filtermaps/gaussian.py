@@ -8,7 +8,7 @@ total-variation upper bound between two Gaussians. All functions are pure;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -65,8 +65,8 @@ def chol_spd(cov: Array) -> Array:
     raise SingularCovarianceError("Cholesky failed after jitter retries")
 
 
-def _validated_cov(cov: Array) -> Array:
-    """Check symmetry to 1e-12 relative tolerance and SPD-ness; return a symmetrized copy."""
+def _validated_cov(cov: Array) -> tuple[Array, Array]:
+    """Check symmetry (1e-12 relative) and SPD-ness; return a symmetrized copy and its factor."""
     cov = np.array(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
@@ -74,8 +74,7 @@ def _validated_cov(cov: Array) -> Array:
     if np.abs(cov - cov.T).max() > 1e-12 * scale:
         raise ValueError("covariance is not symmetric to 1e-12 relative tolerance")
     cov = 0.5 * (cov + cov.T)
-    chol_spd(cov)
-    return cov
+    return cov, chol_spd(cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,25 +85,26 @@ class GaussianMeasure:
     ----------
     mean : ndarray, shape (n,)
     cov : ndarray, shape (n, n)
-        Symmetric (to 1e-12 relative tolerance) positive definite.
+        Symmetric (to 1e-12 relative tolerance) positive definite. Validation
+        keeps its lower Cholesky factor read-only as ``chol`` (see :func:`chol_spd`).
     """
 
     mean: Array
     cov: Array
+    chol: Array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.size < 1:
             raise ValueError("mean must have dimension >= 1")
-        cov = _validated_cov(self.cov)
+        cov, chol = _validated_cov(self.cov)
         if cov.shape[0] != mean.size:
             raise ValueError(
                 f"dimension mismatch: mean has {mean.size} entries, cov is {cov.shape}"
             )
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        for name, arr in (("mean", mean), ("cov", cov), ("chol", chol)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -155,23 +155,23 @@ def log_density_at(g: GaussianMeasure, x) -> Array | float:
     float, a list of m points is passed transposed (shape (n, m)), and a
     tensor grid as its open mesh ``np.ix_(*axes)``, so no point list is built.
     The quadratic form is sum_i (sum_{j<=i} (L^-1)_ij (x_j - m_j))^2 with L the
-    Cholesky factor of the covariance: L^-1 is n x n, so the points meet only
+    kept Cholesky factor ``g.chol``: L^-1 is n x n, so the points meet only
     scalar multiply-adds and no BLAS call.
     """
     if len(x) != g.dim:
         raise ValueError(f"dimension mismatch: {len(x)} coordinates, measure has {g.dim}")
     centered = [np.asarray(xi, dtype=float) - mi for xi, mi in zip(x, g.mean)]
-    L = chol_spd(g.cov)
-    L_inv = np.linalg.inv(L)
-    quad = 0.0
+    L_inv = np.linalg.inv(g.chol)
     for i in range(g.dim):
         z = L_inv[i, 0] * centered[0]
         for j in range(1, i + 1):
             z = z + L_inv[i, j] * centered[j]
-        quad = quad + z * z
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    out = -0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + quad)
-    return float(out) if np.ndim(out) == 0 else out
+        z *= z
+        # the sum grows to the broadcast shape of the coordinates, so it is not in place
+        quad = z if i == 0 else quad + z
+    quad += g.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(g.chol)))
+    quad *= -0.5
+    return float(quad) if np.ndim(quad) == 0 else quad
 
 
 def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -> GaussianMeasure:
@@ -205,12 +205,10 @@ def kl_divergence(mu1: GaussianMeasure, mu2: GaussianMeasure) -> float:
     """
     if mu1.dim != mu2.dim:
         raise ValueError(f"dimension mismatch: {mu1.dim} vs {mu2.dim}")
-    L2 = chol_spd(mu2.cov)
-    L1 = chol_spd(mu1.cov)
-    w = solve_triangular(L2, L1, lower=True)
+    w = solve_triangular(mu2.chol, mu1.chol, lower=True)
     trace_term = float(np.sum(w * w))
     logdet = 2.0 * float(np.sum(np.log(np.diag(w))))
-    z = solve_triangular(L2, mu1.mean - mu2.mean, lower=True)
+    z = solve_triangular(mu2.chol, mu1.mean - mu2.mean, lower=True)
     return 0.5 * (trace_term - mu1.dim - logdet + float(z @ z))
 
 
@@ -234,10 +232,9 @@ def dg_upper_bound(mu1: GaussianMeasure, mu2: GaussianMeasure) -> float:
     """
     if mu1.dim != mu2.dim:
         raise ValueError(f"dimension mismatch: {mu1.dim} vs {mu2.dim}")
-    L2 = chol_spd(mu2.cov)
-    ratio = cho_solve((L2, True), mu1.cov)
+    ratio = cho_solve((mu2.chol, True), mu1.cov)
     frob = float(np.linalg.norm(ratio - np.eye(mu1.dim), "fro"))
-    z = solve_triangular(L2, mu1.mean - mu2.mean, lower=True)
+    z = solve_triangular(mu2.chol, mu1.mean - mu2.mean, lower=True)
     mdist = float(np.sqrt(z @ z))
     return float(np.sqrt(g2_moment(mu1) + g2_moment(mu2)) * (3.0 * frob + mdist))
 
@@ -260,6 +257,5 @@ def sample(g: GaussianMeasure, rng: np.random.Generator | int, count: int) -> Ar
         raise ValueError("count must be >= 1")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    L = chol_spd(g.cov)
     z = rng.standard_normal((count, g.dim))
-    return g.mean + z @ L.T
+    return g.mean + z @ g.chol.T

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .density import grid_points
-from .gaussian import Array, GaussianMeasure, chol_spd
+from .gaussian import Array, GaussianMeasure
 
 #: Number of probe points used by the assumption checks.
 PROBE_POINTS = 10_000
@@ -159,7 +159,8 @@ class ModelSpec:
     Dynamics u' = Psi(u) + xi with xi ~ N(0, Sigma); data y = H(u') + eta with
     eta ~ N(0, Gamma); initial law u0 ~ N(m0, S0). Optional declared bounds
     kappa_psi, kappa_h, ell_h override the family certificates and are checked
-    by :func:`validate_assumptions`.
+    by :func:`validate_assumptions`. Validation keeps the lower Cholesky
+    factors of Sigma and Gamma read-only as ``sigma_chol`` and ``gamma_chol``.
     """
 
     d: int
@@ -173,15 +174,20 @@ class ModelSpec:
     kappa_psi: float | None = None
     kappa_h: float | None = None
     ell_h: float | None = None
+    sigma_chol: Array = field(init=False, repr=False)
+    gamma_chol: Array = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name, mat, dim in (("Sigma", self.Sigma, self.d), ("Gamma", self.Gamma, self.K), ("S0", self.S0, self.d)):
+        for name, mat, dim, chol_name in (("Sigma", self.Sigma, self.d, "sigma_chol"),
+                                          ("Gamma", self.Gamma, self.K, "gamma_chol"),
+                                          ("S0", self.S0, self.d, None)):
             arr = np.array(mat, dtype=float)
             if arr.shape != (dim, dim):
                 raise ValueError(f"{name} must be {dim}x{dim}, got {arr.shape}")
-            chol_spd(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            law = GaussianMeasure(np.zeros(dim), arr)  # checks symmetry and SPD, factors once
+            object.__setattr__(self, name, law.cov)
+            if chol_name is not None:
+                object.__setattr__(self, chol_name, law.chol)
         m0 = np.array(self.m0, dtype=float).reshape(-1)
         if m0.size != self.d:
             raise ValueError(f"m0 has {m0.size} entries, d = {self.d}")

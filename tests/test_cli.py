@@ -8,6 +8,7 @@ import pytest
 
 import filtermaps.cli as cli
 import filtermaps.gaussian
+from filtermaps import model
 from filtermaps.density import load_binary
 from filtermaps.filters import FilterStepError
 
@@ -149,10 +150,24 @@ def test_config_validation_exit_codes(tmp_path, capsys):
 
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)
-    for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true")):
+    for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true"), ("out", None)):
         bad = _write_config(tmp_path / f"{key}.json", **{key: value})
         assert cli.main(["run", "--config", bad]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_model_other_than_the_sweep_family(tmp_path, capsys):
+    # sweep always runs sweep_model(delta); another scenario or an inline model
+    # would otherwise be ignored without a word
+    out = tmp_path / "out"
+    linear = _write_config(tmp_path / "linear.json", scenario="linear_1d", deltas=[0.0])
+    assert cli.main(["sweep", "--config", linear, "--out", str(out)]) == 2
+    assert "'scenario'" in capsys.readouterr().err
+    inline = tmp_path / "inline.json"
+    inline.write_text(json.dumps({"model": model.to_config(model.sweep_model(0.0)), "deltas": [0.0]}))
+    assert cli.main(["sweep", "--config", str(inline), "--out", str(out)]) == 2
+    assert "'model'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_subcommand_reports_and_exit_codes(tmp_path):

@@ -313,9 +313,21 @@ def test_filter_step_error_carries_location():
 
 
 def test_distance_block_failure_carries_step_and_kind():
-    # Every step completes, but the gpf_bg posterior after step 2 is too
-    # correlated to pass from_gaussian's max-stdev coverage rule on the planned
-    # box; putting it on the state grid for the pairwise distances fails.
+    # Every step completes, but the datum 8 pulls the gpf_bg posterior of step 2
+    # to N(4.8, 0.15), whose 6-stdev band reaches past the [-6, 6] state box;
+    # putting that Gaussian on the state grid for the pairwise distances fails.
+    model = linear_model_1d()
+    ws = default_workspace(model, [-6.0], [6.0], (256,), y_lo=-30.0, y_hi=30.0, y_points=256)
+    traj = FilterTrajectory(data=[[0.0], [0.0], [8.0]])
+    with pytest.raises(FilterStepError) as err:
+        run_filter(["true", "gpf_bg"], model, traj, FilterConfig(), ws)
+    assert (err.value.step, err.value.kind) == (2, "gpf_bg")
+    assert isinstance(err.value.__cause__, CoverageError)
+
+
+def test_gaussian_kinds_run_on_the_default_2d_grid():
+    # the correlated gpf posteriors cover their marginals on the planned box,
+    # which is sized from per-axis stdevs; from_gaussian checks that same rule
     model = ModelSpec(
         d=2, K=1,
         psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": 32.0, "delta": 0.2}),
@@ -323,11 +335,11 @@ def test_distance_block_failure_carries_step_and_kind():
         Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
         m0=[0.0, 0.0], S0=np.eye(2).tolist(),
     )
-    traj = generate_data(model, J=3, seed=2)
-    with pytest.raises(FilterStepError) as err:
-        run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, FilterConfig(seed=2))
-    assert (err.value.step, err.value.kind) == (2, "gpf_bg")
-    assert isinstance(err.value.__cause__, CoverageError)
+    traj = generate_data(model, J=3, seed=1)
+    results = run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, FilterConfig(seed=1))
+    for traj_k in results.values():
+        assert len(traj_k.measures) == traj.J + 1
+        assert all(np.isfinite(v) for v in traj_k.diagnostics["dg_vs_true"])
 
 
 def test_run_filter_never_builds_a_flat_point_list(monkeypatch):

@@ -77,6 +77,21 @@ def test_model_spec_validation():
                   Sigma=np.eye(2), Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
 
 
+def test_model_spec_keeps_noise_factors_and_rejects_asymmetric_covariances():
+    sigma = [[0.3, 0.1], [0.1, 0.2]]
+    model = ModelSpec(d=2, K=1, psi=MapSpec("linear", {"matrix": np.eye(2).tolist()}),
+                      h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+                      Sigma=sigma, Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
+    assert_allclose(model.sigma_chol @ model.sigma_chol.T, sigma, rtol=1e-14)
+    assert_allclose(model.gamma_chol, [[0.5]])
+    assert not model.sigma_chol.flags.writeable and not model.gamma_chol.flags.writeable
+    # a covariance is checked by the same rule as a GaussianMeasure's, not by its lower triangle
+    with pytest.raises(ValueError, match="not symmetric"):
+        ModelSpec(d=2, K=1, psi=MapSpec("linear", {"matrix": np.eye(2).tolist()}),
+                  h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+                  Sigma=[[0.3, 0.0], [0.1, 0.2]], Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
+
+
 def test_model_apply_batches():
     spec = bounded_model_1d()
     x = np.array([[0.0], [1.0], [-2.0]])

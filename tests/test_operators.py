@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import ndimage
 
+import filtermaps.gaussian as gaussian
 import filtermaps.operators as ops
 from filtermaps.density import (
     CoverageError,
@@ -408,3 +409,30 @@ def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
     raw = (kernel @ (w * mu.values.ravel())).reshape(shape)
     expected = raw / np.sum(raw * weight_tensor(lo, hi, shape))
     assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_covariances_are_factored_once_when_validated(monkeypatch):
+    # Gaussians and models keep the Cholesky factors that validation computes;
+    # densities, sampling, the divergences and the workspace kernels use them
+    g = GaussianMeasure([0.5, -0.4], [[0.5, 0.1], [0.1, 0.4]])
+    other = GaussianMeasure([0.0, 0.0], [[0.6, -0.1], [-0.1, 0.3]])
+    model_1d = bounded_model_1d()
+    model_2d = _linear_model_2d([[0.3, 0.1], [0.1, 0.2]])
+    ws_1d = default_workspace(model_1d, [-7.0], [7.0], (128,))
+    lo, hi, shape = [-6.0, -5.0], [6.0, 5.0], (20, 18)
+    ws_2d = default_workspace(model_2d, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    assert ws_2d._factors is None  # a non-diagonal Sigma streams the kernel rows
+    mu_1d = from_gaussian(GaussianMeasure([0.4], [[0.8]]), [-7.0], [7.0], (128,))
+    mu_2d = from_gaussian(g, lo, hi, shape)
+
+    def refactor(cov):
+        raise AssertionError("a validated covariance was factored again")
+
+    monkeypatch.setattr(gaussian, "chol_spd", refactor)
+    assert np.isfinite(gaussian.log_density_at(g, [0.1, 0.2]))
+    assert gaussian.sample(g, 0, 5).shape == (5, 2)
+    assert gaussian.kl_divergence(g, other) > 0.0
+    assert gaussian.dg_upper_bound(g, other) > 0.0
+    for mu, model, ws in ((mu_1d, model_1d, ws_1d), (mu_2d, model_2d, ws_2d)):
+        assert lift(predict(mu, model, ws), model, ws).shape == ws.joint_shape
+    assert np.all(np.isfinite(ws_2d.apply_markov(mu_2d.values)))
