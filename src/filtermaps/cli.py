@@ -11,6 +11,11 @@ Three subcommands:
 - ``verify``  the property suites; writes a CSV report and exits 0 only if
               every check passes.
 
+``run`` and ``sweep`` read every experiment value from the config file; only
+``--out`` overrides one, the output directory. An unknown config key, an
+unknown key of an inline model or an unknown map-family parameter is a
+configuration error.
+
 Exit codes: 0 success, 1 property or step failure, 2 configuration or
 environment error. Data CSVs are byte-identical across repeated runs with the
 same config and seed; timestamps and timings live only in metadata.json.
@@ -353,10 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="sweep the nonlinearity family, one run per delta")
     for p in (run_p, sweep_p):
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="override grid points per state axis")
 
     ver_p = sub.add_parser("verify", help="run property suites and report margins")
     ver_p.add_argument("--suite", default="all",
@@ -373,11 +375,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.out, args.seed)
         cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.resolution is not None:
-            cfg.state_points = args.resolution
-        cfg.validate()
         out_dir = args.out if args.out is not None else cfg.out
         if args.command == "run":
             return cmd_run(cfg, out_dir)

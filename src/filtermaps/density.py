@@ -10,8 +10,8 @@ contractions with per-axis coordinate factors in the weights, and Gaussians
 are evaluated on the open mesh (``np.ix_`` of the grid axes), whose
 coordinates broadcast against a value tensor. :func:`grid_points`, the only
 flat point list, serves model maps that are evaluated point by point. On
-these the module builds moments (computed once per density and kept on it),
-d_g, Gaussian projection (moment matching), and the flat binary
+these the module builds moments, kept on the density as its moment-matched
+Gaussian (which is also its Gaussian projection), d_g, and the flat binary
 serialization format.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
@@ -29,9 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
-
-#: Default points per axis, keyed by the number of grid axes.
-DEFAULT_POINTS = {1: 1024, 2: 512, 3: 96}
 
 #: Minimum points per axis.
 MIN_POINTS = 16
@@ -56,26 +53,6 @@ class ResolutionWarning(RuntimeWarning):
 
 
 @dataclass(frozen=True, eq=False)
-class Moments:
-    """First two moments of a measure: mean vector and symmetric PSD covariance."""
-
-    mean: Array
-    cov: Array
-
-    def __post_init__(self) -> None:
-        mean = np.array(self.mean, dtype=float).reshape(-1)
-        cov = np.array(self.cov, dtype=float)
-        cov = 0.5 * (cov + cov.T)
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] < -1e-10:
-            raise ValueError(f"covariance has eigenvalue {eigs[0]:.3e} below the -1e-10 PSD tolerance")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-
-@dataclass(frozen=True, eq=False)
 class GridDensity:
     """Normalized density values on a uniform tensor grid over [box_lo, box_hi].
 
@@ -94,7 +71,7 @@ class GridDensity:
     box_hi: Array
     values: Array
     blocks: BlockStructure | None = None
-    _moments: Moments | None = field(default=None, init=False, repr=False)
+    _moments: GaussianMeasure | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
@@ -234,20 +211,6 @@ def normalized(
     return GridDensity(box_lo, box_hi, values, blocks)
 
 
-def default_shape(n: int) -> tuple[int, ...]:
-    """Default points per axis: 1024 for n=1, 512 for n=2, 96 for n=3."""
-    if n not in DEFAULT_POINTS:
-        raise ValueError(f"grids support 1 to 3 axes, got n={n}")
-    return (DEFAULT_POINTS[n],) * n
-
-
-def default_box(g: GaussianMeasure) -> tuple[Array, Array]:
-    """Box rule: center at the mean, half-width |mean| + 6 max-stdev per axis."""
-    smax = float(np.sqrt(np.linalg.eigvalsh(g.cov)[-1]))
-    half = np.abs(g.mean) + 6.0 * smax
-    return g.mean - half, g.mean + half
-
-
 def _grid_axes(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
     """Grid coordinates along each axis."""
     return [np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))]
@@ -266,26 +229,21 @@ def _gaussian_values(g: GaussianMeasure, lo: Array, hi: Array, shape: Sequence[i
 
 def from_gaussian(
     g: GaussianMeasure,
-    box_lo: Array | None = None,
-    box_hi: Array | None = None,
-    shape: Sequence[int] | None = None,
+    box_lo: Array,
+    box_hi: Array,
+    shape: Sequence[int],
     blocks: BlockStructure | None = None,
 ) -> GridDensity:
     """Evaluate a Gaussian on a grid and normalize.
 
     The box must cover mean +- 6 marginal stdev sqrt(C_aa) on every axis a,
     the rule planned workspace boxes are sized by (a smaller box raises
-    :class:`CoverageError`). Box and shape default to :func:`default_box`,
-    which is wider, and :func:`default_shape`.
+    :class:`CoverageError`).
     """
-    if box_lo is None or box_hi is None:
-        box_lo, box_hi = default_box(g)
     box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
     box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
     if box_lo.size != g.dim:
         raise ValueError(f"dimension mismatch: box has {box_lo.size} axes, measure has {g.dim}")
-    if shape is None:
-        shape = default_shape(g.dim)
     half = 6.0 * np.sqrt(np.diag(g.cov))
     needed_lo, needed_hi = g.mean - half, g.mean + half
     if np.any(box_lo > needed_lo) or np.any(box_hi < needed_hi):
@@ -300,32 +258,31 @@ def from_function(
     f: Callable[[Array], Array],
     box_lo: Array,
     box_hi: Array,
-    shape: Sequence[int] | None = None,
+    shape: Sequence[int],
     blocks: BlockStructure | None = None,
 ) -> GridDensity:
     """Grid an unnormalized nonnegative function; ``f`` maps (m, n) points to (m,) values."""
     box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
     box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
-    if shape is None:
-        shape = default_shape(box_lo.size)
     values = np.asarray(f(grid_points(box_lo, box_hi, shape)), dtype=float).reshape(tuple(shape))
     return normalized(box_lo, box_hi, values, blocks, expect_unit_mass=False, context="from_function")
 
 
-def moments(mu: GridDensity) -> Moments:
-    """Trapezoidal-quadrature mean and covariance (covariance symmetrized).
+def moments(mu: GridDensity) -> GaussianMeasure:
+    """Trapezoidal-quadrature mean and covariance, as the moment-matched Gaussian.
 
-    The quadrature runs once per density; the result is kept on ``mu``, whose
-    values and box are read-only, and every later call returns the same
-    ``Moments``. Gaussian projection, ``lifted_epsilon`` and the Kalman gain of
-    a joint therefore share one pass.
+    The quadrature runs once per density and the covariance is validated and
+    factored once; the result is kept on ``mu``, whose values and box are
+    read-only, and every later call returns the same ``GaussianMeasure``.
+    Gaussian projection, ``lifted_epsilon`` and the Kalman gain of a joint
+    therefore share one pass and one factorization.
     """
     if mu._moments is None:
         object.__setattr__(mu, "_moments", _quadrature_moments(mu))
     return mu._moments
 
 
-def _quadrature_moments(mu: GridDensity) -> Moments:
+def _quadrature_moments(mu: GridDensity) -> GaussianMeasure:
     """Mean and covariance as per-axis contractions of the value tensor.
 
     The mean on axis a weights that axis by w_a x_a; a covariance entry
@@ -345,7 +302,7 @@ def _quadrature_moments(mu: GridDensity) -> Moments:
         cov[i, i] = weighted({i: centered[i] ** 2})
         for j in range(i + 1, n):
             cov[i, j] = cov[j, i] = weighted({i: centered[i], j: centered[j]})
-    return Moments(mean, cov)
+    return GaussianMeasure(mean, cov)
 
 
 def _require_same_grid(mu1: GridDensity, mu2: GridDensity) -> None:
@@ -378,9 +335,11 @@ def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
 
 
 def gaussian_projection(mu: GridDensity) -> GaussianMeasure:
-    """Moment-matched Gaussian N(mean, cov) of a grid density (its KL-closest Gaussian)."""
-    m = moments(mu)
-    return GaussianMeasure(m.mean, m.cov)
+    """Moment-matched Gaussian N(mean, cov) of a grid density (its KL-closest Gaussian).
+
+    It is the measure :func:`moments` keeps on ``mu``, so it is built once.
+    """
+    return moments(mu)
 
 
 def lifted_epsilon(joint: GridDensity) -> float:

@@ -216,15 +216,13 @@ def _particle_analysis(ens: Array, yhat: Array, y_dagger: Array) -> Array:
 
 
 def step_enkf_particles(ens: Ensemble, model: ModelSpec, y_dagger,
-                        rng: np.random.Generator | int) -> Ensemble:
+                        rng: np.random.Generator) -> Ensemble:
     """One step of the finite-N EnKF with perturbed observations.
 
     Each particle is pushed through the dynamics with fresh noise, assigned a
     synthetic datum H(u) + eta, and updated with the empirical Kalman gain.
-    Deterministic given the generator state or seed.
+    Deterministic given the generator state.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     if ens.N < ens.d + model.K + 1:
         warnings.warn(
             f"ensemble size N={ens.N} below d+K+1={ens.d + model.K + 1}; "
@@ -418,11 +416,11 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
             try:
                 nxt, joint = _KINDS[k][1](current[k], model, yd, ws, rng)
                 eps_j = None if joint is None else lifted_epsilon(joint)
+                mean, cov = _measure_moments(nxt)
             except Exception as exc:  # noqa: BLE001 - step index must be attached
                 raise FilterStepError(j, k, exc) from exc
             current[k] = nxt
             results[k].measures.append(nxt)
-            mean, cov = _measure_moments(nxt)
             results[k].diagnostics["mean"].append(mean)
             results[k].diagnostics["cov"].append(cov)
             results[k].diagnostics["eps"].append(eps_j)
@@ -437,16 +435,15 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
     return results[kinds[0]] if single else results
 
 
-def trajectory_to_csv(results, path) -> None:
+def trajectory_to_csv(results: dict[str, FilterTrajectory], path) -> None:
     """Write per-step records as CSV: step, kind, moments, eps, dg_to_true.
 
-    ``results`` may be a single FilterTrajectory or a dict of them. Mean
-    components and covariance entries are flattened row-major; empty cells
-    mark diagnostics that do not apply to a kind. Output bytes depend only on
-    the recorded values, so identical runs serialize identically.
+    ``results`` maps each kind to its trajectory, as a multi-kind
+    :func:`run_filter` returns them. Mean components and covariance entries
+    are flattened row-major; empty cells mark diagnostics that do not apply
+    to a kind. Output bytes depend only on the recorded values, so identical
+    runs serialize identically.
     """
-    if isinstance(results, FilterTrajectory):
-        results = {results.kind or "run": results}
     first = next(iter(results.values()))
     d = len(first.diagnostics["mean"][0])
     cols = ["step", "kind"]

@@ -10,6 +10,7 @@ maps, Lipschitz observation, SPD noises) are probe-based on a fixed mesh.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Callable
@@ -58,8 +59,8 @@ def _componentwise(family, dim_in, dim_out, scalar_fn, bound_per_comp, lipschitz
     )
 
 
-def _build_linear(params, dim_in, dim_out):
-    A = np.asarray(params["matrix"], dtype=float)
+def _build_linear(dim_in, dim_out, *, matrix):
+    A = np.asarray(matrix, dtype=float)
     if A.shape != (dim_out, dim_in):
         raise ValueError(f"linear matrix shape {A.shape} does not match ({dim_out}, {dim_in})")
     zero = not A.any()
@@ -71,8 +72,8 @@ def _build_linear(params, dim_in, dim_out):
     )
 
 
-def _build_constant(params, dim_in, dim_out):
-    c = np.asarray(params["value"], dtype=float).reshape(-1)
+def _build_constant(dim_in, dim_out, *, value):
+    c = np.asarray(value, dtype=float).reshape(-1)
     if c.size != dim_out:
         raise ValueError(f"constant value has {c.size} entries, needs {dim_out}")
     return MapHandle(
@@ -83,9 +84,8 @@ def _build_constant(params, dim_in, dim_out):
     )
 
 
-def _build_tanh(params, dim_in, dim_out):
-    a = float(params["scale"])
-    R = float(params.get("radius", 1.0))
+def _build_tanh(dim_in, dim_out, *, scale, radius=1.0):
+    a, R = float(scale), float(radius)
     return _componentwise(
         "tanh", dim_in, dim_out,
         lambda x: a * R * np.tanh(x / R),
@@ -94,11 +94,8 @@ def _build_tanh(params, dim_in, dim_out):
     )
 
 
-def _build_tanh_sin(params, dim_in, dim_out):
-    a = float(params["scale"])
-    R = float(params.get("radius", 1.0))
-    delta = float(params["delta"])
-    freq = float(params.get("freq", 3.0))
+def _build_tanh_sin(dim_in, dim_out, *, scale, delta, radius=1.0, freq=3.0):
+    a, R, delta, freq = float(scale), float(radius), float(delta), float(freq)
     return _componentwise(
         "tanh_sin", dim_in, dim_out,
         lambda x: a * R * np.tanh(x / R) + delta * np.sin(freq * x),
@@ -111,9 +108,8 @@ def _build_tanh_sin(params, dim_in, dim_out):
 _RATIONAL_SLOPE = 9.0 / (8.0 * np.sqrt(3.0))
 
 
-def _build_tanh_rational(params, dim_in, dim_out):
-    R = float(params.get("radius", 1.0))
-    delta = float(params["delta"])
+def _build_tanh_rational(dim_in, dim_out, *, delta, radius=1.0):
+    R, delta = float(radius), float(delta)
     return _componentwise(
         "tanh_rational", dim_in, dim_out,
         lambda x: R * np.tanh(x / R) + delta * x * x / (1.0 + x * x),
@@ -137,11 +133,17 @@ def make_map(family: str, params: dict, dim_in: int, dim_out: int) -> MapHandle:
     Families and their ``params`` (defaults after ``=``): ``linear`` matrix
     (dim_out x dim_in, row-major); ``constant`` value (length dim_out);
     ``tanh`` scale, radius=1; ``tanh_sin`` scale, delta, radius=1, freq=3;
-    ``tanh_rational`` delta, radius=1.
+    ``tanh_rational`` delta, radius=1. A parameter the family does not take,
+    or a missing one without a default, raises ``ValueError`` naming it.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown map family '{family}'; known: {sorted(_FAMILIES)}")
-    return _FAMILIES[family](params, dim_in, dim_out)
+    build = _FAMILIES[family]
+    try:
+        inspect.signature(build).bind(dim_in, dim_out, **params)
+    except TypeError as exc:
+        raise ValueError(f"map family '{family}': {exc}") from None
+    return build(dim_in, dim_out, **params)
 
 
 @dataclass(frozen=True)
@@ -157,10 +159,10 @@ class ModelSpec:
     """A complete filtering problem.
 
     Dynamics u' = Psi(u) + xi with xi ~ N(0, Sigma); data y = H(u') + eta with
-    eta ~ N(0, Gamma); initial law u0 ~ N(m0, S0). Optional declared bounds
-    kappa_psi, kappa_h, ell_h override the family certificates and are checked
-    by :func:`validate_assumptions`. Validation keeps the lower Cholesky
-    factors of Sigma and Gamma read-only as ``sigma_chol`` and ``gamma_chol``.
+    eta ~ N(0, Gamma); initial law u0 ~ N(m0, S0). The bounds on the maps are
+    the certificates of their families, checked by :func:`validate_assumptions`.
+    Validation keeps the lower Cholesky factors of Sigma and Gamma read-only as
+    ``sigma_chol`` and ``gamma_chol``.
     """
 
     d: int
@@ -171,9 +173,6 @@ class ModelSpec:
     Gamma: Array
     m0: Array
     S0: Array
-    kappa_psi: float | None = None
-    kappa_h: float | None = None
-    ell_h: float | None = None
     sigma_chol: Array = field(init=False, repr=False)
     gamma_chol: Array = field(init=False, repr=False)
 
@@ -213,14 +212,14 @@ class ModelSpec:
         return self.h_handle.fn(x)
 
     def psi_bound(self) -> float | None:
-        """Declared or family bound on |Psi|; None when unbounded."""
-        return self.kappa_psi if self.kappa_psi is not None else self.psi_handle.sup_bound
+        """Family bound on |Psi|; None when unbounded."""
+        return self.psi_handle.sup_bound
 
     def h_bound(self) -> float | None:
-        return self.kappa_h if self.kappa_h is not None else self.h_handle.sup_bound
+        return self.h_handle.sup_bound
 
     def h_lipschitz(self) -> float | None:
-        return self.ell_h if self.ell_h is not None else self.h_handle.lipschitz
+        return self.h_handle.lipschitz
 
     def sigma_floor(self) -> float:
         """Smallest eigenvalue of Sigma."""
@@ -239,7 +238,7 @@ class ModelSpec:
 
 def to_config(model: ModelSpec) -> dict:
     """Plain-dict form of a model: family names, parameter lists, matrices row-major."""
-    cfg = {
+    return {
         "d": model.d,
         "K": model.K,
         "psi": {"family": model.psi.family, "params": dict(model.psi.params)},
@@ -249,21 +248,25 @@ def to_config(model: ModelSpec) -> dict:
         "m0": model.m0.tolist(),
         "s0": model.S0.tolist(),
     }
-    bounds = {}
-    if model.kappa_psi is not None:
-        bounds["kappa_psi"] = model.kappa_psi
-    if model.kappa_h is not None:
-        bounds["kappa_h"] = model.kappa_h
-    if model.ell_h is not None:
-        bounds["ell_h"] = model.ell_h
-    if bounds:
-        cfg["bounds"] = bounds
-    return cfg
+
+
+_CONFIG_KEYS = ("d", "K", "psi", "h", "sigma", "gamma", "m0", "s0")
+_MAP_KEYS = ("family", "params")
+
+
+def _reject_unknown(cfg: dict, known: tuple, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{where} must be an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
 
 
 def from_config(cfg: dict) -> ModelSpec:
-    """Inverse of :func:`to_config`."""
-    bounds = cfg.get("bounds", {})
+    """Inverse of :func:`to_config`; an unknown key raises ``ValueError`` naming it."""
+    _reject_unknown(cfg, _CONFIG_KEYS, "model config")
+    for name in ("psi", "h"):
+        _reject_unknown(cfg[name], _MAP_KEYS, f"'{name}' map")
     return ModelSpec(
         d=int(cfg["d"]),
         K=int(cfg["K"]),
@@ -273,9 +276,6 @@ def from_config(cfg: dict) -> ModelSpec:
         Gamma=cfg["gamma"],
         m0=cfg["m0"],
         S0=cfg["s0"],
-        kappa_psi=bounds.get("kappa_psi"),
-        kappa_h=bounds.get("kappa_h"),
-        ell_h=bounds.get("ell_h"),
     )
 
 
@@ -387,25 +387,23 @@ def validate_assumptions(model: ModelSpec) -> AssumptionReport:
 # -- reference scenarios ------------------------------------------------------
 
 
-def linear_model_1d(a: float = 0.9, c: float = 1.0, sigma: float = 0.25, gamma: float = 0.25,
-                    m0: float = 0.0, s0: float = 1.0) -> ModelSpec:
-    """1-D linear-Gaussian model: Psi(u) = a u, H(u) = c u."""
+def linear_model_1d() -> ModelSpec:
+    """1-D linear-Gaussian model: Psi(u) = 0.9 u, H(u) = u, Sigma = Gamma = 0.25, u0 ~ N(0, 1)."""
     return ModelSpec(
         d=1, K=1,
-        psi=MapSpec("linear", {"matrix": [[a]]}),
-        h=MapSpec("linear", {"matrix": [[c]]}),
-        Sigma=[[sigma]], Gamma=[[gamma]], m0=[m0], S0=[[s0]],
+        psi=MapSpec("linear", {"matrix": [[0.9]]}),
+        h=MapSpec("linear", {"matrix": [[1.0]]}),
+        Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]],
     )
 
 
-def bounded_model_1d(a: float = 0.9, sigma: float = 0.25, gamma: float = 0.25,
-                     m0: float = 0.0, s0: float = 1.0) -> ModelSpec:
-    """Default bounded 1-D model: Psi = a tanh, H = tanh (unit radius)."""
+def bounded_model_1d() -> ModelSpec:
+    """Bounded 1-D model: Psi = 0.9 tanh, H = tanh (unit radius), Sigma = Gamma = 0.25, u0 ~ N(0, 1)."""
     return ModelSpec(
         d=1, K=1,
-        psi=MapSpec("tanh", {"scale": a}),
+        psi=MapSpec("tanh", {"scale": 0.9}),
         h=MapSpec("tanh", {"scale": 1.0}),
-        Sigma=[[sigma]], Gamma=[[gamma]], m0=[m0], S0=[[s0]],
+        Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]],
     )
 
 
@@ -418,17 +416,18 @@ SWEEP_RADIUS = 32.0
 SWEEP_DELTAS = (0.0, 0.05, 0.1, 0.2, 0.3)
 
 
-def sweep_model(delta: float, radius: float = SWEEP_RADIUS) -> ModelSpec:
+def sweep_model(delta: float) -> ModelSpec:
     """Member of the default nonlinearity sweep family.
 
     Psi_delta(u) = 0.9 R tanh(u/R) + delta sin(3u),
-    H_delta(u) = R tanh(u/R) + delta u^2/(1+u^2), Sigma = Gamma = 0.25,
-    u0 ~ N(0, 1). delta = 0 is the near-linear member; growing delta injects
-    oscillatory and asymmetric nonlinearity into both maps.
+    H_delta(u) = R tanh(u/R) + delta u^2/(1+u^2) with R = ``SWEEP_RADIUS``,
+    Sigma = Gamma = 0.25, u0 ~ N(0, 1). delta = 0 is the near-linear member;
+    growing delta injects oscillatory and asymmetric nonlinearity into both maps.
     """
+    R = SWEEP_RADIUS
     return ModelSpec(
         d=1, K=1,
-        psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": radius, "delta": delta, "freq": 3.0}),
-        h=MapSpec("tanh_rational", {"radius": radius, "delta": delta}),
+        psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": R, "delta": delta, "freq": 3.0}),
+        h=MapSpec("tanh_rational", {"radius": R, "delta": delta}),
         Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]],
     )

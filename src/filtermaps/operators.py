@@ -24,6 +24,7 @@ from .density import (
     CoverageError,
     GridDensity,
     GridMismatchError,
+    MIN_POINTS,
     from_gaussian,
     grid_points,
     integrate,
@@ -74,6 +75,11 @@ class OperatorWorkspace:
     y_points : int
         Points on the data axis.
 
+    Each of ``state_lo``, ``state_hi`` and ``state_shape`` needs one entry per
+    state axis, the boxes need lo < hi, and every axis needs at least
+    ``density.MIN_POINTS`` points; a violation raises ``ValueError`` naming
+    the field.
+
     The prediction kernel N(u_i; Psi(v_j), Sigma) w_j and the always cached
     likelihood N(y; H(u), Gamma) are ``log_density_at`` of the noise Gaussians
     N(0, Sigma), N(0, Gamma), whose covariances are factored once, when they
@@ -98,6 +104,17 @@ class OperatorWorkspace:
         self.state_lo = np.asarray(state_lo, dtype=float).reshape(-1)
         self.state_hi = np.asarray(state_hi, dtype=float).reshape(-1)
         self.state_shape = tuple(int(s) for s in state_shape)
+        for name, size in (("state_lo", self.state_lo.size), ("state_hi", self.state_hi.size),
+                           ("state_shape", len(self.state_shape))):
+            if size != self.d:
+                raise ValueError(f"{name} has {size} entries, the model has d = {self.d}")
+        if not np.all(self.state_lo < self.state_hi):
+            raise ValueError(f"state_lo {self.state_lo} must be below state_hi {self.state_hi}")
+        if not float(y_lo) < float(y_hi):
+            raise ValueError(f"y_lo {y_lo} must be below y_hi {y_hi}")
+        for name, points in (("state_shape", min(self.state_shape)), ("y_points", int(y_points))):
+            if points < MIN_POINTS:
+                raise ValueError(f"{name} needs at least {MIN_POINTS} points per axis, got {points}")
         self.joint_lo = np.concatenate([self.state_lo, [float(y_lo)]])
         self.joint_hi = np.concatenate([self.state_hi, [float(y_hi)]])
         self.joint_shape = self.state_shape + (int(y_points),)

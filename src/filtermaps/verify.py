@@ -61,15 +61,21 @@ def _random_joint_1x1(rng: np.random.Generator) -> gaussian.GaussianMeasure:
             return g
 
 
-def _pair_box(g1: gaussian.GaussianMeasure, g2: gaussian.GaussianMeasure,
-              width: float = 6.5) -> tuple[np.ndarray, np.ndarray]:
-    """A box covering both Gaussians out to ``width`` standard deviations."""
+def _pair_box(g1: gaussian.GaussianMeasure,
+              g2: gaussian.GaussianMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """A box covering both Gaussians out to 6.5 standard deviations."""
     los, his = [], []
     for g in (g1, g2):
-        r = width * math.sqrt(float(np.linalg.eigvalsh(g.cov).max()))
+        r = 6.5 * math.sqrt(float(np.linalg.eigvalsh(g.cov).max()))
         los.append(g.mean - r)
         his.append(g.mean + r)
     return np.minimum(*los), np.maximum(*his)
+
+
+def _gridded(g: gaussian.GaussianMeasure, shape, blocks=None) -> density.GridDensity:
+    """``g`` on the box centred at its mean with half-width |mean| + 6 max-stdev per axis."""
+    half = np.abs(g.mean) + 6.0 * float(np.sqrt(np.linalg.eigvalsh(g.cov)[-1]))
+    return density.from_gaussian(g, g.mean - half, g.mean + half, shape, blocks)
 
 
 def _gridded_pair(g1, g2, shape):
@@ -120,11 +126,11 @@ def _random_mixture(rng: np.random.Generator, lo, hi, shape) -> density.GridDens
 # -- gaussian suite -------------------------------------------------------------
 
 
-def check_kl_zero_and_nonnegative(seed: int = 0, pairs: int = 100) -> PropertyResult:
-    """KL(mu, mu) = 0 and KL >= 0 on random pairs of matched dimension."""
+def check_kl_zero_and_nonnegative(seed: int = 0) -> PropertyResult:
+    """KL(mu, mu) = 0 and KL >= 0 on 100 random pairs of matched dimension."""
     rng = np.random.default_rng([seed, 1])
     worst_self, worst_cross = 0.0, np.inf
-    for _ in range(pairs):
+    for _ in range(100):
         n = int(rng.integers(1, 4))
         a, b = _random_gaussian(rng, n), _random_gaussian(rng, n)
         worst_self = max(worst_self, abs(gaussian.kl_divergence(a, a)))
@@ -136,11 +142,11 @@ def check_kl_zero_and_nonnegative(seed: int = 0, pairs: int = 100) -> PropertyRe
                           detail=f"min cross-KL {worst_cross:.3g}, max self-KL {worst_self:.3g}")
 
 
-def check_pinsker(seed: int = 0, pairs: int = 100) -> PropertyResult:
+def check_pinsker(seed: int = 0) -> PropertyResult:
     """d_g^2 <= 2 (mu1[g^2] + mu2[g^2]) KL, quadrature d_g and KL, both KL directions."""
     rng = np.random.default_rng([seed, 2])
     worst = 0.0
-    for i in range(pairs):
+    for i in range(100):
         n = 1 if i % 2 == 0 else 2
         shape = (2048,) if n == 1 else (192, 192)
         a, b = _random_gaussian(rng, n), _random_gaussian(rng, n)
@@ -150,14 +156,14 @@ def check_pinsker(seed: int = 0, pairs: int = 100) -> PropertyResult:
         for kl in (_kl_quadrature(ga, a, b), _kl_quadrature(gb, b, a)):
             worst = max(worst, dg**2 / max(cap * kl, 1e-300))
     return PropertyResult("gaussian", "pinsker", worst <= 1.0, worst, 1.0,
-                          detail=f"{pairs} pairs, both directions")
+                          detail="100 pairs, both directions")
 
 
-def check_dg_bound_dominates(seed: int = 0, pairs: int = 100) -> PropertyResult:
+def check_dg_bound_dominates(seed: int = 0) -> PropertyResult:
     """The closed-form Gaussian d_g bound dominates the quadrature distance."""
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
-    for i in range(pairs):
+    for i in range(100):
         n = 1 if i % 2 == 0 else 2
         shape = (2048,) if n == 1 else (192, 192)
         a, b = _random_gaussian(rng, n), _random_gaussian(rng, n)
@@ -165,15 +171,15 @@ def check_dg_bound_dominates(seed: int = 0, pairs: int = 100) -> PropertyResult:
         dg = density.dg_distance(ga, gb)
         worst = max(worst, dg / max(gaussian.dg_upper_bound(a, b), 1e-300))
     return PropertyResult("gaussian", "dg_bound_dominates", worst <= 1.0, worst, 1.0,
-                          detail=f"{pairs} pairs, 1-D and 2-D")
+                          detail="100 pairs, 1-D and 2-D")
 
 
-def check_conditioning_matches_bayes(seed: int = 0, cases: int = 20) -> PropertyResult:
+def check_conditioning_matches_bayes(seed: int = 0) -> PropertyResult:
     """Closed-form conditioning matches the grid-Bayes oracle in both moments."""
     rng = np.random.default_rng([seed, 4])
     blocks = gaussian.BlockStructure(1, 1)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(20):
         joint = _random_joint_1x1(rng)
         yd = rng.uniform(-2.0, 2.0, 1)
         exact = gaussian.condition(joint, blocks, yd)
@@ -183,14 +189,14 @@ def check_conditioning_matches_bayes(seed: int = 0, cases: int = 20) -> Property
         worst = max(worst, float(abs(mom.mean[0] - exact.mean[0])),
                     float(abs(mom.cov[0, 0] - exact.cov[0, 0])))
     return PropertyResult("gaussian", "conditioning_matches_bayes", worst <= 5e-3,
-                          worst, 5e-3, detail=f"{cases} random joints, moment error")
+                          worst, 5e-3, detail="20 random joints, moment error")
 
 
-def check_conditioning_spd(seed: int = 0, cases: int = 100) -> PropertyResult:
+def check_conditioning_spd(seed: int = 0) -> PropertyResult:
     """Conditioned covariances stay positive definite (Cholesky succeeds)."""
     rng = np.random.default_rng([seed, 5])
     min_eig = np.inf
-    for _ in range(cases):
+    for _ in range(100):
         d, K = (1, 1) if rng.random() < 0.5 else (2, 1)
         joint = _random_gaussian(rng, d + K)
         blocks = gaussian.BlockStructure(d, K)
@@ -198,17 +204,17 @@ def check_conditioning_spd(seed: int = 0, cases: int = 100) -> PropertyResult:
         gaussian.chol_spd(out.cov)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(out.cov).min()))
     return PropertyResult("gaussian", "conditioning_spd", min_eig > 0.0,
-                          min_eig, 0.0, detail=f"{cases} joints, min output eigenvalue")
+                          min_eig, 0.0, detail="100 joints, min output eigenvalue")
 
 
 # -- density suite --------------------------------------------------------------
 
 
-def check_moment_difference_bounds(seed: int = 1, pairs: int = 100) -> PropertyResult:
+def check_moment_difference_bounds(seed: int = 1) -> PropertyResult:
     """|M1 - M2| <= d_g/2 and ||C1 - C2|| <= (1 + |M1 + M2|/2) d_g on random pairs."""
     rng = np.random.default_rng([seed, 1])
     worst = -np.inf
-    for i in range(pairs):
+    for i in range(100):
         if i % 5 == 4:
             lo, hi, shape = [-6.0, -6.0], [6.0, 6.0], (96, 96)
         else:
@@ -221,14 +227,14 @@ def check_moment_difference_bounds(seed: int = 1, pairs: int = 100) -> PropertyR
         cov_excess = float(np.linalg.norm(a.cov - b.cov, 2)) - factor * dg
         worst = max(worst, mean_excess, cov_excess)
     return PropertyResult("density", "moment_difference_bounds", worst <= 1e-6,
-                          worst, 1e-6, detail=f"{pairs} pairs, max excess over bound")
+                          worst, 1e-6, detail="100 pairs, max excess over bound")
 
 
-def check_metric_axioms(seed: int = 1, triples: int = 40) -> PropertyResult:
+def check_metric_axioms(seed: int = 1) -> PropertyResult:
     """Symmetry, identity of indiscernibles, triangle inequality on a fixed grid."""
     rng = np.random.default_rng([seed, 2])
     worst = 0.0
-    for _ in range(triples):
+    for _ in range(40):
         a, b, c = (_random_mixture(rng, [-8.0], [8.0], (512,)) for _ in range(3))
         worst = max(worst,
                     abs(density.dg_distance(a, b) - density.dg_distance(b, a)),
@@ -236,38 +242,38 @@ def check_metric_axioms(seed: int = 1, triples: int = 40) -> PropertyResult:
                     density.dg_distance(a, c)
                     - density.dg_distance(a, b) - density.dg_distance(b, c))
     return PropertyResult("density", "metric_axioms", worst <= 1e-12, worst, 1e-12,
-                          detail=f"{triples} triples")
+                          detail="40 triples")
 
 
-def check_projection_idempotent(seed: int = 1, cases: int = 25) -> PropertyResult:
+def check_projection_idempotent(seed: int = 1) -> PropertyResult:
     """Projecting the gridded projection reproduces the same Gaussian moments."""
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(25):
         mu = _random_mixture(rng, [-8.0], [8.0], (512,))
         g = density.gaussian_projection(mu)
-        again = density.gaussian_projection(density.from_gaussian(g))
+        again = density.gaussian_projection(_gridded(g, (1024,)))
         worst = max(worst, float(np.abs(again.mean - g.mean).max()),
                     float(np.abs(again.cov - g.cov).max()))
     return PropertyResult("density", "projection_idempotent", worst <= 1e-6,
-                          worst, 1e-6, detail=f"{cases} densities")
+                          worst, 1e-6, detail="25 densities")
 
 
-def check_kl_minimizer(seed: int = 1, cases: int = 20, perturbations: int = 20) -> PropertyResult:
+def check_kl_minimizer(seed: int = 1) -> PropertyResult:
     """No perturbed Gaussian beats the moment-matched projection in quadrature KL."""
     rng = np.random.default_rng([seed, 4])
     worst = np.inf
-    for _ in range(cases):
+    for _ in range(20):
         mu = _random_mixture(rng, [-8.0], [8.0], (512,))
         g = density.gaussian_projection(mu)
         base = _grid_kl_to_gaussian(mu, g)
-        for _ in range(perturbations):
+        for _ in range(20):
             dm = rng.uniform(-0.2, 0.2, g.dim) * np.sqrt(np.diag(g.cov))
             ds = 1.0 + rng.uniform(-0.15, 0.15)
             other = gaussian.GaussianMeasure(g.mean + dm, g.cov * ds)
             worst = min(worst, _grid_kl_to_gaussian(mu, other) - base)
     return PropertyResult("density", "kl_minimizer", worst >= -1e-10, worst, 0.0,
-                          detail=f"{cases}x{perturbations} perturbations, min KL gap")
+                          detail="20x20 perturbations, min KL gap")
 
 
 # -- operators suite ------------------------------------------------------------
@@ -278,44 +284,44 @@ def _bounded_workspace() -> tuple[model.ModelSpec, operators.OperatorWorkspace]:
     return spec, operators.default_workspace(spec, [-7.0], [7.0], (512,))
 
 
-def check_p_lipschitz(seed: int = 2, pairs: int = 50) -> PropertyResult:
+def check_p_lipschitz(seed: int = 2) -> PropertyResult:
     """d_g(P mu, P nu) <= (1 + kappa_psi^2 + tr Sigma) d_g(mu, nu) + 1e-3."""
     spec, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 1])
     L = filters.lipschitz_p(spec)
     worst = -np.inf
-    for _ in range(pairs):
+    for _ in range(50):
         mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
                   for _ in range(2))
         lhs = density.dg_distance(operators.predict(mu, spec, ws),
                                   operators.predict(nu, spec, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
     return PropertyResult("operators", "p_lipschitz", worst <= 1e-3, worst, 1e-3,
-                          detail=f"{pairs} pairs, constant {L:.3f}")
+                          detail=f"50 pairs, constant {L:.3f}")
 
 
-def check_q_lipschitz(seed: int = 2, pairs: int = 50) -> PropertyResult:
+def check_q_lipschitz(seed: int = 2) -> PropertyResult:
     """d_g(Q mu, Q nu) <= (1 + kappa_h^2 + tr Gamma) d_g(mu, nu) + 1e-3."""
     spec, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 2])
     L = filters.lipschitz_q(spec)
     worst = -np.inf
-    for _ in range(pairs):
+    for _ in range(50):
         mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
                   for _ in range(2))
         lhs = density.dg_distance(operators.lift(mu, spec, ws),
                                   operators.lift(nu, spec, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
     return PropertyResult("operators", "q_lipschitz", worst <= 1e-3, worst, 1e-3,
-                          detail=f"{pairs} pairs, constant {L:.3f}")
+                          detail=f"50 pairs, constant {L:.3f}")
 
 
-def check_pq_linear(seed: int = 2, pairs: int = 20) -> PropertyResult:
+def check_pq_linear(seed: int = 2) -> PropertyResult:
     """P and Q commute with convex combinations on the raw tensors."""
     spec, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
-    for _ in range(pairs):
+    for _ in range(20):
         mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
                   for _ in range(2))
         alpha = float(rng.uniform(0.1, 0.9))
@@ -326,30 +332,30 @@ def check_pq_linear(seed: int = 2, pairs: int = 20) -> PropertyResult:
             split = alpha * op(mu, spec, ws).values + (1 - alpha) * op(nu, spec, ws).values
             worst = max(worst, float(np.abs(mixed - split).max() / split.max()))
     return PropertyResult("operators", "pq_linear", worst <= 1e-9, worst, 1e-9,
-                          detail=f"{pairs} combinations, relative tensor error")
+                          detail="20 combinations, relative tensor error")
 
 
-def check_transport_equals_bayes(seed: int = 2, cases: int = 50) -> PropertyResult:
-    """Transport equals conditioning on Gaussian joints at default resolution."""
+def check_transport_equals_bayes(seed: int = 2) -> PropertyResult:
+    """Transport equals conditioning on Gaussian joints on a 512 x 512 grid."""
     rng = np.random.default_rng([seed, 4])
     blocks = gaussian.BlockStructure(1, 1)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(50):
         joint = _random_joint_1x1(rng)
         yd = rng.uniform(-2.0, 2.0, 1)
-        grid = density.from_gaussian(joint, blocks=blocks)
+        grid = _gridded(joint, (512, 512), blocks)
         worst = max(worst, density.dg_distance(operators.transport(grid, yd),
                                                operators.bayes(grid, yd)))
     return PropertyResult("operators", "transport_equals_bayes", worst <= 5e-3,
-                          worst, 5e-3, detail=f"{cases} Gaussian joints")
+                          worst, 5e-3, detail="50 Gaussian joints")
 
 
-def check_mass_conservation(seed: int = 2, cases: int = 10) -> PropertyResult:
+def check_mass_conservation(seed: int = 2) -> PropertyResult:
     """Every operator output integrates to one within 1e-8."""
     spec, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(10):
         mu = _random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
         pred = operators.predict(mu, spec, ws)
         joint = operators.lift(pred, spec, ws)
@@ -357,17 +363,17 @@ def check_mass_conservation(seed: int = 2, cases: int = 10) -> PropertyResult:
         for out in (pred, joint, operators.bayes(joint, yd), operators.transport(joint, yd)):
             worst = max(worst, abs(density.integrate(out.values, out.box_lo, out.box_hi) - 1.0))
     return PropertyResult("operators", "mass_conservation", worst <= 1e-8, worst, 1e-8,
-                          detail=f"{cases} chains of P, Q, B, T")
+                          detail="10 chains of P, Q, B, T")
 
 
-def check_moment_envelopes(seed: int = 2, cases: int = 50) -> PropertyResult:
+def check_moment_envelopes(seed: int = 2) -> PropertyResult:
     """Predicted and lifted moments stay inside their closed-form envelopes."""
     spec, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 6])
     mean_p, cov_lo, cov_hi = operators.prediction_envelope(spec)
     mean_qp, eig_lo, cov_up = operators.lifted_envelope(spec)
     worst = -np.inf
-    for _ in range(cases):
+    for _ in range(50):
         mu = _random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
         pred = operators.predict(mu, spec, ws)
         pm = density.moments(pred)
@@ -381,7 +387,7 @@ def check_moment_envelopes(seed: int = 2, cases: int = 50) -> PropertyResult:
                     eig_lo - float(np.linalg.eigvalsh(jm.cov).min()),
                     float(np.linalg.eigvalsh(jm.cov - cov_up).max()))
     return PropertyResult("operators", "moment_envelopes", worst <= 1e-3, worst, 1e-3,
-                          detail=f"{cases} densities, max envelope excess")
+                          detail="50 densities, max envelope excess")
 
 
 # -- filters suite --------------------------------------------------------------
@@ -491,7 +497,7 @@ def check_eps_scaling(seed: int = 3) -> list[PropertyResult]:
     ]
 
 
-def check_particle_convergence(seed: int = 3, replicates: int = 20) -> PropertyResult:
+def check_particle_convergence(seed: int = 3) -> PropertyResult:
     """Moment error of the finite-N EnKF decays like N^(-1/2) toward the mean field."""
     spec = model.sweep_model(0.2)
     traj = filters.generate_data(spec, J=5, seed=seed + 4)
@@ -500,7 +506,7 @@ def check_particle_convergence(seed: int = 3, replicates: int = 20) -> PropertyR
     avg_err = []
     for n in sizes:
         errs = []
-        for rep in range(replicates):
+        for rep in range(20):
             rng = np.random.default_rng([seed, n, rep])
             ens = filters.Ensemble(gaussian.sample(spec.initial_law(), rng, n))
             err = 0.0
@@ -514,22 +520,22 @@ def check_particle_convergence(seed: int = 3, replicates: int = 20) -> PropertyR
     slope = float(np.polyfit(np.log(sizes), np.log(avg_err), 1)[0])
     return PropertyResult("filters", "particle_convergence",
                           -0.7 <= slope <= -0.3, slope, -0.5,
-                          detail=f"log-log slope over N={sizes}, {replicates} replicates,"
+                          detail=f"log-log slope over N={sizes}, 20 replicates,"
                                  " wanted in [-0.7, -0.3]")
 
 
-def check_kappa_y_recorded(seed: int = 3, cases: int = 10) -> PropertyResult:
+def check_kappa_y_recorded(seed: int = 3) -> PropertyResult:
     """Generated trajectories record a kappa_y that dominates every datum."""
     rng = np.random.default_rng([seed, 9])
     worst = -np.inf
-    for _ in range(cases):
+    for _ in range(10):
         spec = model.sweep_model(float(rng.uniform(0.0, 0.3)))
         traj = filters.generate_data(spec, J=int(rng.integers(1, 8)),
                                      seed=int(rng.integers(0, 2**31)))
         norms = np.linalg.norm(traj.data, axis=1)
         worst = max(worst, float(norms.max() - traj.kappa_y))
     return PropertyResult("filters", "kappa_y_recorded", worst <= 0.0, worst, 0.0,
-                          detail=f"{cases} trajectories, max |y| minus kappa_y")
+                          detail="10 trajectories, max |y| minus kappa_y")
 
 
 # -- model suite ----------------------------------------------------------------

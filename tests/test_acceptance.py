@@ -63,7 +63,7 @@ def test_criterion_01_linear_gaussian_exactness():
 
 def test_criterion_02_transport_equals_bayes():
     start = time.perf_counter()
-    result = check_transport_equals_bayes(seed=0, cases=50)
+    result = check_transport_equals_bayes(seed=0)
     elapsed = time.perf_counter() - start
     _gate("02 transport = conditioning on Gaussians", result, elapsed)
     assert elapsed <= 60.0
@@ -77,8 +77,8 @@ def test_criterion_03_gpf_form_equivalence():
 
 def test_criterion_04_lipschitz_constants():
     start = time.perf_counter()
-    res_p = check_p_lipschitz(seed=0, pairs=50)
-    res_q = check_q_lipschitz(seed=0, pairs=50)
+    res_p = check_p_lipschitz(seed=0)
+    res_q = check_q_lipschitz(seed=0)
     elapsed = time.perf_counter() - start
     _gate("04a prediction Lipschitz", res_p, elapsed)
     _gate("04b lifting Lipschitz", res_q, elapsed)
@@ -86,20 +86,20 @@ def test_criterion_04_lipschitz_constants():
 
 def test_criterion_05_moment_envelopes():
     start = time.perf_counter()
-    result = check_moment_envelopes(seed=0, cases=50)
+    result = check_moment_envelopes(seed=0)
     _gate("05 prediction/lifting moment envelopes", result, time.perf_counter() - start)
 
 
 def test_criterion_06_moment_difference_bounds():
     start = time.perf_counter()
-    result = check_moment_difference_bounds(seed=0, pairs=100)
+    result = check_moment_difference_bounds(seed=0)
     _gate("06 moment differences vs weighted TV", result, time.perf_counter() - start)
 
 
 def test_criterion_07_gaussian_distance_and_pinsker():
     start = time.perf_counter()
-    res_bound = check_dg_bound_dominates(seed=0, pairs=100)
-    res_pinsker = check_pinsker(seed=0, pairs=100)
+    res_bound = check_dg_bound_dominates(seed=0)
+    res_pinsker = check_pinsker(seed=0)
     elapsed = time.perf_counter() - start
     _gate("07a closed-form Gaussian distance bound", res_bound, elapsed)
     _gate("07b weighted Pinsker inequality", res_pinsker, elapsed)
@@ -117,7 +117,7 @@ def test_criterion_08_eps_scaling_sweep():
 
 def test_criterion_09_particle_convergence_rate():
     start = time.perf_counter()
-    result = check_particle_convergence(seed=0, replicates=20)
+    result = check_particle_convergence(seed=0)
     _gate("09 particle-ensemble convergence slope", result, time.perf_counter() - start)
 
 

@@ -69,15 +69,20 @@ def test_run_saves_loadable_densities(tmp_path):
 
 
 def test_seed_and_resolution_overrides(tmp_path):
+    # the seed and the state resolution are set in the config, not by flags
     cfg = _write_config(tmp_path / "cfg.json")
+    changed = _write_config(tmp_path / "changed.json", seed=9, state_points=128)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", "--config", cfg, "--out", str(out1), "--seed", "9",
-                     "--resolution", "128"]) == 0
+    assert cli.main(["run", "--config", changed, "--out", str(out1)]) == 0
     meta = json.loads((out1 / "metadata.json").read_text())
     assert meta["seed"] == 9
     assert meta["config"]["state_points"] == 128
     assert cli.main(["run", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "steps.csv").read_bytes() != (out2 / "steps.csv").read_bytes()
+    for flag in ("--seed", "--resolution"):
+        with pytest.raises(SystemExit) as flag_exit:
+            cli.main(["run", "--config", cfg, flag, "9"])
+        assert flag_exit.value.code == 2
 
 
 def test_unwritable_out_dir_exits_2_without_partial_files(tmp_path):
@@ -154,6 +159,20 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         bad = _write_config(tmp_path / f"{key}.json", **{key: value})
         assert cli.main(["run", "--config", bad]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    # a misspelt key of an inline model, or a map parameter its family does
+    # not take, is named instead of silently falling back to a default
+    inline = model.to_config(model.sweep_model(0.2))
+    typos = (
+        ("sigmaa", dict(inline, sigmaa=[[0.25]])),
+        ("bounds", dict(inline, bounds={"kappa_h": 2.0})),
+        ("radious", dict(inline, h={"family": "tanh", "params": {"scale": 1.0, "radious": 32.0}})),
+    )
+    for name, cfg_model in typos:
+        typo = tmp_path / f"{name}.json"
+        typo.write_text(json.dumps({"model": cfg_model, "J": 1}))
+        assert cli.main(["run", "--config", str(typo), "--out", str(tmp_path / name)]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
 
 
 def test_sweep_rejects_a_model_other_than_the_sweep_family(tmp_path, capsys):

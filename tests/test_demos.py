@@ -1,8 +1,4 @@
-"""The demos run to completion against the package's public surface.
-
-Demos 04 (filter comparison) and 05 (nonlinearity sweep) are left out
-because each takes about 10 s; the remaining four take about 4 s together.
-"""
+"""Every demo runs to completion against the package's public surface."""
 
 import os
 import subprocess
@@ -18,6 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     "01_gaussian_toolbox.py",
     "02_grid_metric.py",
     "03_measure_maps.py",
+    "04_filter_comparison.py",
+    "05_nonlinearity_sweep.py",
     "06_particle_convergence.py",
 ])
 def test_demo_runs(script):

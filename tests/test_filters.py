@@ -20,7 +20,7 @@ from filtermaps.filters import (
     step_enkf_particles,
     trajectory_to_csv,
 )
-from filtermaps.gaussian import GaussianMeasure, condition, sample
+from filtermaps.gaussian import GaussianMeasure, SingularCovarianceError, condition, sample
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
 from filtermaps.operators import OutOfDomainError, bayes, default_workspace, lift, predict, transport
 
@@ -79,7 +79,9 @@ def test_ensemble_validation_and_moments():
 def test_kalman_recursion_hand_case():
     # Psi = 0, H = id, Sigma = 1, Gamma = 2, u0 ~ N(5, 3), datum 0:
     # prediction N(0, 1); gain 1/3; posterior N(0, 2/3)
-    model = linear_model_1d(a=0.0, c=1.0, sigma=1.0, gamma=2.0, m0=5.0, s0=3.0)
+    model = ModelSpec(d=1, K=1, psi=MapSpec("linear", {"matrix": [[0.0]]}),
+                      h=MapSpec("linear", {"matrix": [[1.0]]}),
+                      Sigma=[[1.0]], Gamma=[[2.0]], m0=[5.0], S0=[[3.0]])
     chain = kalman_analytic(model, FilterTrajectory(data=[[0.0]], kappa_y=1.0))
     assert len(chain) == 2
     assert_allclose(chain[0].mean, [5.0])
@@ -212,11 +214,11 @@ def test_particle_step_matches_kalman_for_linear_model():
 def test_particle_step_determinism_and_small_ensemble_warning():
     model = bounded_model_1d()
     ens = Ensemble([[0.0], [1.0], [-1.0], [0.5]])
-    a = step_enkf_particles(ens, model, [0.2], 3)
-    b = step_enkf_particles(ens, model, [0.2], 3)
+    a = step_enkf_particles(ens, model, [0.2], np.random.default_rng(3))
+    b = step_enkf_particles(ens, model, [0.2], np.random.default_rng(3))
     assert np.array_equal(a.particles, b.particles)
     with pytest.warns(RuntimeWarning):
-        step_enkf_particles(Ensemble([[0.0], [1.0]]), model, [0.2], 3)
+        step_enkf_particles(Ensemble([[0.0], [1.0]]), model, [0.2], np.random.default_rng(3))
 
 
 def test_gpf_forms_agree():
@@ -323,6 +325,26 @@ def test_distance_block_failure_carries_step_and_kind():
         run_filter(["true", "gpf_bg"], model, traj, FilterConfig(), ws)
     assert (err.value.step, err.value.kind) == (2, "gpf_bg")
     assert isinstance(err.value.__cause__, CoverageError)
+
+
+def test_moment_failure_carries_step_and_kind(monkeypatch):
+    # moments validate the covariance as a GaussianMeasure does, so a singular
+    # one raises; that failure belongs to the step and kind that produced it
+    real = filters._measure_moments
+    calls = []
+
+    def failing(measure):
+        calls.append(measure)
+        if len(calls) == 4:  # one initial law per kind, then step 0 of each kind
+            raise SingularCovarianceError("synthetic singular covariance")
+        return real(measure)
+
+    monkeypatch.setattr(filters, "_measure_moments", failing)
+    model = bounded_model_1d()
+    with pytest.raises(FilterStepError) as err:
+        run_filter(["true", "enkf_mf"], model, generate_data(model, J=2, seed=2), SMALL)
+    assert (err.value.step, err.value.kind) == (0, "enkf_mf")
+    assert isinstance(err.value.__cause__, SingularCovarianceError)
 
 
 def test_gaussian_kinds_run_on_the_default_2d_grid():

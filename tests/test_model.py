@@ -28,6 +28,27 @@ def test_make_map_unknown_family():
         make_map("sigmoid", {}, 1, 1)
 
 
+def test_make_map_rejects_unknown_and_missing_parameters():
+    # a misspelt radius used to build radius 1 without a word
+    with pytest.raises(ValueError, match="radious"):
+        make_map("tanh", {"scale": 0.9, "radious": 32.0}, 1, 1)
+    with pytest.raises(ValueError, match="freq"):
+        make_map("tanh_rational", {"delta": 0.1, "freq": 3.0}, 1, 1)
+    with pytest.raises(ValueError, match="scale"):
+        make_map("tanh", {"radius": 2.0}, 1, 1)
+
+
+def test_from_config_rejects_unknown_keys():
+    cfg = to_config(sweep_model(0.1))
+    for key, bad in (("sigmaa", dict(cfg, sigmaa=[[0.25]])),
+                     ("bounds", dict(cfg, bounds={"kappa_psi": 5.0})),
+                     ("param", dict(cfg, psi=dict(cfg["psi"], param={}))),
+                     ("psi", dict(cfg, psi="tanh_sin"))):
+        with pytest.raises(ValueError, match=key):
+            from_config(bad)
+    assert fingerprint(from_config(cfg)) == fingerprint(sweep_model(0.1))
+
+
 def test_linear_map_application_and_norm():
     h = make_map("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}, 2, 2)
     x = np.array([[1.0, 2.0], [0.0, -1.0]])

@@ -208,7 +208,7 @@ def test_transport_with_zero_gain_returns_state_marginal():
 
 def test_kalman_gain_hand_value():
     g = GaussianMeasure([0.2, -0.1], [[2.0, 0.6], [0.6, 0.5]])
-    joint = from_gaussian(g, blocks=BlockStructure(1, 1))
+    joint = from_gaussian(g, [-9.0, -9.0], [9.0, 9.0], (512, 512), blocks=BlockStructure(1, 1))
     assert kalman_gain(joint)[0, 0] == pytest.approx(0.6 / 0.5, abs=1e-6)
 
 
@@ -219,7 +219,8 @@ def test_transport_equals_bayes_on_gaussian_joints():
         su, sy = rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.5)
         c = rng.uniform(-0.85, 0.85) * np.sqrt(su * sy)
         g = GaussianMeasure(m, [[su, c], [c, sy]])
-        joint = from_gaussian(g, blocks=BlockStructure(1, 1))
+        joint = from_gaussian(g, [-10.0, -10.0], [10.0, 10.0], (512, 512),
+                              blocks=BlockStructure(1, 1))
         y_dagger = m[1] + 0.4 * np.sqrt(sy)
         assert dg_distance(transport(joint, y_dagger), bayes(joint, y_dagger)) <= 5e-3
 
@@ -290,7 +291,7 @@ def test_transport_matches_interpolation_back_ends(monkeypatch, d, gain, y_dagge
 
 def test_transport_coverage_error():
     g = GaussianMeasure([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]])
-    joint = from_gaussian(g, blocks=BlockStructure(1, 1))
+    joint = from_gaussian(g, [-8.0, -8.0], [8.0, 8.0], (512, 512), blocks=BlockStructure(1, 1))
     with pytest.raises(CoverageError):
         transport(joint, 40.0)  # shift of ~36 state units empties the box
 
@@ -355,6 +356,28 @@ def test_workspace_dimension_limits():
                       m0=[0.0, 0.0, 0.0], S0=np.eye(3).tolist()),
             [-7.0] * 3, [7.0] * 3, (32, 32, 32), -5.0, 5.0, 32,
         )
+
+
+_WORKSPACE_2D = dict(state_lo=[-7.0, -7.0], state_hi=[7.0, 7.0], state_shape=(24, 24),
+                     y_lo=-8.0, y_hi=8.0, y_points=32)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("state_lo", [-7.0]),
+    ("state_hi", [7.0, 7.0, 7.0]),
+    ("state_shape", (24,)),
+    ("state_lo", [7.0, -7.0]),
+    ("y_lo", 8.0),
+    ("state_shape", (24, 8)),
+    ("y_points", 8),
+], ids=["lo_axes", "hi_axes", "shape_axes", "reversed_box", "reversed_y", "coarse_state", "coarse_y"])
+def test_workspace_rejects_a_malformed_grid(field, value):
+    # a 1-axis shape for a 2-D model used to fail deep in the kernel build
+    # with a bare IndexError, and a reversed box was accepted
+    model = _linear_model_2d((0.25 * np.eye(2)).tolist())
+    OperatorWorkspace(model, **_WORKSPACE_2D)
+    with pytest.raises(ValueError, match=field):
+        OperatorWorkspace(model, **dict(_WORKSPACE_2D, **{field: value}))
 
 
 def _linear_model_2d(sigma):

@@ -44,7 +44,7 @@ def test_result_line_format():
 
 def test_mutated_conditioning_is_caught(monkeypatch):
     # sanity: the check passes on the real implementation
-    assert check_conditioning_matches_bayes(seed=0, cases=3).passed
+    assert check_conditioning_matches_bayes(seed=0).passed
 
     real = filtermaps.gaussian.condition
 
@@ -53,7 +53,7 @@ def test_mutated_conditioning_is_caught(monkeypatch):
         return filtermaps.gaussian.GaussianMeasure(-out.mean, out.cov)
 
     monkeypatch.setattr(filtermaps.gaussian, "condition", flipped)
-    assert not check_conditioning_matches_bayes(seed=0, cases=3).passed
+    assert not check_conditioning_matches_bayes(seed=0).passed
 
 
 def test_failing_check_becomes_result_not_crash(monkeypatch):
