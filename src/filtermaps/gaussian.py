@@ -3,7 +3,9 @@
 Everything the filtering code needs from Gaussians in exact arithmetic:
 densities, sampling, block conditioning, KL divergence, and the weighted
 total-variation upper bound between two Gaussians. All functions are pure;
-``GaussianMeasure`` is immutable after construction.
+``GaussianMeasure`` is immutable after construction. Every covariance system
+is solved with numpy against a Cholesky factor: the one a ``GaussianMeasure``
+keeps, or that of C_yy for the Kalman gain.
 """
 
 from __future__ import annotations
@@ -11,18 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 Array = np.ndarray
 
 #: Reciprocal condition number below which a covariance is treated as singular.
 RCOND_SINGULAR = 1e-12
-
-#: Relative jitter added to a covariance whose Cholesky factorization fails.
-JITTER_SCALE = 1e-12
-
-#: Number of times the jitter is doubled before giving up.
-JITTER_DOUBLINGS = 3
 
 
 class SingularCovarianceError(ValueError):
@@ -30,12 +25,11 @@ class SingularCovarianceError(ValueError):
 
 
 def chol_spd(cov: Array) -> Array:
-    """Lower Cholesky factor of an SPD matrix, with a deterministic repair rule.
+    """Lower Cholesky factor of an SPD matrix.
 
-    A failed factorization is retried with an additive jitter of
-    ``1e-12 * trace(cov)/n`` on the diagonal, doubled up to three times.
-    A reciprocal condition estimate below ``RCOND_SINGULAR`` raises
-    ``SingularCovarianceError`` regardless.
+    A reciprocal condition estimate (smallest over largest eigenvalue) below
+    ``RCOND_SINGULAR``, or a failed factorization, raises
+    ``SingularCovarianceError``.
 
     Parameters
     ----------
@@ -45,24 +39,18 @@ def chol_spd(cov: Array) -> Array:
     Returns
     -------
     ndarray, shape (n, n)
-        Lower triangular factor L with ``L @ L.T = cov`` (possibly jittered).
+        Lower triangular factor L with ``L @ L.T = cov``.
     """
     cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0]
     eigs = np.linalg.eigvalsh(cov)
     if eigs[-1] <= 0.0 or eigs[0] / eigs[-1] < RCOND_SINGULAR:
         raise SingularCovarianceError(
             f"covariance is numerically singular (rcond ~ {eigs[0] / max(eigs[-1], np.finfo(float).tiny):.2e})"
         )
-    jitter = JITTER_SCALE * np.trace(cov) / n
-    attempt = cov
-    for k in range(JITTER_DOUBLINGS + 2):
-        try:
-            return np.linalg.cholesky(attempt)
-        except np.linalg.LinAlgError:
-            attempt = cov + jitter * np.eye(n)
-            jitter *= 2.0
-    raise SingularCovarianceError("Cholesky failed after jitter retries")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovarianceError(f"Cholesky factorization failed: {exc}") from None
 
 
 def _validated_cov(cov: Array) -> tuple[Array, Array]:
@@ -144,7 +132,7 @@ class BlockStructure:
     def gain(self, cov: Array) -> Array:
         """Kalman gain C_uy C_yy^-1 of a joint covariance, shape (d, K)."""
         L_yy = chol_spd(self.cov_yy(cov))
-        return cho_solve((L_yy, True), self.cov_uy(cov).T).T
+        return np.linalg.solve(L_yy.T, np.linalg.solve(L_yy, self.cov_uy(cov).T)).T
 
 
 def log_density_at(g: GaussianMeasure, x) -> Array | float:
@@ -205,10 +193,10 @@ def kl_divergence(mu1: GaussianMeasure, mu2: GaussianMeasure) -> float:
     """
     if mu1.dim != mu2.dim:
         raise ValueError(f"dimension mismatch: {mu1.dim} vs {mu2.dim}")
-    w = solve_triangular(mu2.chol, mu1.chol, lower=True)
+    w = np.linalg.solve(mu2.chol, mu1.chol)
     trace_term = float(np.sum(w * w))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(w))))
-    z = solve_triangular(mu2.chol, mu1.mean - mu2.mean, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(mu1.chol))) - np.sum(np.log(np.diag(mu2.chol))))
+    z = np.linalg.solve(mu2.chol, mu1.mean - mu2.mean)
     return 0.5 * (trace_term - mu1.dim - logdet + float(z @ z))
 
 
@@ -232,20 +220,20 @@ def dg_upper_bound(mu1: GaussianMeasure, mu2: GaussianMeasure) -> float:
     """
     if mu1.dim != mu2.dim:
         raise ValueError(f"dimension mismatch: {mu1.dim} vs {mu2.dim}")
-    ratio = cho_solve((mu2.chol, True), mu1.cov)
+    ratio = np.linalg.solve(mu2.chol.T, np.linalg.solve(mu2.chol, mu1.cov))
     frob = float(np.linalg.norm(ratio - np.eye(mu1.dim), "fro"))
-    z = solve_triangular(mu2.chol, mu1.mean - mu2.mean, lower=True)
+    z = np.linalg.solve(mu2.chol, mu1.mean - mu2.mean)
     mdist = float(np.sqrt(z @ z))
     return float(np.sqrt(g2_moment(mu1) + g2_moment(mu2)) * (3.0 * frob + mdist))
 
 
-def sample(g: GaussianMeasure, rng: np.random.Generator | int, count: int) -> Array:
+def sample(g: GaussianMeasure, rng: np.random.Generator, count: int) -> Array:
     """Draw ``count`` i.i.d. samples from ``g``.
 
     Parameters
     ----------
     g : GaussianMeasure
-    rng : numpy Generator or integer seed
+    rng : numpy Generator
         Callers running in parallel should pass disjoint streams.
     count : int, >= 1
 
@@ -255,7 +243,5 @@ def sample(g: GaussianMeasure, rng: np.random.Generator | int, count: int) -> Ar
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     z = rng.standard_normal((count, g.dim))
     return g.mean + z @ g.chol.T

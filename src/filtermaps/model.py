@@ -262,16 +262,22 @@ def _reject_unknown(cfg: dict, known: tuple, where: str) -> None:
         raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
 
 
+def _map_spec(cfg: dict, name: str) -> MapSpec:
+    _reject_unknown(cfg[name], _MAP_KEYS, f"'{name}' map")
+    params = cfg[name].get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"'{name}' map 'params' must be an object, got {params!r}")
+    return MapSpec(cfg[name]["family"], dict(params))
+
+
 def from_config(cfg: dict) -> ModelSpec:
     """Inverse of :func:`to_config`; an unknown key raises ``ValueError`` naming it."""
     _reject_unknown(cfg, _CONFIG_KEYS, "model config")
-    for name in ("psi", "h"):
-        _reject_unknown(cfg[name], _MAP_KEYS, f"'{name}' map")
     return ModelSpec(
         d=int(cfg["d"]),
         K=int(cfg["K"]),
-        psi=MapSpec(cfg["psi"]["family"], dict(cfg["psi"].get("params", {}))),
-        h=MapSpec(cfg["h"]["family"], dict(cfg["h"].get("params", {}))),
+        psi=_map_spec(cfg, "psi"),
+        h=_map_spec(cfg, "h"),
         Sigma=cfg["sigma"],
         Gamma=cfg["gamma"],
         m0=cfg["m0"],

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +170,7 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         ("sigmaa", dict(inline, sigmaa=[[0.25]])),
         ("bounds", dict(inline, bounds={"kappa_h": 2.0})),
         ("radious", dict(inline, h={"family": "tanh", "params": {"scale": 1.0, "radious": 32.0}})),
+        ("params", dict(inline, h={"family": "tanh", "params": [1.0]})),
     )
     for name, cfg_model in typos:
         typo = tmp_path / f"{name}.json"
@@ -217,3 +221,14 @@ def test_argparse_exit_codes():
     with pytest.raises(SystemExit) as suite_exit:
         cli.main(["verify", "--suite", "nope"])
     assert suite_exit.value.code == 2
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency; scipy alone would add about a
+    # third of a second to every CLI call and worker start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, filtermaps, filtermaps.cli, filtermaps.verify; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

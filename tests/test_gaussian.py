@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
 from filtermaps.gaussian import (
+    RCOND_SINGULAR,
     BlockStructure,
     GaussianMeasure,
     SingularCovarianceError,
@@ -203,16 +204,17 @@ def test_dg_upper_bound_zero_for_identical():
     assert dg_upper_bound(g, g) == 0.0
 
 
-def test_chol_spd_exact_and_jittered():
+def test_chol_spd_exact_and_rcond_gate():
     L = chol_spd(np.array([[4.0, 2.0], [2.0, 3.0]]))
     assert_allclose(L @ L.T, [[4.0, 2.0], [2.0, 3.0]], rtol=1e-14)
 
-    # barely positive definite: jitter ladder must rescue the factorization
-    eps = 1e-11
-    near = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+    # [[1, 1], [1, 1 + eps]] has rcond ~ eps / 4: at twice the gate it is
+    # factored as it is, at half the gate it is rejected
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 8.0 * RCOND_SINGULAR]])
     L = chol_spd(near)
-    assert np.all(np.isfinite(L))
-
+    assert_allclose(L @ L.T, near, rtol=1e-12)
+    with pytest.raises(SingularCovarianceError):
+        chol_spd(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 * RCOND_SINGULAR]]))
     with pytest.raises(SingularCovarianceError):
         chol_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularCovarianceError):
@@ -246,10 +248,10 @@ def test_block_structure_accessors():
 
 def test_sample_deterministic_and_moments():
     g = GaussianMeasure([1.0, -2.0], [[2.0, 0.6], [0.6, 1.0]])
-    a = sample(g, 42, 1000)
+    a = sample(g, np.random.default_rng(42), 1000)
     b = sample(g, np.random.default_rng(42), 1000)
     assert_allclose(a, b)
 
-    big = sample(g, 0, 400_000)
+    big = sample(g, np.random.default_rng(0), 400_000)
     assert_allclose(big.mean(axis=0), g.mean, atol=0.01)
     assert_allclose(np.cov(big.T), g.cov, atol=0.02)

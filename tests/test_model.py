@@ -43,7 +43,9 @@ def test_from_config_rejects_unknown_keys():
     for key, bad in (("sigmaa", dict(cfg, sigmaa=[[0.25]])),
                      ("bounds", dict(cfg, bounds={"kappa_psi": 5.0})),
                      ("param", dict(cfg, psi=dict(cfg["psi"], param={}))),
-                     ("psi", dict(cfg, psi="tanh_sin"))):
+                     ("psi", dict(cfg, psi="tanh_sin")),
+                     ("'psi' map 'params'", dict(cfg, psi=dict(cfg["psi"], params=[1.0]))),
+                     ("'h' map 'params'", dict(cfg, h=dict(cfg["h"], params="radius")))):
         with pytest.raises(ValueError, match=key):
             from_config(bad)
     assert fingerprint(from_config(cfg)) == fingerprint(sweep_model(0.1))

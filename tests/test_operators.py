@@ -453,7 +453,7 @@ def test_covariances_are_factored_once_when_validated(monkeypatch):
 
     monkeypatch.setattr(gaussian, "chol_spd", refactor)
     assert np.isfinite(gaussian.log_density_at(g, [0.1, 0.2]))
-    assert gaussian.sample(g, 0, 5).shape == (5, 2)
+    assert gaussian.sample(g, np.random.default_rng(0), 5).shape == (5, 2)
     assert gaussian.kl_divergence(g, other) > 0.0
     assert gaussian.dg_upper_bound(g, other) > 0.0
     for mu, model, ws in ((mu_1d, model_1d, ws_1d), (mu_2d, model_2d, ws_2d)):
