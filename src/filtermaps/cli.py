@@ -37,9 +37,9 @@ Config file schema (JSON), all keys optional unless noted::
       "out": "results"           # output directory (--out overrides)
     }
 
-Sweep points run as independent processes when the platform allows it and
-fall back to in-process execution otherwise; either path writes identical
-CSV bytes.
+Sweep points run on min(#deltas, usable CPUs) worker processes when the
+platform allows it and fall back to in-process execution otherwise; either
+path writes identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -297,9 +297,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     spec0 = model.sweep_model(cfg.deltas[0])
     fcfg = cfg.filter_config(spec0)
     args = [(float(d), cfg.J, cfg.seed, fcfg) for d in cfg.deltas]
+    # the CPUs this process may run on: cpu_count ignores affinity and cpusets
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     t0 = time.perf_counter()
     try:
-        with ProcessPoolExecutor(max_workers=min(len(args), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
             rows = list(pool.map(_sweep_point, *zip(*args)))
     except (OSError, BrokenProcessPool):
         rows = [_sweep_point(*a) for a in args]

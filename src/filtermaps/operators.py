@@ -90,6 +90,14 @@ class OperatorWorkspace:
     ``log_density_at`` their full-size temporaries raise the peak memory of a
     1024-point 1-D run by about 9%. A non-diagonal Sigma or larger factors
     stream the full kernel in row chunks instead.
+
+    Matrix-vector products over grid points (the 1-D factor, the streamed
+    rows) contract with ``np.einsum``, which does not call BLAS. A threaded
+    BLAS matrix-vector product is about twice as fast in a lone process, but
+    after each call its helper threads spin on the cores that the sweep's
+    other worker processes need, which halves the sweep's speed.
+    The 2-D per-axis product is a compute-bound matrix-matrix product and
+    stays on BLAS, where it is about ten times faster than ``einsum`` at 96^2.
     """
 
     def __init__(self, model: ModelSpec, state_lo, state_hi, state_shape,
@@ -182,9 +190,9 @@ class OperatorWorkspace:
             out = np.empty(m)
             for start in range(0, m, chunk):
                 rows = np.arange(start, min(start + chunk, m))
-                out[rows] = self._kernel_rows(rows) @ weighted
+                out[rows] = np.einsum("ij,j->i", self._kernel_rows(rows), weighted)
         elif self.d == 1:
-            out = self._factors[0] @ flat
+            out = np.einsum("ij,j->i", self._factors[0], flat)
         else:
             out = (self._factors[0] * flat) @ self._factors[1].T
         return out.reshape(self.state_shape)

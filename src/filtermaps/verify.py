@@ -475,18 +475,23 @@ def measure_sweep(deltas=model.SWEEP_DELTAS, J: int = 5, seed: int = 3,
     return rows
 
 
-def check_eps_scaling(seed: int = 3) -> list[PropertyResult]:
-    """Filter errors vanish with eps at the Gaussian end and grow monotonically."""
-    rows = measure_sweep(seed=seed)
+def _min_error_increment(rows: list[dict]) -> float:
+    """Smallest step of either filter error between sweep rows ordered by eps."""
     rows_sorted = sorted(rows, key=lambda r: r["eps_measured"])
-    origin = max(rows[0]["eps_measured"], rows[0]["err_enkf"], rows[0]["err_gpf"])
-    eps = [r["eps_measured"] for r in rows_sorted]
     step_gaps = []
     for key in ("err_enkf", "err_gpf"):
         vals = [r[key] for r in rows_sorted]
         step_gaps += [b - a for a, b in zip(vals, vals[1:])]
+    return min(step_gaps) if step_gaps else 0.0
+
+
+def check_eps_scaling(seed: int = 3) -> list[PropertyResult]:
+    """Filter errors vanish with eps at the Gaussian end and grow monotonically."""
+    rows = measure_sweep(seed=seed)
+    origin = max(rows[0]["eps_measured"], rows[0]["err_enkf"], rows[0]["err_gpf"])
+    eps = sorted(r["eps_measured"] for r in rows)
     ratio = max(max(r["err_enkf"], r["err_gpf"]) / r["eps_measured"] for r in rows)
-    monotone = min(step_gaps) if step_gaps else 0.0
+    monotone = _min_error_increment(rows)
     return [
         PropertyResult("filters", "eps_scaling_origin", origin <= 2e-2, origin, 2e-2,
                        detail="eps and both errors at delta=0"),
@@ -495,6 +500,15 @@ def check_eps_scaling(seed: int = 3) -> list[PropertyResult]:
         PropertyResult("filters", "eps_error_ratio", math.isfinite(ratio), ratio,
                        float("inf"), detail="max err/eps across sweep (reported, not bounded)"),
     ]
+
+
+def check_sweep_monotone_seeds(seed: int = 0) -> PropertyResult:
+    """Both filter errors grow monotonically along eps on 8 data realizations, not one."""
+    seeds = range(seed, seed + 8)
+    worst = min(_min_error_increment(measure_sweep(seed=s)) for s in seeds)
+    return PropertyResult("filters", "sweep_monotone_seeds", worst >= -1e-9, worst, 0.0,
+                          detail=f"min error increment along eps over seeds "
+                                 f"{seeds.start}-{seeds.stop - 1}")
 
 
 def check_particle_convergence(seed: int = 3) -> PropertyResult:
@@ -600,7 +614,8 @@ SUITES = {
                   check_transport_equals_bayes, check_mass_conservation,
                   check_moment_envelopes),
     "filters": (check_linear_collapse, check_linear_collapse_particles, check_gpf_equivalence,
-                check_eps_scaling, check_particle_convergence, check_kappa_y_recorded),
+                check_eps_scaling, check_sweep_monotone_seeds, check_particle_convergence,
+                check_kappa_y_recorded),
     "model": (check_config_roundtrip, check_probe_reproducible, check_assumptions_hold),
 }
 

@@ -138,6 +138,38 @@ def test_sweep_rejects_bad_delta_lists(tmp_path):
     assert cli.main(["sweep", "--config", empty_cfg, "--out", str(out)]) == 2
 
 
+def test_sweep_pool_is_sized_by_the_usable_cpus(tmp_path, monkeypatch):
+    # under taskset or a cpuset the process may use fewer CPUs than cpu_count
+    workers = []
+
+    def no_pool(max_workers):
+        workers.append(max_workers)
+        raise OSError("no process pool")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_sweep_point", lambda delta, *rest: dict(
+        delta=delta, eps_measured=0.1 + delta, err_enkf=delta, err_gpf=delta))
+    cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.1, 0.2])
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert workers == [1]
+
+
+def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypatch):
+    cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.2],
+                        J=2, state_points=128, y_points=64)
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(pooled)]) == 0
+
+    def no_pool(max_workers):
+        raise OSError("no process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
 def test_config_validation_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 

@@ -434,6 +434,24 @@ def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
     assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_cached_1d_kernel_factor_matches_brute_force():
+    model = bounded_model_1d()
+    lo, hi, shape = [-7.0], [7.0], (200,)
+    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    assert ws._factors is not None
+    mu = from_gaussian(GaussianMeasure([0.4], [[0.8]]), lo, hi, shape)
+    got = predict(mu, model, ws).values
+
+    # direct quadrature of N(u_i; 0.9 tanh(v_j), Sigma) w_j mu(v_j) over every pair of grid points
+    u = np.linspace(lo[0], hi[0], shape[0])
+    w = weight_tensor(lo, hi, shape).ravel()
+    diff = u[:, None] - 0.9 * np.tanh(u)[None, :]
+    kernel = np.exp(-0.5 * diff**2 / 0.25) / np.sqrt(2.0 * np.pi * 0.25)
+    raw = kernel @ (w * mu.values)
+    expected = raw / np.sum(raw * w)
+    assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
 def test_covariances_are_factored_once_when_validated(monkeypatch):
     # Gaussians and models keep the Cholesky factors that validation computes;
     # densities, sampling, the divergences and the workspace kernels use them
