@@ -5,7 +5,7 @@ recursion (the exactness case). On a nonlinear model the per-step weighted-TV
 distances to the exact filter separate the approximations.
 """
 
-from filtermaps.density import dg_distance, from_gaussian
+from filtermaps.density import dg_distance
 from filtermaps.filters import (
     FilterConfig,
     generate_data,
@@ -25,15 +25,12 @@ def main():
     traj = generate_data(model, J=10, seed=0)
     ws = plan_workspace(model, traj, config)
     runs = run_filter(list(KINDS), model, traj, config=config, ws=ws)
-    oracle = [from_gaussian(g, ws.state_lo, ws.state_hi, ws.state_shape)
-              for g in kalman_analytic(model, traj)]
+    oracle = [ws.state_grid(g) for g in kalman_analytic(model, traj)]
     print("linear model: max_j d_g to the analytic Kalman posterior")
     for kind in KINDS:
         worst = 0.0
         for j, measure in enumerate(runs[kind].measures):
-            grid = measure if not hasattr(measure, "dim") else \
-                from_gaussian(measure, ws.state_lo, ws.state_hi, ws.state_shape)
-            worst = max(worst, dg_distance(grid, oracle[j]))
+            worst = max(worst, dg_distance(ws.state_grid(measure), oracle[j]))
         print(f"  {kind:<8} {worst:.2e}")
 
     model = sweep_model(0.2)

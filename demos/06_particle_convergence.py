@@ -17,7 +17,7 @@ REPLICATES = 8
 def main():
     model = sweep_model(0.2)
     traj = generate_data(model, J=5, seed=0)
-    reference = run_filter("enkf_mf", model, traj, config=FilterConfig(seed=0))
+    reference = run_filter(["enkf_mf"], model, traj, config=FilterConfig(seed=0))["enkf_mf"]
     ref_mean = np.array([m[0] for m in reference.diagnostics["mean"]])
 
     print(f"moment error vs the grid mean-field filter, {REPLICATES} replicates each")
@@ -27,8 +27,8 @@ def main():
         errs = []
         for rep in range(REPLICATES):
             # decorrelate replicates through the particle seed stream
-            run = run_filter("enkf_N", model, traj,
-                             config=FilterConfig(seed=1000 * rep + n, n_particles=n))
+            run = run_filter(["enkf_N"], model, traj,
+                             config=FilterConfig(seed=1000 * rep + n, n_particles=n))["enkf_N"]
             means = np.array([m[0] for m in run.diagnostics["mean"]])
             errs.append(np.abs(means - ref_mean).max())
         errors.append(np.mean(errs))

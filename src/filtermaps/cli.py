@@ -51,7 +51,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,7 +62,6 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 _SCENARIOS = ("linear_1d", "bounded_1d", "sweep")
-_DEFAULT_KINDS = ("true", "enkf_mf", "gpf_bg", "gpf_gt")
 
 
 class ConfigError(ValueError):
@@ -79,47 +78,50 @@ def _typed(key: str, value, types: tuple):
     return value
 
 
+def _deltas(values) -> tuple[float, ...]:
+    return tuple(float(_typed("deltas", x, _NUMBER)) for x in values)
+
+
+def _key(default, types: tuple, convert=None):
+    """A config key's field: its default, the JSON types it takes and how its value is stored."""
+    return field(default=default, metadata={"types": types, "convert": convert})
+
+
+#: Config keys named differently from their ExperimentConfig field; the others are field names.
+_CONFIG_KEYS = {"model_cfg": "model"}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; one instance drives one subcommand."""
 
     scenario: str | None = None
-    delta: float = 0.0
+    delta: float = _key(0.0, _NUMBER, float)
     model_cfg: dict | None = None
-    J: int = 10
-    seed: int = 0
-    kinds: tuple[str, ...] = _DEFAULT_KINDS
-    state_points: int | None = None
-    y_points: int | None = None
-    n_particles: int = 1000
-    deltas: tuple[float, ...] = model.SWEEP_DELTAS
-    save_densities: bool = False
-    out: str = "results"
+    J: int = _key(10, (int,))
+    seed: int = _key(0, (int,))
+    kinds: tuple[str, ...] = _key(("true", "enkf_mf", "gpf_bg", "gpf_gt"), (list, tuple), tuple)
+    state_points: int | None = _key(None, (int, type(None)))
+    y_points: int | None = _key(None, (int, type(None)))
+    n_particles: int = _key(1000, (int,))
+    deltas: tuple[float, ...] = _key(model.SWEEP_DELTAS, (list, tuple), _deltas)
+    save_densities: bool = _key(False, (bool,))
+    out: str = _key("results", (str,))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {
-            "scenario", "delta", "model", "J", "seed", "kinds", "state_points",
-            "y_points", "n_particles", "deltas", "save_densities", "out",
-        }
-        unknown = set(raw) - known
+        by_key = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        unknown = set(raw) - set(by_key)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        deltas = _typed("deltas", raw.get("deltas", model.SWEEP_DELTAS), (list, tuple))
-        cfg = cls(
-            scenario=raw.get("scenario"),
-            delta=float(_typed("delta", raw.get("delta", 0.0), _NUMBER)),
-            model_cfg=raw.get("model"),
-            J=_typed("J", raw.get("J", 10), (int,)),
-            seed=_typed("seed", raw.get("seed", 0), (int,)),
-            kinds=tuple(_typed("kinds", raw.get("kinds", _DEFAULT_KINDS), (list, tuple))),
-            state_points=_typed("state_points", raw.get("state_points"), (int, type(None))),
-            y_points=_typed("y_points", raw.get("y_points"), (int, type(None))),
-            n_particles=_typed("n_particles", raw.get("n_particles", 1000), (int,)),
-            deltas=tuple(float(_typed("deltas", x, _NUMBER)) for x in deltas),
-            save_densities=_typed("save_densities", raw.get("save_densities", False), (bool,)),
-            out=_typed("out", raw.get("out", "results"), (str,)),
-        )
+        values = {}
+        for key, value in raw.items():
+            meta = by_key[key].metadata
+            if meta:
+                value = _typed(key, value, meta["types"])
+                value = value if meta["convert"] is None else meta["convert"](value)
+            values[by_key[key].name] = value
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
@@ -179,13 +181,9 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "delta": self.delta, "model": self.model_cfg,
-            "J": self.J, "seed": self.seed, "kinds": list(self.kinds),
-            "state_points": self.state_points, "y_points": self.y_points,
-            "n_particles": self.n_particles, "deltas": list(self.deltas),
-            "save_densities": self.save_densities, "out": self.out,
-        }
+        """The config keys and values, as metadata.json records them."""
+        out = {_CONFIG_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 def _ensure_writable(out_dir: str) -> None:
@@ -314,15 +312,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             fh.write(",".join("%.17g" % row[k]
                               for k in ("delta", "eps_measured", "err_enkf", "err_gpf")) + "\n")
 
-    by_eps = sorted(rows, key=lambda r: r["eps_measured"])
-    checks = {
-        "monotone_err_enkf": all(a["err_enkf"] <= b["err_enkf"] + 1e-12
-                                 for a, b in zip(by_eps, by_eps[1:])),
-        "monotone_err_gpf": all(a["err_gpf"] <= b["err_gpf"] + 1e-12
-                                for a, b in zip(by_eps, by_eps[1:])),
-        "max_err_over_eps": max(max(r["err_enkf"], r["err_gpf"]) / r["eps_measured"]
-                                for r in rows),
-    }
+    checks = verify.sweep_checks(rows)
     _write_metadata(out_dir, cfg, spec0, {"sweep": sweep_seconds}, extra={"checks": checks})
     print(f"wrote sweep.csv to {out_dir}")
     for name, value in checks.items():

@@ -13,17 +13,18 @@ Five filter kinds over a shared trajectory of observed data:
 Each composition is written once, as the step of its kind in the table
 ``_KINDS`` (kind -> (init, step)); ``FILTER_KINDS`` are its keys. A step
 returns the next measure and the lifted prediction it analysed (None for
-``enkf_N``). ``run_filter`` drives any subset of kinds through that table
-over one data realization on a shared workspace, recording per-step
-measures, the near-Gaussianity defect eps_j of each lifted prediction, and
-pairwise weighted-TV distances between kinds. ``kalman_analytic`` is the
-closed-form oracle for linear models.
+``enkf_N``). ``run_filter`` takes a list of kinds, drives them through that
+table over one data realization (a ``FilterTrajectory``) on a shared
+workspace, and returns a dict of one ``FilterRun`` per kind: its per-step
+measures, their moments, the near-Gaussianity defect eps_j of each lifted
+prediction, and weighted-TV distances to the other kinds.
+``kalman_analytic`` is the closed-form oracle for linear models.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,21 +89,13 @@ class Ensemble:
 
 @dataclass(eq=False)
 class FilterTrajectory:
-    """One data realization plus (optionally) the measures and diagnostics of a run.
+    """One data realization: the data y_1..y_J as rows and, when simulated, the states.
 
-    ``data`` holds y_1..y_J rows; ``states`` the ground truth u_0..u_J when
-    generated synthetically; ``kappa_y`` the recorded max |y_j|. After a
-    filter run, ``measures`` has J + 1 entries (step 0 is the initial law) and
-    ``diagnostics`` carries per-step records (means, covariances, eps, and
-    pairwise distances when several kinds ran together).
+    ``states`` holds the ground truth u_0..u_J of a synthetic realization.
     """
 
     data: Array
     states: Array | None = None
-    kappa_y: float = 0.0
-    kind: str | None = None
-    measures: list | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         data = np.atleast_2d(np.asarray(self.data, dtype=float))
@@ -110,20 +103,33 @@ class FilterTrajectory:
             data = data.reshape(0, max(1, data.shape[-1] if data.ndim else 1))
         if not np.all(np.isfinite(data)):
             raise ValueError("data contains non-finite entries")
-        norms = np.linalg.norm(data, axis=1) if len(data) else np.zeros(0)
-        if len(norms) and self.kappa_y == 0.0:
-            self.kappa_y = float(norms.max())
-        if len(norms) and norms.max() > self.kappa_y * (1.0 + 1e-12):
-            raise ValueError("recorded kappa_y does not dominate the data norms")
         self.data = data
         if self.states is not None:
             self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if self.measures is not None and len(self.measures) != self.J + 1:
-            raise ValueError(f"measures must have J+1 = {self.J + 1} entries, got {len(self.measures)}")
 
     @property
     def J(self) -> int:
         return self.data.shape[0]
+
+    @property
+    def kappa_y(self) -> float:
+        """max_j |y_j|, the data bound of the stability estimates (0 without data)."""
+        return float(np.linalg.norm(self.data, axis=1).max()) if self.J else 0.0
+
+
+@dataclass(eq=False)
+class FilterRun:
+    """One kind's record of a :func:`run_filter` call.
+
+    ``measures`` has J + 1 entries (step 0 is the initial law). Each entry of
+    ``diagnostics`` is a per-step list: ``mean``, ``cov``, ``eps`` of the lifted
+    prediction analysed (None at step 0 and for ``enkf_N``) and, when several
+    kinds run, ``dg_vs_<other>`` to each kind with a state grid.
+    """
+
+    kind: str
+    measures: list
+    diagnostics: dict
 
 
 def generate_data(model: ModelSpec, J: int, seed: int) -> FilterTrajectory:
@@ -343,48 +349,32 @@ def _measure_moments(measure) -> tuple[Array, Array]:
     return measure.moments()
 
 
-def _state_grids(traj: FilterTrajectory, ws: OperatorWorkspace) -> list[GridDensity]:
-    """Each measure of a run on the state grid, for the pairwise distances.
-
-    A failure raises :class:`FilterStepError` naming the kind and the step
-    that produced the measure (measure i comes from step i - 1; the initial
-    law counts as step 0).
-    """
-    out = []
-    for i, measure in enumerate(traj.measures):
-        try:
-            out.append(ws.state_grid(measure))
-        except Exception as exc:  # noqa: BLE001 - step index must be attached
-            raise FilterStepError(max(i - 1, 0), traj.kind, exc) from exc
-    return out
-
-
-def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTrajectory,
-               config: FilterConfig | None = None, ws: OperatorWorkspace | None = None):
-    """Drive one or several filter kinds over a shared data realization.
+def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTrajectory,
+               config: FilterConfig | None = None,
+               ws: OperatorWorkspace | None = None) -> dict[str, FilterRun]:
+    """Drive filter kinds over a shared data realization, one record per kind.
 
     Parameters
     ----------
-    kind : str or sequence of str
-        Any of 'true', 'enkf_mf', 'gpf_bg', 'gpf_gt', 'enkf_N'. A sequence
-        of distinct kinds runs them all on one shared workspace and records
-        pairwise weighted-TV distances between the density-representable kinds.
+    kinds : sequence of str
+        Distinct kinds out of 'true', 'enkf_mf', 'gpf_bg', 'gpf_gt',
+        'enkf_N'; a single kind is passed as a one-element list. All kinds
+        run on one shared workspace.
     model, trajectory, config : problem definition, data realization, knobs
     ws : OperatorWorkspace, optional
         Reuse an existing workspace (must match the model).
 
     Returns
     -------
-    FilterTrajectory or dict[str, FilterTrajectory]
-        One trajectory per kind with measures (J + 1 entries), per-step
-        moment records, eps_j for kinds with a grid joint, and
-        ``dg_vs_<other>`` diagnostics when several kinds run together.
-        A failing step, or a measure the pairwise distances cannot put on
-        the state grid, aborts with :class:`FilterStepError` carrying the
-        step index and the kind.
+    dict[str, FilterRun]
+        One :class:`FilterRun` per kind, in the order given. A failing step,
+        or a measure the pairwise distances cannot put on the state grid,
+        aborts with :class:`FilterStepError` carrying the step index and the
+        kind.
     """
-    single = isinstance(kind, str)
-    kinds = [kind] if single else list(kind)
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a list of filter kinds, e.g. [{kinds!r}], not a string")
+    kinds = list(kinds)
     for k in kinds:
         if k not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
@@ -398,48 +388,50 @@ def run_filter(kind: str | Sequence[str], model: ModelSpec, trajectory: FilterTr
             ws = plan_workspace(model, trajectory, config)
 
     rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
-    current: dict[str, object] = {}
-    results: dict[str, FilterTrajectory] = {}
+    runs: dict[str, FilterRun] = {}
     for k in kinds:
-        current[k] = init = _KINDS[k][0](model, ws, config, rng)
+        init = _KINDS[k][0](model, ws, config, rng)
         mean0, cov0 = _measure_moments(init)
-        results[k] = FilterTrajectory(
-            data=trajectory.data, states=trajectory.states, kappa_y=trajectory.kappa_y,
-            kind=k, measures=None,
-            diagnostics={"mean": [mean0], "cov": [cov0], "eps": [None]},
-        )
-        results[k].measures = [init]
+        runs[k] = FilterRun(k, [init], {"mean": [mean0], "cov": [cov0], "eps": [None]})
 
     for j in range(trajectory.J):
         yd = trajectory.data[j]
-        for k in kinds:
+        for k, run in runs.items():
             try:
-                nxt, joint = _KINDS[k][1](current[k], model, yd, ws, rng)
+                nxt, joint = _KINDS[k][1](run.measures[-1], model, yd, ws, rng)
                 eps_j = None if joint is None else lifted_epsilon(joint)
                 mean, cov = _measure_moments(nxt)
             except Exception as exc:  # noqa: BLE001 - step index must be attached
                 raise FilterStepError(j, k, exc) from exc
-            current[k] = nxt
-            results[k].measures.append(nxt)
-            results[k].diagnostics["mean"].append(mean)
-            results[k].diagnostics["cov"].append(cov)
-            results[k].diagnostics["eps"].append(eps_j)
+            run.measures.append(nxt)
+            run.diagnostics["mean"].append(mean)
+            run.diagnostics["cov"].append(cov)
+            run.diagnostics["eps"].append(eps_j)
 
-    if len(kinds) > 1 and ws is not None:
-        grids = {k: _state_grids(results[k], ws) for k in kinds if k != "enkf_N"}
-        for a in grids:
-            for b in grids:
-                results[a].diagnostics[f"dg_vs_{b}"] = [
-                    density.dg_distance(ga, gb) for ga, gb in zip(grids[a], grids[b])
-                ]
-    return results[kinds[0]] if single else results
+    if len(kinds) > 1:
+        grids = {k: [] for k in kinds if k != "enkf_N"}
+        for k, grid in grids.items():
+            for i, measure in enumerate(runs[k].measures):
+                try:
+                    grid.append(ws.state_grid(measure))
+                except Exception as exc:  # noqa: BLE001 - measure i comes from step i - 1
+                    raise FilterStepError(max(i - 1, 0), k, exc) from exc
+        # d_g is symmetric and zero on the diagonal: one pass per unordered pair
+        names = list(grids)
+        for i, a in enumerate(names):
+            for b in names[i:]:
+                dg = [0.0 if a == b else density.dg_distance(ga, gb)
+                      for ga, gb in zip(grids[a], grids[b])]
+                runs[a].diagnostics[f"dg_vs_{b}"] = dg
+                runs[b].diagnostics[f"dg_vs_{a}"] = list(dg)  # each kind owns its lists
+    return runs
 
 
-def trajectory_to_csv(results: dict[str, FilterTrajectory], path) -> None:
+def trajectory_to_csv(results: dict[str, FilterRun], path) -> None:
     """Write per-step records as CSV: step, kind, moments, eps, dg_to_true.
 
-    ``results`` maps each kind to its trajectory, as a multi-kind
-    :func:`run_filter` returns them. Mean components and covariance entries
+    ``results`` maps each kind to its :class:`FilterRun`, as :func:`run_filter`
+    returns them. Mean components and covariance entries
     are flattened row-major; empty cells mark diagnostics that do not apply
     to a kind. Output bytes depend only on the recorded values, so identical
     runs serialize identically.
@@ -453,12 +445,12 @@ def trajectory_to_csv(results: dict[str, FilterTrajectory], path) -> None:
     fmt = lambda v: "" if v is None else "%.17g" % v
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for kind_name, traj in results.items():
-            dg_true = traj.diagnostics.get("dg_vs_true")
-            for step in range(len(traj.diagnostics["mean"])):
+        for kind_name, run in results.items():
+            dg_true = run.diagnostics.get("dg_vs_true")
+            for step in range(len(run.diagnostics["mean"])):
                 row = [str(step), kind_name]
-                row += [fmt(v) for v in np.asarray(traj.diagnostics["mean"][step]).reshape(-1)]
-                row += [fmt(v) for v in np.asarray(traj.diagnostics["cov"][step]).reshape(-1)]
-                row.append(fmt(traj.diagnostics["eps"][step]))
+                row += [fmt(v) for v in np.asarray(run.diagnostics["mean"][step]).reshape(-1)]
+                row += [fmt(v) for v in np.asarray(run.diagnostics["cov"][step]).reshape(-1)]
+                row.append(fmt(run.diagnostics["eps"][step]))
                 row.append(fmt(dg_true[step] if dg_true is not None else None))
                 fh.write(",".join(row) + "\n")

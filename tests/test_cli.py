@@ -11,7 +11,7 @@ import pytest
 
 import filtermaps.cli as cli
 import filtermaps.gaussian
-from filtermaps import model
+from filtermaps import model, verify
 from filtermaps.density import load_binary
 from filtermaps.filters import FilterStepError
 
@@ -168,6 +168,34 @@ def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypat
     monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
     assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+
+def test_sweep_metadata_checks_agree_with_verify(tmp_path):
+    # the CLI summary and the verify checks read one helper with one tolerance
+    cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.2],
+                        J=2, state_points=128, y_points=64)
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
+    checks = json.loads((tmp_path / "out" / "metadata.json").read_text())["checks"]
+    assert checks == verify.sweep_checks(rows)
+    assert set(checks) == {"monotone_err_enkf", "monotone_err_gpf", "max_err_over_eps"}
+    assert checks["monotone_err_enkf"] and checks["monotone_err_gpf"]
+    # a decrease within the slack still counts as monotone, one beyond it does not
+    def lowered(decrease):
+        return [rows[0], dict(rows[1], err_gpf=rows[0]["err_gpf"] - decrease)]
+
+    assert verify.sweep_checks(lowered(0.5 * verify.MONOTONE_SLACK))["monotone_err_gpf"]
+    assert not verify.sweep_checks(lowered(2 * verify.MONOTONE_SLACK))["monotone_err_gpf"]
+
+
+def test_config_defaults_round_trip_to_metadata():
+    assert cli.ExperimentConfig.from_dict({"scenario": "sweep"}).to_dict() == {
+        "scenario": "sweep", "delta": 0.0, "model": None, "J": 10, "seed": 0,
+        "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt"], "state_points": None,
+        "y_points": None, "n_particles": 1000, "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],
+        "save_densities": False, "out": "results",
+    }
 
 
 def test_config_validation_exit_codes(tmp_path, capsys):

@@ -9,6 +9,7 @@ from filtermaps.density import CoverageError, GridDensity, from_gaussian, gaussi
 from filtermaps.filters import (
     Ensemble,
     FilterConfig,
+    FilterRun,
     FilterStepError,
     FilterTrajectory,
     generate_data,
@@ -59,11 +60,12 @@ def test_generate_data_requires_steps():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        FilterTrajectory(data=[[2.0]], kappa_y=1.0)  # recorded bound below the data
-    with pytest.raises(ValueError):
         FilterTrajectory(data=[[np.inf]])
     traj = FilterTrajectory(data=[[2.0], [-3.0]])
-    assert traj.kappa_y == 3.0
+    assert traj.kappa_y == 3.0  # derived from the data, not settable
+    with pytest.raises(TypeError):
+        FilterTrajectory(data=[[2.0]], kappa_y=1.0)
+    assert FilterTrajectory(data=np.zeros((0, 1))).kappa_y == 0.0
 
 
 def test_ensemble_validation_and_moments():
@@ -82,7 +84,7 @@ def test_kalman_recursion_hand_case():
     model = ModelSpec(d=1, K=1, psi=MapSpec("linear", {"matrix": [[0.0]]}),
                       h=MapSpec("linear", {"matrix": [[1.0]]}),
                       Sigma=[[1.0]], Gamma=[[2.0]], m0=[5.0], S0=[[3.0]])
-    chain = kalman_analytic(model, FilterTrajectory(data=[[0.0]], kappa_y=1.0))
+    chain = kalman_analytic(model, FilterTrajectory(data=[[0.0]]))
     assert len(chain) == 2
     assert_allclose(chain[0].mean, [5.0])
     assert_allclose(chain[0].cov, [[3.0]])
@@ -124,7 +126,7 @@ def test_grid_true_filter_tracks_kalman():
     model = linear_model_1d()
     traj = generate_data(model, J=5, seed=0)
     oracle = kalman_analytic(model, traj)
-    run = run_filter("true", model, traj, config=FilterConfig(state_shape=(1024,)))
+    run = run_filter(["true"], model, traj, config=FilterConfig(state_shape=(1024,)))["true"]
     for j in range(traj.J + 1):
         assert_allclose(run.diagnostics["mean"][j], oracle[j].mean, atol=5e-4)
         assert_allclose(run.diagnostics["cov"][j], oracle[j].cov, atol=5e-4)
@@ -184,7 +186,7 @@ def test_run_filter_matches_manual_step_loop(kind):
     model = bounded_model_1d()
     traj = generate_data(model, J=3, seed=7)
     ws = plan_workspace(model, traj, SMALL)
-    run = run_filter(kind, model, traj, config=SMALL, ws=ws)
+    run = run_filter([kind], model, traj, config=SMALL, ws=ws)[kind]
 
     mu = model.initial_law()
     if kind in ("true", "enkf_mf"):
@@ -238,9 +240,9 @@ def test_run_filter_multi_kind_contract():
     results = run_filter(("true", "enkf_mf", "gpf_bg", "enkf_N"), model, traj,
                          config=FilterConfig(state_shape=(256,), y_points=128,
                                              n_particles=64))
-    assert set(results) == {"true", "enkf_mf", "gpf_bg", "enkf_N"}
+    assert list(results) == ["true", "enkf_mf", "gpf_bg", "enkf_N"]
     for kind, out in results.items():
-        assert out.kind == kind
+        assert isinstance(out, FilterRun) and out.kind == kind
         assert len(out.measures) == 4
         assert len(out.diagnostics["mean"]) == 4
         assert len(out.diagnostics["cov"]) == 4
@@ -278,11 +280,39 @@ def test_run_filter_makes_one_moment_pass_per_lifted_joint(monkeypatch):
     assert {id(mu) for mu in joint_passes} == {id(mu) for mu in lifted}
 
 
+def test_pairwise_distances_are_measured_once_per_pair(monkeypatch):
+    # d_g is symmetric and zero on the diagonal: one call per unordered pair and step
+    calls = []
+    real = density.dg_distance
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(density, "dg_distance", counting)
+    model = bounded_model_1d()
+    traj = generate_data(model, J=2, seed=3)
+    ws = plan_workspace(model, traj, SMALL)
+    kinds = ["true", "enkf_mf", "gpf_bg", "gpf_gt"]
+    results = run_filter(kinds, model, traj, SMALL, ws)
+    # lifted_epsilon measures joints; the pairwise distances are on the state grid
+    state_calls = [pair for pair in calls if pair[0].blocks is None]
+    assert len(state_calls) == 6 * (traj.J + 1)
+    for a in kinds:
+        assert [k for k in results[a].diagnostics if k.startswith("dg_vs_")] == \
+            [f"dg_vs_{b}" for b in kinds]
+        assert results[a].diagnostics[f"dg_vs_{a}"] == [0.0] * (traj.J + 1)
+        for b in kinds:
+            ab, ba = results[a].diagnostics[f"dg_vs_{b}"], results[b].diagnostics[f"dg_vs_{a}"]
+            assert ab == [real(ws.state_grid(x), ws.state_grid(y))
+                          for x, y in zip(results[a].measures, results[b].measures)]
+            assert ba == ab and (a == b or ba is not ab)
+
+
 def test_run_filter_zero_steps():
     model = bounded_model_1d()
     traj = FilterTrajectory(data=np.zeros((0, 1)))
-    out = run_filter("gpf_bg", model, traj, config=SMALL)
-    assert out.J == 0
+    out = run_filter(["gpf_bg"], model, traj, config=SMALL)["gpf_bg"]
     assert len(out.measures) == 1
     assert len(out.diagnostics["mean"]) == 1
 
@@ -290,8 +320,16 @@ def test_run_filter_zero_steps():
 def test_run_filter_rejects_unknown_kind():
     model = bounded_model_1d()
     traj = generate_data(model, J=1, seed=0)
-    with pytest.raises(ValueError):
-        run_filter("particle_flow", model, traj)
+    with pytest.raises(ValueError, match="unknown filter kind"):
+        run_filter(["particle_flow"], model, traj)
+
+
+def test_run_filter_rejects_a_bare_string():
+    # a string is a sequence of one-letter kinds; ask for the list instead
+    model = bounded_model_1d()
+    traj = generate_data(model, J=1, seed=0)
+    with pytest.raises(ValueError, match=r"list of filter kinds.*\['true'\]"):
+        run_filter("true", model, traj, config=SMALL)
 
 
 def test_run_filter_rejects_repeated_kind():
@@ -307,7 +345,7 @@ def test_filter_step_error_carries_location():
     traj = FilterTrajectory(data=[[0.05], [50.0]])  # second datum far outside any axis
     ws = default_workspace(model, [-7.0], [7.0], (256,), y_points=128)
     with pytest.raises(FilterStepError) as err:
-        run_filter("true", model, traj, ws=ws)
+        run_filter(["true"], model, traj, ws=ws)
     assert err.value.step == 1
     assert err.value.kind == "true"
     assert "step 1" in str(err.value)
