@@ -319,12 +319,17 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     Both densities must live on the identical grid.
     """
     _require_same_grid(mu1, mu2)
-    diff = np.abs(mu1.values - mu2.values)
-    w = quad_weights(mu1.box_lo, mu1.box_hi, mu1.shape)
+    diff = np.subtract(mu1.values, mu2.values)
+    return _integrate_g(np.abs(diff, out=diff), mu1.box_lo, mu1.box_hi)
+
+
+def _integrate_g(values: Array, lo: Array, hi: Array) -> float:
+    """Integral of (1 + |v|^2) values(v) over the box, as per-axis contractions."""
+    w = quad_weights(lo, hi, values.shape)
     # g is a sum of product-form terms: 1 and x_a^2 for each axis a
-    out = _contract(diff, w)
-    for a, x in enumerate(mu1.axes()):
-        out += _contract(diff, w[:a] + [w[a] * x * x] + w[a + 1:])
+    out = _contract(values, w)
+    for a, x in enumerate(_grid_axes(lo, hi, values.shape)):
+        out += _contract(values, w[:a] + [w[a] * x * x] + w[a + 1:])
     return out
 
 
@@ -348,14 +353,21 @@ def lifted_epsilon(joint: GridDensity) -> float:
     This is the per-step near-Gaussianity defect of a lifted predicted law.
     The projection is evaluated on the joint's own grid and renormalized
     there, so a box that truncates a Gaussian tail narrows the comparison
-    rather than failing; the joint's box is sized for the joint itself.
+    rather than failing; the joint's box is sized for the joint itself. It
+    equals ``dg_distance(joint, normalized(...))`` of those gridded values,
+    but builds no intermediate density: the projection's values, their
+    difference to the joint and its absolute value share one buffer.
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
-    values = _gaussian_values(gaussian_projection(joint), joint.box_lo, joint.box_hi, joint.shape)
-    gridded = normalized(joint.box_lo, joint.box_hi, values, joint.blocks,
-                         expect_unit_mass=False, context="lifted_epsilon")
-    return dg_distance(joint, gridded)
+    diff = log_density_at(gaussian_projection(joint), np.ix_(*joint.axes()))
+    np.exp(diff, out=diff)
+    mass = integrate(diff, joint.box_lo, joint.box_hi)
+    if mass <= 0.0 or not np.isfinite(mass):
+        raise ValueError(f"cannot normalize lifted_epsilon: mass is {mass}")
+    diff /= mass
+    np.subtract(joint.values, diff, out=diff)
+    return _integrate_g(np.abs(diff, out=diff), joint.box_lo, joint.box_hi)
 
 
 def save_binary(mu: GridDensity, path) -> None:

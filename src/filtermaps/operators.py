@@ -8,7 +8,9 @@ specific model:
 - ``lift`` extends a state density to the joint state x data space,
 - ``bayes`` conditions a joint on an observed datum (slice + renormalize),
 - ``transport`` pushes a joint through the affine Kalman map
-  u + C_uy C_yy^-1 (y_dagger - y), one per-axis linear shift for d in {1, 2}.
+  u + C_uy C_yy^-1 (y_dagger - y) by linear interpolation: every data-axis
+  plane is blended by its fractional cell shift, all planes at once, then
+  added into the output at its whole-cell shift; one code path for d in {1, 2}.
 
 Grid operators support state dimension d in {1, 2} with a scalar data axis
 (K = 1); the joint therefore has at most 3 axes.
@@ -291,40 +293,25 @@ def kalman_gain(joint: GridDensity) -> Array:
     return joint.blocks.gain(moments(joint).cov)
 
 
-def _shift_axis(a: Array, axis: int, t: float) -> Array:
-    """``a`` resampled at index i - t along ``axis`` by linear interpolation.
-
-    A sample whose position falls off the grid is zero; no value is
-    interpolated between the edge and the outside. With t = k + f (k integer,
-    0 <= f < 1), output i blends input i - k with weight 1 - f and input
-    i - k - 1 with weight f, so the integer part is a slice and the
-    fractional part one blend.
-    """
-    n = a.shape[axis]
-    k = math.floor(t)
-    f = t - k
-    src = a.swapaxes(0, axis)
-    out = np.zeros_like(a)
-    dst = out.swapaxes(0, axis)
-    # outputs whose neighbours i - k (and i - k - 1 when f > 0) are both on the grid
-    first, stop = max(k + 1 if f > 0.0 else k, 0), min(n + k, n)
-    if first < stop:
-        dst[first:stop] = (1.0 - f) * src[first - k:stop - k]
-        if f > 0.0:
-            dst[first:stop] += f * src[first - k - 1:stop - k - 1]
-    return out
+def _slices(start: Array, stop: Array):
+    """Per column j, the tuple of slices start[a, j]:stop[a, j] over the rows a."""
+    return zip(*(map(slice, a.tolist(), b.tolist())
+                 for a, b in zip(start.astype(int), stop.astype(int))))
 
 
 def transport(joint: GridDensity, y_dagger) -> GridDensity:
     """Kalman transport map: push the joint through (u, y) -> u + A (y_dagger - y).
 
     Realized by the change-of-variables integral
-    (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy: for each data point
-    the state plane is shifted by A (y_dagger - y) with one per-axis linear
-    shift, the same code for d in {1, 2}, and points shifted in from outside
-    the box are zero. More than 10% of the mass leaving the state box raises
-    :class:`CoverageError`; the output mean equals M_u + A (y_dagger - M_y)
-    up to grid error.
+    (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy with linear
+    interpolation: the plane at y_j moves by A (y_dagger - y_j) / h = k_j + f_j
+    cells per state axis (k_j integer, 0 <= f_j < 1). All planes are blended
+    at once, z[i] <- (1 - f_j) z[i] + f_j z[i-1], then each is added into the
+    output k_j cells on; one code path serves d in {1, 2}. Points off the grid
+    read zero, and entry 0 keeps its value only where f_j = 0, so nothing is
+    interpolated between the edge and the outside. More than 10% of the mass
+    leaving the state box raises :class:`CoverageError`; the output mean
+    equals M_u + A (y_dagger - M_y) up to grid error.
     """
     if joint.blocks is None or joint.blocks.K != 1:
         raise ValueError("grid transport requires a joint with a scalar data axis")
@@ -332,15 +319,35 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     gain = kalman_gain(joint)[:, 0]
     d = joint.blocks.d
     lo, hi = joint.box_lo[:d], joint.box_hi[:d]
-    ya = joint.axis(joint.ndim - 1)
-    wy = quad_weights(joint.box_lo[-1:], joint.box_hi[-1:], (ya.size,))[0]
-    spacings = [joint.spacing(a) for a in range(d)]
-    out = np.zeros(joint.shape[:d])
-    for j in range(ya.size):
-        plane = joint.values[..., j]
-        for a in range(d):
-            plane = _shift_axis(plane, a, gain[a] * (y - ya[j]) / spacings[a])
-        out += wy[j] * plane
+    n = joint.shape[:d]
+    ya = joint.axis(d)
+    wy = quad_weights(joint.box_lo[d:], joint.box_hi[d:], (ya.size,))[0]
+    spacings = np.array([joint.spacing(a) for a in range(d)])
+    cells = gain[:, None] * (y - ya) / spacings[:, None]
+    k = np.floor(cells)
+    f = cells - k
+    # z keeps the joint's layout: a data-axis-first copy would cost a
+    # transposing pass, about what the strided plane reads below cost
+    z = np.empty(joint.shape)
+    source = joint.values
+    for a in range(d):
+        lower = f[a] * source.swapaxes(0, a)[:-1]
+        za = z.swapaxes(0, a)
+        np.multiply(source.swapaxes(0, a), 1.0 - f[a], out=za)
+        za[0][..., f[a] > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
+        za[1:] += lower
+        del lower  # before the next axis allocates its own
+        source = z
+    z *= wy
+    # output i takes blended input i - k_j: on the grid, one slice per axis
+    size = np.array(n)[:, None]
+    first, stop = np.clip(k, 0, size), np.clip(k + size, 0, size)
+    live = np.all(first < stop, axis=0)
+    first, stop, k = first[:, live], stop[:, live], k[:, live]
+    out = np.zeros(n)
+    for j, dst, src in zip(np.flatnonzero(live).tolist(), _slices(first, stop),
+                           _slices(first - k, stop - k)):
+        out[dst] += z[src + (j,)]
     mass = integrate(out, lo, hi)
     if mass < TRANSPORT_COVERAGE_MIN:
         raise CoverageError(

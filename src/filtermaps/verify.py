@@ -550,18 +550,20 @@ def check_particle_convergence(seed: int = 3) -> PropertyResult:
                                  " wanted in [-0.7, -0.3]")
 
 
-def check_kappa_y_recorded(seed: int = 3) -> PropertyResult:
-    """A generated trajectory's kappa_y dominates the norm of every datum."""
+def check_data_inside_axis(seed: int = 3) -> PropertyResult:
+    """Every datum lies inside the planned data axis with the 2-cell margin ``bayes`` needs."""
     rng = np.random.default_rng([seed, 9])
-    worst = -np.inf
+    worst = np.inf
     for _ in range(10):
         spec = model.sweep_model(float(rng.uniform(0.0, 0.3)))
-        traj = filters.generate_data(spec, J=int(rng.integers(1, 8)),
-                                     seed=int(rng.integers(0, 2**31)))
-        norms = np.linalg.norm(traj.data, axis=1)
-        worst = max(worst, float(norms.max() - traj.kappa_y))
-    return PropertyResult("filters", "kappa_y_recorded", worst <= 0.0, worst, 0.0,
-                          detail="10 trajectories, max |y| minus kappa_y")
+        run_seed = int(rng.integers(0, 2**31))
+        traj = filters.generate_data(spec, J=int(rng.integers(1, 8)), seed=run_seed)
+        ya = filters.plan_workspace(spec, traj, filters.FilterConfig(seed=run_seed)).y_axis
+        cell = (ya[-1] - ya[0]) / (ya.size - 1)
+        y = traj.data[:, 0]
+        worst = min(worst, float(np.minimum(y - ya[0], ya[-1] - y).min() / cell))
+    return PropertyResult("filters", "data_inside_axis", worst >= 2.0, worst, 2.0,
+                          detail="10 trajectories, fewest cells between a datum and the axis edge")
 
 
 # -- model suite ----------------------------------------------------------------
@@ -627,7 +629,7 @@ SUITES = {
                   check_moment_envelopes),
     "filters": (check_linear_collapse, check_linear_collapse_particles, check_gpf_equivalence,
                 check_eps_scaling, check_sweep_monotone_seeds, check_particle_convergence,
-                check_kappa_y_recorded),
+                check_data_inside_axis),
     "model": (check_config_roundtrip, check_probe_reproducible, check_assumptions_hold),
 }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import filtermaps.density as density
 from filtermaps.density import (
     CoverageError,
     GridDensity,
@@ -25,7 +26,7 @@ from filtermaps.density import (
     tv_distance,
     weight_tensor,
 )
-from filtermaps.gaussian import BlockStructure, GaussianMeasure, condition
+from filtermaps.gaussian import BlockStructure, GaussianMeasure, condition, log_density_at
 
 
 def _mixture_1d(lo=-10.0, hi=10.0, points=1024, w=(0.5, 0.5), m=(-2.0, 2.0), s=(0.5, 0.5)):
@@ -266,6 +267,60 @@ def test_lifted_epsilon_gaussian_vs_mixture():
 
     grid_b = from_function(bimodal, [-8.0, -8.0], [8.0, 8.0], (256, 256), blocks=blocks)
     assert lifted_epsilon(grid_b) > 1e-2
+
+
+def _lifted_1d_joint():
+    from filtermaps.model import bounded_model_1d
+    from filtermaps.operators import default_workspace, lift
+
+    model = bounded_model_1d()
+    ws = default_workspace(model, [-7.0], [7.0], (256,), y_points=128)
+    x = ws.state_axes[0]
+    bumps = np.exp(-0.5 * (x - 1.0) ** 2) + np.exp(-2.0 * (x + 1.5) ** 2)
+    prior = normalized(ws.state_lo, ws.state_hi, bumps, expect_unit_mass=False)
+    return lift(prior, model, ws)
+
+
+def _skewed_3_axis_joint():
+    def skewed(pts):
+        u1, u2, y = pts.T
+        return np.exp(-0.5 * (u1**2 + (u2 - 0.3 * u1**2) ** 2 + (y - u1 - np.sin(u2)) ** 2))
+
+    return from_function(skewed, [-6.0, -5.0, -7.0], [6.0, 9.0, 7.0], (40, 36, 32),
+                         blocks=BlockStructure(2, 1))
+
+
+def _truncated_joint():
+    # a half-Gaussian in u: the box ends where the density is largest, so its
+    # projection (mean ~0.8, sd ~0.6) loses a visible tail below u = 0
+    def half(pts):
+        u, y = pts.T
+        return np.exp(-0.5 * (u**2 + (y - u) ** 2 / 0.5))
+
+    return from_function(half, [0.0, -5.0], [5.0, 8.0], (128, 96), blocks=BlockStructure(1, 1))
+
+
+@pytest.mark.parametrize("make_joint, truncated", [
+    (_lifted_1d_joint, False), (_skewed_3_axis_joint, False), (_truncated_joint, True),
+], ids=["lifted_1d", "3_axis", "truncated_tail"])
+def test_lifted_epsilon_matches_its_definition(make_joint, truncated):
+    # the fused kernel equals d_g to the renormalized grid of the projection
+    joint = make_joint()
+    projected = np.exp(log_density_at(gaussian_projection(joint), np.ix_(*joint.axes())))
+    assert (integrate(projected, joint.box_lo, joint.box_hi) < 0.99) == truncated
+    gridded = normalized(joint.box_lo, joint.box_hi, projected, joint.blocks,
+                         expect_unit_mass=False)
+    expected = dg_distance(joint, gridded)
+    assert expected > 1e-3
+    assert lifted_epsilon(joint) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lifted_epsilon_rejects_a_projection_without_mass(monkeypatch):
+    # a projection centred far outside the box underflows to zero mass on it
+    far = GaussianMeasure([60.0, 60.0], np.eye(2) * 0.01)
+    monkeypatch.setattr(density, "gaussian_projection", lambda _: far)
+    with pytest.raises(ValueError, match="cannot normalize lifted_epsilon: mass is 0.0"):
+        lifted_epsilon(_truncated_joint())
 
 
 def test_marginal_u_matches_conditional_algebra():

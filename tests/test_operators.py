@@ -15,6 +15,7 @@ from filtermaps.density import (
     ResolutionWarning,
     dg_distance,
     from_gaussian,
+    lifted_epsilon,
     moments,
     normalized,
     quad_weights,
@@ -261,19 +262,23 @@ def _transport_reference(joint, y_dagger, gain):
 # Box [-9, 9] with 73 state points (spacing 0.25) and 37 data / 2-D state
 # points (spacing 0.5): every grid coordinate is exact in binary, so the
 # "integer" gains shift by whole cells with a fractional part of exactly 0.
+# The "mixed" gains shift some planes by whole cells and the others by
+# fractions of a cell, so the edge rule is exercised plane by plane.
 @pytest.mark.parametrize("d, gain, y_dagger, escapes", [
     (1, [0.37], 0.6, False),
     (1, [-0.61], -0.8, False),
     (1, [0.0], 0.3, False),
     (1, [0.5], 0.0, False),
+    (1, [0.25], 0.0, False),
     (1, [2.0], 2.5, True),
     (2, [0.37, -0.23], 0.6, False),
     (2, [-0.61, 0.45], -0.8, False),
     (2, [0.0, 0.0], 0.3, False),
     (2, [1.0, -2.0], 0.0, False),
+    (2, [0.25, 0.5], 0.0, False),
     (2, [2.0, -1.5], 2.5, True),
-], ids=["1d_pos", "1d_neg", "1d_zero", "1d_integer", "1d_edge",
-        "2d_pos", "2d_neg", "2d_zero", "2d_integer", "2d_edge"])
+], ids=["1d_pos", "1d_neg", "1d_zero", "1d_integer", "1d_mixed", "1d_edge",
+        "2d_pos", "2d_neg", "2d_zero", "2d_integer", "2d_mixed", "2d_edge"])
 def test_transport_matches_interpolation_back_ends(monkeypatch, d, gain, y_dagger, escapes):
     cov = [[1.0, 0.5], [0.5, 1.0]] if d == 1 else [[1.0, 0.2, 0.5], [0.2, 1.0, 0.3], [0.5, 0.3, 1.0]]
     shape = (73, 37) if d == 1 else (37, 37, 37)
@@ -294,6 +299,24 @@ def test_transport_coverage_error():
     joint = from_gaussian(g, [-8.0, -8.0], [8.0, 8.0], (512, 512), blocks=BlockStructure(1, 1))
     with pytest.raises(CoverageError):
         transport(joint, 40.0)  # shift of ~36 state units empties the box
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_maps_and_diagnostics_leave_their_inputs_untouched(d):
+    # transport and the d_g diagnostics work in place on their own buffers
+    shape = (64, 48) if d == 1 else (40, 36, 32)
+    cov = np.eye(d + 1) + 0.4 * (np.ones((d + 1, d + 1)) - np.eye(d + 1))
+    grid = dict(box_lo=[-8.0] * (d + 1), box_hi=[8.0] * (d + 1), shape=shape,
+                blocks=BlockStructure(d, 1))
+    joint = from_gaussian(GaussianMeasure(np.zeros(d + 1), cov), **grid)
+    other = from_gaussian(GaussianMeasure(np.full(d + 1, 0.3), 1.2 * cov), **grid)
+    before = {id(mu): mu.values.tobytes() for mu in (joint, other)}
+    for call in (lambda: transport(joint, 0.4), lambda: bayes(joint, 0.4),
+                 lambda: lifted_epsilon(joint), lambda: dg_distance(joint, other)):
+        call()
+        for mu in (joint, other):
+            assert mu.values.tobytes() == before[id(mu)]
+            assert not mu.values.flags.writeable
 
 
 def test_workspace_model_fingerprint_check():

@@ -4,12 +4,15 @@ import csv
 
 import pytest
 
+import filtermaps.filters
 import filtermaps.gaussian
+from filtermaps.operators import OperatorWorkspace
 from filtermaps.verify import (
     PropertyResult,
     SUITE_NAMES,
     SUITES,
     check_conditioning_matches_bayes,
+    check_data_inside_axis,
     run_suites,
     write_report,
 )
@@ -54,6 +57,23 @@ def test_mutated_conditioning_is_caught(monkeypatch):
 
     monkeypatch.setattr(filtermaps.gaussian, "condition", flipped)
     assert not check_conditioning_matches_bayes(seed=0).passed
+
+
+def test_data_axis_check_catches_a_short_axis(monkeypatch):
+    result = check_data_inside_axis(seed=0)
+    assert result.passed and result.measured >= 2.0
+
+    real = filtermaps.filters.plan_workspace
+
+    def short_axis(spec, traj, config=None):
+        ws = real(spec, traj, config)
+        # the largest datum sits on the upper edge of the data axis
+        return OperatorWorkspace(spec, ws.state_lo, ws.state_hi, ws.state_shape,
+                                 ws.y_axis[0], float(traj.data.max()), ws.y_axis.size)
+
+    monkeypatch.setattr(filtermaps.filters, "plan_workspace", short_axis)
+    result = check_data_inside_axis(seed=0)
+    assert not result.passed and result.measured < 2.0
 
 
 def test_failing_check_becomes_result_not_crash(monkeypatch):
