@@ -143,20 +143,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario '{self.scenario}'; known: {_SCENARIOS}")
         if self.J < 0:
             raise ConfigError("J must be >= 0")
-        bad = [k for k in self.kinds if k not in filters.FILTER_KINDS]
-        if bad:
-            raise ConfigError(f"unknown filter kinds {bad}; known: {filters.FILTER_KINDS}")
-        if not self.kinds:
-            raise ConfigError("kinds must be nonempty")
-        if len(set(self.kinds)) != len(self.kinds):
-            raise ConfigError(f"kinds must be distinct, got {list(self.kinds)}")
         if self.state_points is not None and self.state_points < density.MIN_POINTS:
             raise ConfigError(f"state_points must be >= {density.MIN_POINTS}")
         if self.y_points is not None and self.y_points < density.MIN_POINTS:
             raise ConfigError(f"y_points must be >= {density.MIN_POINTS}")
         if self.n_particles < 2:
             raise ConfigError("n_particles must be >= 2")
-        self.build_model()  # referenced model must validate
+        spec = self.build_model()  # referenced model must validate
+        try:
+            filters.validate_kinds(self.kinds, spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def build_model(self) -> model.ModelSpec:
         if self.model_cfg is not None:

@@ -349,6 +349,26 @@ def _measure_moments(measure) -> tuple[Array, Array]:
     return measure.moments()
 
 
+def validate_kinds(kinds: Sequence[str], model: ModelSpec) -> None:
+    """Raise ``ValueError`` unless ``kinds`` can run together on ``model``.
+
+    ``kinds`` must be a nonempty list of distinct known kinds, and every kind
+    but ``enkf_N`` needs d in {1, 2} and K = 1.
+    """
+    if isinstance(kinds, str):
+        raise ValueError(f"kinds must be a list of filter kinds, e.g. [{kinds!r}], not a string")
+    kinds = list(kinds)
+    if not kinds:
+        raise ValueError("kinds must be nonempty")
+    for k in kinds:
+        if k not in FILTER_KINDS:
+            raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"filter kinds must be distinct, got {kinds}")
+    if any(k != "enkf_N" for k in kinds) and (model.d not in (1, 2) or model.K != 1):
+        raise ValueError("grid filter kinds require d in {1, 2} and K = 1")
+
+
 def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTrajectory,
                config: FilterConfig | None = None,
                ws: OperatorWorkspace | None = None) -> dict[str, FilterRun]:
@@ -359,7 +379,7 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
     kinds : sequence of str
         Distinct kinds out of 'true', 'enkf_mf', 'gpf_bg', 'gpf_gt',
         'enkf_N'; a single kind is passed as a one-element list. All kinds
-        run on one shared workspace.
+        run on one shared workspace. :func:`validate_kinds` rejects the rest.
     model, trajectory, config : problem definition, data realization, knobs
     ws : OperatorWorkspace, optional
         Reuse an existing workspace (must match the model).
@@ -372,20 +392,11 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         aborts with :class:`FilterStepError` carrying the step index and the
         kind.
     """
-    if isinstance(kinds, str):
-        raise ValueError(f"kinds must be a list of filter kinds, e.g. [{kinds!r}], not a string")
+    validate_kinds(kinds, model)
     kinds = list(kinds)
-    for k in kinds:
-        if k not in FILTER_KINDS:
-            raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
-    if len(set(kinds)) != len(kinds):
-        raise ValueError(f"filter kinds must be distinct, got {kinds}")
     config = config or FilterConfig()
-    if any(k != "enkf_N" for k in kinds):
-        if model.d not in (1, 2) or model.K != 1:
-            raise ValueError("grid filter kinds require d in {1, 2} and K = 1")
-        if ws is None:
-            ws = plan_workspace(model, trajectory, config)
+    if ws is None and any(k != "enkf_N" for k in kinds):
+        ws = plan_workspace(model, trajectory, config)
 
     rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
     runs: dict[str, FilterRun] = {}

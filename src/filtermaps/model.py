@@ -3,8 +3,9 @@
 A ``ModelSpec`` packages the state map Psi, the observation map H, the noise
 covariances Sigma and Gamma, and the initial Gaussian law N(m0, S0). Maps come
 from a closed registry of named families so that models serialize to plain
-config files and grid kernels can be precomputed. Assumption checks (bounded
-maps, Lipschitz observation, SPD noises) are probe-based on a fixed mesh.
+config files and grid kernels can be precomputed. Each family carries its
+analytic certificates (sup bound, Lipschitz constant); probing a model's
+standing assumptions against them is ``verify.validate_assumptions``.
 """
 
 from __future__ import annotations
@@ -17,17 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .density import grid_points
 from .gaussian import Array, GaussianMeasure
-
-#: Number of probe points used by the assumption checks.
-PROBE_POINTS = 10_000
-
-#: Half-width of the probe mesh per axis.
-PROBE_RANGE = 25.0
-
-#: Relative slack allowed on the probed Lipschitz constant.
-LIPSCHITZ_SLACK = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +151,7 @@ class ModelSpec:
 
     Dynamics u' = Psi(u) + xi with xi ~ N(0, Sigma); data y = H(u') + eta with
     eta ~ N(0, Gamma); initial law u0 ~ N(m0, S0). The bounds on the maps are
-    the certificates of their families, checked by :func:`validate_assumptions`.
+    the certificates of their families, probed by ``verify.validate_assumptions``.
     Validation keeps the lower Cholesky factors of Sigma and Gamma read-only as
     ``sigma_chol`` and ``gamma_chol``.
     """
@@ -285,109 +276,10 @@ def from_config(cfg: dict) -> ModelSpec:
     )
 
 
-def save_config(model: ModelSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_config(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_config(path) -> ModelSpec:
-    with open(path) as fh:
-        return from_config(json.load(fh))
-
-
 def fingerprint(model: ModelSpec) -> str:
     """Stable short hash of the model config; used to validate kernel caches."""
     blob = json.dumps(to_config(model), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-# -- assumption validation ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AssumptionCheck:
-    """One probed assumption: measured value vs its declared bound."""
-
-    name: str
-    passed: bool
-    value: float | None = None
-    bound: float | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
-    linear_exactness_mode: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            detail = ""
-            if c.value is not None:
-                detail = f" value={c.value:.6g}"
-                if c.bound is not None:
-                    detail += f" bound={c.bound:.6g}"
-            note = f" ({c.note})" if c.note else ""
-            out.append(f"[{status}] {c.name}{detail}{note}")
-        if self.linear_exactness_mode:
-            out.append("note: linear map present; model usable for exactness tests only")
-        return out
-
-
-def validate_assumptions(model: ModelSpec) -> AssumptionReport:
-    """Probe the standing assumptions: SPD noises, bounded maps, Lipschitz observation.
-
-    Sup-norm bounds are probed on a fixed mesh of about 10^4 points
-    (round(10^4 ** (1/d)) per axis); the Lipschitz bound by finite
-    differences along each axis with 5% slack. Unbounded families (linear
-    maps) fail the boundedness check with a note that such models are for
-    exactness tests only.
-    """
-    checks = []
-    for name, floor in (("sigma_spd", model.sigma_floor()), ("gamma_spd", model.gamma_floor())):
-        checks.append(AssumptionCheck(name, floor > 0.0, value=floor, bound=0.0))
-    checks.append(AssumptionCheck("s0_spd", float(np.linalg.eigvalsh(model.S0)[0]) > 0.0))
-
-    per_axis = round(PROBE_POINTS ** (1 / model.d))
-    half = np.full(model.d, PROBE_RANGE)
-    pts = grid_points(-half, half, (per_axis,) * model.d)
-    for label, handle, apply_fn, bound in (
-        ("psi_bounded", model.psi_handle, model.psi_apply, model.psi_bound()),
-        ("h_bounded", model.h_handle, model.h_apply, model.h_bound()),
-    ):
-        sup = float(np.linalg.norm(apply_fn(pts), axis=1).max())
-        if bound is None:
-            checks.append(
-                AssumptionCheck(label, False, value=sup, note=f"{handle.family} family is unbounded")
-            )
-        else:
-            checks.append(AssumptionCheck(label, sup <= bound * (1.0 + 1e-12), value=sup, bound=bound))
-
-    ell = model.h_lipschitz()
-    slopes = []
-    eps = 2.0 * PROBE_RANGE / PROBE_POINTS
-    for a in range(model.d):
-        shifted = pts.copy()
-        shifted[:, a] += eps
-        diff = np.linalg.norm(model.h_apply(shifted) - model.h_apply(pts), axis=1)
-        slopes.append(diff.max() / eps)
-    probe_ell = float(max(slopes))
-    if ell is None:
-        checks.append(AssumptionCheck("h_lipschitz", False, value=probe_ell, note="no Lipschitz certificate"))
-    else:
-        checks.append(
-            AssumptionCheck("h_lipschitz", probe_ell <= ell * (1.0 + LIPSCHITZ_SLACK), value=probe_ell, bound=ell)
-        )
-
-    linear_mode = model.psi_handle.family == "linear" or model.h_handle.family == "linear"
-    return AssumptionReport(tuple(checks), linear_exactness_mode=linear_mode)
 
 
 # -- reference scenarios ------------------------------------------------------

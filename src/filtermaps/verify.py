@@ -2,17 +2,22 @@
 
 Each suite exercises one module's contract inequalities on randomized inputs
 (seeded, hence reproducible) and reports measured worst cases against their
-bounds. The suites back the ``verify`` CLI subcommand and the acceptance
-tests. Checks resolve the functions they exercise through the module objects
-at call time, so a monkeypatched (or broken) implementation is what actually
-gets measured.
+bounds. Each check states its threshold once, as the bound it reports, and a
+``PropertyResult`` derives the verdict from the measured value, the bound and
+the side of the bound that passes. The model suite also owns the probes of a
+model's standing assumptions (:func:`validate_assumptions`). The suites back
+the ``verify`` CLI subcommand and the acceptance tests. Checks resolve the
+functions they exercise through the module objects at call time, so a
+monkeypatched (or broken) implementation is what actually gets measured.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,24 +25,42 @@ from . import density, filters, gaussian, model, operators
 
 SUITE_NAMES = ("gaussian", "density", "operators", "filters", "model")
 
+#: Smallest positive float: ``x >= SPD_FLOOR`` holds exactly when ``x > 0``.
+SPD_FLOOR = math.ulp(0.0)
+
 
 @dataclass(frozen=True)
 class PropertyResult:
-    """Outcome of one property check: worst measured value against its bound."""
+    """Outcome of one property check: worst measured value against its bound.
+
+    ``relation`` says which side of the bound passes: ``"<="`` (measured at
+    most the bound) or ``">="`` (at least the bound). A NaN measured value or
+    bound never passes.
+    """
 
     suite: str
     name: str
-    passed: bool
     measured: float
     bound: float
+    relation: str = "<="
     detail: str = ""
     seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.relation not in ("<=", ">="):
+            raise ValueError(f"relation must be '<=' or '>=', got {self.relation!r}")
+
+    @property
+    def passed(self) -> bool:
+        if self.relation == "<=":
+            return bool(self.measured <= self.bound)
+        return bool(self.measured >= self.bound)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         extra = f"  {self.detail}" if self.detail else ""
         return (f"{tag}  {self.suite}.{self.name}  "
-                f"measured={self.measured:.6g}  bound={self.bound:.6g}{extra}")
+                f"measured={self.measured:.6g} {self.relation} bound={self.bound:.6g}{extra}")
 
 
 # -- randomized inputs ----------------------------------------------------------
@@ -136,9 +159,8 @@ def check_kl_zero_and_nonnegative(seed: int = 0) -> PropertyResult:
         worst_self = max(worst_self, abs(gaussian.kl_divergence(a, a)))
         worst_cross = min(worst_cross,
                           gaussian.kl_divergence(a, b), gaussian.kl_divergence(b, a))
-    passed = worst_self <= 1e-12 and worst_cross >= -1e-12
-    return PropertyResult("gaussian", "kl_zero_and_nonnegative", passed,
-                          measured=min(worst_cross, -worst_self), bound=0.0,
+    return PropertyResult("gaussian", "kl_zero_and_nonnegative",
+                          min(worst_cross, -worst_self), -1e-12, ">=",
                           detail=f"min cross-KL {worst_cross:.3g}, max self-KL {worst_self:.3g}")
 
 
@@ -155,7 +177,7 @@ def check_pinsker(seed: int = 0) -> PropertyResult:
         cap = 2.0 * (gaussian.g2_moment(a) + gaussian.g2_moment(b))
         for kl in (_kl_quadrature(ga, a, b), _kl_quadrature(gb, b, a)):
             worst = max(worst, dg**2 / max(cap * kl, 1e-300))
-    return PropertyResult("gaussian", "pinsker", worst <= 1.0, worst, 1.0,
+    return PropertyResult("gaussian", "pinsker", worst, 1.0,
                           detail="100 pairs, both directions")
 
 
@@ -170,7 +192,7 @@ def check_dg_bound_dominates(seed: int = 0) -> PropertyResult:
         ga, gb = _gridded_pair(a, b, shape)
         dg = density.dg_distance(ga, gb)
         worst = max(worst, dg / max(gaussian.dg_upper_bound(a, b), 1e-300))
-    return PropertyResult("gaussian", "dg_bound_dominates", worst <= 1.0, worst, 1.0,
+    return PropertyResult("gaussian", "dg_bound_dominates", worst, 1.0,
                           detail="100 pairs, 1-D and 2-D")
 
 
@@ -188,8 +210,8 @@ def check_conditioning_matches_bayes(seed: int = 0) -> PropertyResult:
         mom = density.moments(operators.bayes(grid, yd))
         worst = max(worst, float(abs(mom.mean[0] - exact.mean[0])),
                     float(abs(mom.cov[0, 0] - exact.cov[0, 0])))
-    return PropertyResult("gaussian", "conditioning_matches_bayes", worst <= 5e-3,
-                          worst, 5e-3, detail="20 random joints, moment error")
+    return PropertyResult("gaussian", "conditioning_matches_bayes", worst, 5e-3,
+                          detail="20 random joints, moment error")
 
 
 def check_conditioning_spd(seed: int = 0) -> PropertyResult:
@@ -203,8 +225,8 @@ def check_conditioning_spd(seed: int = 0) -> PropertyResult:
         out = gaussian.condition(joint, blocks, rng.uniform(-2.0, 2.0, K))
         gaussian.chol_spd(out.cov)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(out.cov).min()))
-    return PropertyResult("gaussian", "conditioning_spd", min_eig > 0.0,
-                          min_eig, 0.0, detail="100 joints, min output eigenvalue")
+    return PropertyResult("gaussian", "conditioning_spd", min_eig, SPD_FLOOR, ">=",
+                          detail="100 joints, min output eigenvalue")
 
 
 # -- density suite --------------------------------------------------------------
@@ -226,8 +248,8 @@ def check_moment_difference_bounds(seed: int = 1) -> PropertyResult:
         factor = 1.0 + 0.5 * float(np.linalg.norm(a.mean + b.mean))
         cov_excess = float(np.linalg.norm(a.cov - b.cov, 2)) - factor * dg
         worst = max(worst, mean_excess, cov_excess)
-    return PropertyResult("density", "moment_difference_bounds", worst <= 1e-6,
-                          worst, 1e-6, detail="100 pairs, max excess over bound")
+    return PropertyResult("density", "moment_difference_bounds", worst, 1e-6,
+                          detail="100 pairs, max excess over bound")
 
 
 def check_metric_axioms(seed: int = 1) -> PropertyResult:
@@ -241,8 +263,7 @@ def check_metric_axioms(seed: int = 1) -> PropertyResult:
                     density.dg_distance(a, a),
                     density.dg_distance(a, c)
                     - density.dg_distance(a, b) - density.dg_distance(b, c))
-    return PropertyResult("density", "metric_axioms", worst <= 1e-12, worst, 1e-12,
-                          detail="40 triples")
+    return PropertyResult("density", "metric_axioms", worst, 1e-12, detail="40 triples")
 
 
 def check_projection_idempotent(seed: int = 1) -> PropertyResult:
@@ -255,8 +276,8 @@ def check_projection_idempotent(seed: int = 1) -> PropertyResult:
         again = density.gaussian_projection(_gridded(g, (1024,)))
         worst = max(worst, float(np.abs(again.mean - g.mean).max()),
                     float(np.abs(again.cov - g.cov).max()))
-    return PropertyResult("density", "projection_idempotent", worst <= 1e-6,
-                          worst, 1e-6, detail="25 densities")
+    return PropertyResult("density", "projection_idempotent", worst, 1e-6,
+                          detail="25 densities")
 
 
 def check_kl_minimizer(seed: int = 1) -> PropertyResult:
@@ -272,7 +293,7 @@ def check_kl_minimizer(seed: int = 1) -> PropertyResult:
             ds = 1.0 + rng.uniform(-0.15, 0.15)
             other = gaussian.GaussianMeasure(g.mean + dm, g.cov * ds)
             worst = min(worst, _grid_kl_to_gaussian(mu, other) - base)
-    return PropertyResult("density", "kl_minimizer", worst >= -1e-10, worst, 0.0,
+    return PropertyResult("density", "kl_minimizer", worst, -1e-10, ">=",
                           detail="20x20 perturbations, min KL gap")
 
 
@@ -296,7 +317,7 @@ def check_p_lipschitz(seed: int = 2) -> PropertyResult:
         lhs = density.dg_distance(operators.predict(mu, spec, ws),
                                   operators.predict(nu, spec, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
-    return PropertyResult("operators", "p_lipschitz", worst <= 1e-3, worst, 1e-3,
+    return PropertyResult("operators", "p_lipschitz", worst, 1e-3,
                           detail=f"50 pairs, constant {L:.3f}")
 
 
@@ -312,7 +333,7 @@ def check_q_lipschitz(seed: int = 2) -> PropertyResult:
         lhs = density.dg_distance(operators.lift(mu, spec, ws),
                                   operators.lift(nu, spec, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
-    return PropertyResult("operators", "q_lipschitz", worst <= 1e-3, worst, 1e-3,
+    return PropertyResult("operators", "q_lipschitz", worst, 1e-3,
                           detail=f"50 pairs, constant {L:.3f}")
 
 
@@ -331,7 +352,7 @@ def check_pq_linear(seed: int = 2) -> PropertyResult:
             mixed = op(combo, spec, ws).values
             split = alpha * op(mu, spec, ws).values + (1 - alpha) * op(nu, spec, ws).values
             worst = max(worst, float(np.abs(mixed - split).max() / split.max()))
-    return PropertyResult("operators", "pq_linear", worst <= 1e-9, worst, 1e-9,
+    return PropertyResult("operators", "pq_linear", worst, 1e-9,
                           detail="20 combinations, relative tensor error")
 
 
@@ -346,8 +367,8 @@ def check_transport_equals_bayes(seed: int = 2) -> PropertyResult:
         grid = _gridded(joint, (512, 512), blocks)
         worst = max(worst, density.dg_distance(operators.transport(grid, yd),
                                                operators.bayes(grid, yd)))
-    return PropertyResult("operators", "transport_equals_bayes", worst <= 5e-3,
-                          worst, 5e-3, detail="50 Gaussian joints")
+    return PropertyResult("operators", "transport_equals_bayes", worst, 5e-3,
+                          detail="50 Gaussian joints")
 
 
 def check_mass_conservation(seed: int = 2) -> PropertyResult:
@@ -362,7 +383,7 @@ def check_mass_conservation(seed: int = 2) -> PropertyResult:
         yd = rng.uniform(-1.0, 1.0, 1)
         for out in (pred, joint, operators.bayes(joint, yd), operators.transport(joint, yd)):
             worst = max(worst, abs(density.integrate(out.values, out.box_lo, out.box_hi) - 1.0))
-    return PropertyResult("operators", "mass_conservation", worst <= 1e-8, worst, 1e-8,
+    return PropertyResult("operators", "mass_conservation", worst, 1e-8,
                           detail="10 chains of P, Q, B, T")
 
 
@@ -386,7 +407,7 @@ def check_moment_envelopes(seed: int = 2) -> PropertyResult:
                     float(np.linalg.norm(jm.mean)) - mean_qp,
                     eig_lo - float(np.linalg.eigvalsh(jm.cov).min()),
                     float(np.linalg.eigvalsh(jm.cov - cov_up).max()))
-    return PropertyResult("operators", "moment_envelopes", worst <= 1e-3, worst, 1e-3,
+    return PropertyResult("operators", "moment_envelopes", worst, 1e-3,
                           detail="50 densities, max envelope excess")
 
 
@@ -414,9 +435,9 @@ def check_linear_collapse(seed: int = 3) -> list[PropertyResult]:
             worst_dg = max(worst_dg, density.dg_distance(ws.state_grid(res.measures[step]),
                                                          ws.state_grid(g)))
     return [
-        PropertyResult("filters", "linear_collapse_moments", worst_mom <= 5e-3,
-                       worst_mom, 5e-3, detail="4 kinds x 11 steps vs analytic Kalman"),
-        PropertyResult("filters", "linear_collapse_dg", worst_dg <= 1e-2, worst_dg, 1e-2,
+        PropertyResult("filters", "linear_collapse_moments", worst_mom, 5e-3,
+                       detail="4 kinds x 11 steps vs analytic Kalman"),
+        PropertyResult("filters", "linear_collapse_dg", worst_dg, 1e-2,
                        detail="4 kinds x 11 steps, weighted-TV to Kalman"),
     ]
 
@@ -434,8 +455,8 @@ def check_linear_collapse_particles(seed: int = 3) -> PropertyResult:
         worst = max(worst,
                     float(np.abs(res.diagnostics["mean"][step] - g.mean).max()),
                     float(np.abs(res.diagnostics["cov"][step] - g.cov).max()))
-    return PropertyResult("filters", "linear_collapse_particles", worst <= band,
-                          worst, band, detail="N=4000, 6/sqrt(N) band")
+    return PropertyResult("filters", "linear_collapse_particles", worst, band,
+                          detail="N=4000, 6/sqrt(N) band")
 
 
 def check_gpf_equivalence(seed: int = 3) -> PropertyResult:
@@ -445,7 +466,7 @@ def check_gpf_equivalence(seed: int = 3) -> PropertyResult:
     runs = filters.run_filter(["gpf_bg", "gpf_gt"], spec, traj,
                               filters.FilterConfig(seed=seed))
     worst = max(runs["gpf_bg"].diagnostics["dg_vs_gpf_gt"])
-    return PropertyResult("filters", "gpf_equivalence", worst <= 5e-3, worst, 5e-3,
+    return PropertyResult("filters", "gpf_equivalence", worst, 5e-3,
                           detail="delta=0.2, J=5, per-step weighted TV")
 
 
@@ -504,13 +525,13 @@ def check_eps_scaling(seed: int = 3) -> list[PropertyResult]:
     ratio = sweep_checks(rows)["max_err_over_eps"]
     monotone = min(_error_increments(rows).values())
     return [
-        PropertyResult("filters", "eps_scaling_origin", origin <= 2e-2, origin, 2e-2,
+        PropertyResult("filters", "eps_scaling_origin", origin, 2e-2,
                        detail="eps and both errors at delta=0"),
-        PropertyResult("filters", "eps_scaling_monotone", monotone >= -MONOTONE_SLACK,
-                       monotone, 0.0,
+        PropertyResult("filters", "eps_scaling_monotone", monotone, -MONOTONE_SLACK, ">=",
                        detail=f"min error increment along eps={['%.3g' % e for e in eps]}"),
-        PropertyResult("filters", "eps_error_ratio", math.isfinite(ratio), ratio,
-                       float("inf"), detail="max err/eps across sweep (reported, not bounded)"),
+        # a max of nonnegative quotients is <= the largest float exactly when it is finite
+        PropertyResult("filters", "eps_error_ratio", ratio, sys.float_info.max,
+                       detail="max err/eps across sweep (reported, bounded only by finiteness)"),
     ]
 
 
@@ -518,7 +539,7 @@ def check_sweep_monotone_seeds(seed: int = 0) -> PropertyResult:
     """Both filter errors grow monotonically along eps on 8 data realizations, not one."""
     seeds = range(seed, seed + 8)
     worst = min(min(_error_increments(measure_sweep(seed=s)).values()) for s in seeds)
-    return PropertyResult("filters", "sweep_monotone_seeds", worst >= -MONOTONE_SLACK, worst, 0.0,
+    return PropertyResult("filters", "sweep_monotone_seeds", worst, -MONOTONE_SLACK, ">=",
                           detail=f"min error increment along eps over seeds "
                                  f"{seeds.start}-{seeds.stop - 1}")
 
@@ -544,10 +565,9 @@ def check_particle_convergence(seed: int = 3) -> PropertyResult:
             errs.append(err / traj.J)
         avg_err.append(np.mean(errs))
     slope = float(np.polyfit(np.log(sizes), np.log(avg_err), 1)[0])
-    return PropertyResult("filters", "particle_convergence",
-                          -0.7 <= slope <= -0.3, slope, -0.5,
-                          detail=f"log-log slope over N={sizes}, 20 replicates,"
-                                 " wanted in [-0.7, -0.3]")
+    return PropertyResult("filters", "particle_convergence", abs(slope + 0.5), 0.2,
+                          detail=f"|slope + 0.5|, log-log slope {slope:.6g} over N={sizes},"
+                                 " 20 replicates")
 
 
 def check_data_inside_axis(seed: int = 3) -> PropertyResult:
@@ -562,7 +582,7 @@ def check_data_inside_axis(seed: int = 3) -> PropertyResult:
         cell = (ya[-1] - ya[0]) / (ya.size - 1)
         y = traj.data[:, 0]
         worst = min(worst, float(np.minimum(y - ya[0], ya[-1] - y).min() / cell))
-    return PropertyResult("filters", "data_inside_axis", worst >= 2.0, worst, 2.0,
+    return PropertyResult("filters", "data_inside_axis", worst, 2.0, ">=",
                           detail="10 trajectories, fewest cells between a datum and the axis edge")
 
 
@@ -583,37 +603,76 @@ def check_config_roundtrip(seed: int = 4) -> PropertyResult:
         back = model.from_config(model.to_config(spec))
         if model.fingerprint(back) != model.fingerprint(spec):
             mism += 1
-    return PropertyResult("model", "config_roundtrip", mism == 0, float(mism), 0.0,
+    return PropertyResult("model", "config_roundtrip", float(mism), 0.0,
                           detail=f"{len(specs)} models, fingerprint mismatches")
+
+
+def validate_assumptions(spec: model.ModelSpec) -> list[PropertyResult]:
+    """Probe the standing assumptions: SPD noises, bounded maps, Lipschitz observation.
+
+    Sup-norm bounds are probed on a fixed mesh of about 10^4 points
+    (round(10^4 ** (1/d)) per axis) over [-25, 25]^d, the Lipschitz bound
+    by finite differences along each axis with 5% slack. A map without a
+    certificate gets a NaN bound and fails: an unbounded family (a linear
+    map) makes a model usable for exactness tests only.
+    """
+    out = [PropertyResult("model", name, float(np.linalg.eigvalsh(cov)[0]), SPD_FLOOR, ">=",
+                          detail="smallest eigenvalue")
+           for name, cov in (("sigma_spd", spec.Sigma), ("gamma_spd", spec.Gamma),
+                             ("s0_spd", spec.S0))]
+
+    per_axis = round(10_000 ** (1 / spec.d))
+    half = np.full(spec.d, 25.0)
+    pts = density.grid_points(-half, half, (per_axis,) * spec.d)
+    for name, handle, apply_fn in (("psi_bounded", spec.psi_handle, spec.psi_apply),
+                                   ("h_bounded", spec.h_handle, spec.h_apply)):
+        sup = float(np.linalg.norm(apply_fn(pts), axis=1).max())
+        if handle.sup_bound is None:
+            out.append(PropertyResult("model", name, sup, math.nan,
+                                      detail=f"{handle.family} family is unbounded"))
+        else:
+            out.append(PropertyResult("model", name, sup, handle.sup_bound * (1.0 + 1e-12)))
+
+    step = 2.0 * 25.0 / 10_000
+    slopes = []
+    for a in range(spec.d):
+        shifted = pts.copy()
+        shifted[:, a] += step
+        diff = np.linalg.norm(spec.h_apply(shifted) - spec.h_apply(pts), axis=1)
+        slopes.append(diff.max() / step)
+    ell = spec.h_lipschitz()
+    out.append(PropertyResult(
+        "model", "h_lipschitz", float(max(slopes)),
+        math.nan if ell is None else ell * (1.0 + 0.05),
+        detail="no Lipschitz certificate" if ell is None else "certificate plus 5% slack"))
+    return out
 
 
 def check_probe_reproducible(seed: int = 4) -> PropertyResult:
     """Assumption probes are deterministic: two runs give identical values."""
     worst = 0.0
     for spec in (model.bounded_model_1d(), model.sweep_model(0.2)):
-        r1 = model.validate_assumptions(spec)
-        r2 = model.validate_assumptions(spec)
-        for c1, c2 in zip(r1.checks, r2.checks):
-            if c1.value is not None and c2.value is not None:
-                worst = max(worst, abs(c1.value - c2.value))
-            if c1.passed != c2.passed:
+        for r1, r2 in zip(validate_assumptions(spec), validate_assumptions(spec)):
+            worst = max(worst, abs(r1.measured - r2.measured))
+            if r1.passed != r2.passed:
                 worst = max(worst, 1.0)
-    return PropertyResult("model", "probe_reproducible", worst == 0.0, worst, 0.0,
+    return PropertyResult("model", "probe_reproducible", worst, 0.0,
                           detail="two probe runs per model")
 
 
 def check_assumptions_hold(seed: int = 4) -> PropertyResult:
-    """Bounded scenario models certify their declared bounds; linear models flag exactness mode."""
-    ok = True
+    """Bounded scenario models pass every probe; a linear model fails the boundedness probes."""
+    wrong = 0
     notes = []
     for spec in (model.bounded_model_1d(), model.sweep_model(0.0), model.sweep_model(0.3)):
-        rep = model.validate_assumptions(spec)
-        ok &= rep.passed and not rep.linear_exactness_mode
-        notes.append("pass" if rep.passed else "fail")
-    lin = model.validate_assumptions(model.linear_model_1d())
-    ok &= lin.linear_exactness_mode
-    notes.append("linear-mode" if lin.linear_exactness_mode else "linear-mode-missing")
-    return PropertyResult("model", "assumptions_hold", bool(ok), 0.0 if ok else 1.0, 0.0,
+        ok = all(r.passed for r in validate_assumptions(spec))
+        wrong += int(not ok)
+        notes.append("pass" if ok else "fail")
+    flagged = any(not r.passed for r in validate_assumptions(model.linear_model_1d())
+                  if r.name.endswith("_bounded"))
+    wrong += int(not flagged)
+    notes.append("linear-mode" if flagged else "linear-mode-missing")
+    return PropertyResult("model", "assumptions_hold", float(wrong), 0.0,
                           detail=", ".join(notes))
 
 
@@ -636,10 +695,11 @@ SUITES = {
 
 def run_suites(names, seed: int = 0) -> list[PropertyResult]:
     """Run the named suites; a raising check becomes a failed result, not a crash."""
+    unknown = [n for n in names if n not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suites {unknown}; known: {sorted(SUITES)}")
     results: list[PropertyResult] = []
     for suite_name in names:
-        if suite_name not in SUITES:
-            raise ValueError(f"unknown suite '{suite_name}'; known: {sorted(SUITES)}")
         for check in SUITES[suite_name]:
             start = time.perf_counter()
             try:
@@ -647,20 +707,18 @@ def run_suites(names, seed: int = 0) -> list[PropertyResult]:
                 out = list(out) if isinstance(out, list) else [out]
             except Exception as exc:  # noqa: BLE001 - failures are report contents
                 out = [PropertyResult(suite_name, check.__name__.removeprefix("check_"),
-                                      False, float("nan"), float("nan"),
-                                      detail=f"error: {exc!r}")]
+                                      math.nan, math.nan, detail=f"error: {exc!r}")]
             elapsed = time.perf_counter() - start
-            results.extend(
-                PropertyResult(r.suite, r.name, r.passed, r.measured, r.bound,
-                               r.detail, elapsed / len(out))
-                for r in out)
+            results.extend(replace(r, seconds=elapsed / len(out)) for r in out)
     return results
 
 
 def write_report(results: list[PropertyResult], path) -> None:
-    """CSV report: one row per property with pass/fail and measured margins."""
+    """CSV report: one row per property with pass/fail, measured value, relation and bound."""
     with open(path, "w", newline="") as fh:
-        fh.write("suite,name,passed,measured,bound,seconds,detail\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("suite", "name", "passed", "measured", "relation", "bound",
+                         "seconds", "detail"))
         for r in results:
-            fh.write(f"{r.suite},{r.name},{int(r.passed)},{r.measured:.17g},"
-                     f"{r.bound:.17g},{r.seconds:.3f},\"{r.detail}\"\n")
+            writer.writerow((r.suite, r.name, int(r.passed), f"{r.measured:.17g}", r.relation,
+                             f"{r.bound:.17g}", f"{r.seconds:.3f}", r.detail))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import filtermaps.cli as cli
@@ -215,6 +216,19 @@ def test_config_validation_exit_codes(tmp_path, capsys):
     # a repeated kind would assimilate each datum twice into one steps.csv
     repeated = _write_config(tmp_path / "repeat.json", kinds=["true", "true"])
     assert cli.main(["run", "--config", repeated]) == 2
+
+    # a model the grid kinds cannot run on is a config error before any step,
+    # by the rule run_filter applies (d in {1, 2}, K = 1)
+    for name, dims, h in (("k2", (1, 2), [[1.0], [0.5]]), ("d3", (3, 1), [[1.0, 0.0, 0.0]])):
+        d, K = dims
+        spec = model.ModelSpec(d=d, K=K, psi=model.MapSpec("tanh", {"scale": 0.9}),
+                               h=model.MapSpec("linear", {"matrix": h}),
+                               Sigma=0.25 * np.eye(d), Gamma=0.25 * np.eye(K),
+                               m0=np.zeros(d), S0=np.eye(d))
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"model": model.to_config(spec), "J": 1, "kinds": ["true"]}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+        assert "grid filter kinds" in capsys.readouterr().err
 
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)
