@@ -5,16 +5,16 @@ Three subcommands:
 - ``run``     one experiment: filter kinds over a generated trajectory;
               writes steps.csv, summary.csv, optional binary densities,
               and metadata.json.
-- ``sweep``   the nonlinearity sweep: one run per delta of the "sweep"
-              scenario, the only one it takes; writes sweep.csv with (delta,
-              eps_measured, err_enkf, err_gpf) and monotonicity/ratio checks.
+- ``sweep``   the nonlinearity sweep: verify.SWEEP_KINDS at each delta of the
+              "sweep" scenario, the only one it takes; writes sweep.csv with
+              (delta, eps_measured, err_enkf, err_gpf) and monotonicity/ratio checks.
 - ``verify``  the property suites; writes a CSV report and exits 0 only if
               every check passes.
 
 ``run`` and ``sweep`` read every experiment value from the config file; only
-``--out`` overrides one, the output directory. An unknown config key, an
-unknown key of an inline model or an unknown map-family parameter is a
-configuration error.
+``--out`` overrides one, the output directory. An unknown config key, a key
+the subcommand does not read, an unknown key of an inline model or an
+unknown map-family parameter is a configuration error.
 
 Exit codes: 0 success, 1 property or step failure, 2 configuration or
 environment error. Data CSVs are byte-identical across repeated runs with the
@@ -24,14 +24,14 @@ Config file schema (JSON), all keys optional unless noted::
 
     {
       "scenario": "linear_1d" | "bounded_1d" | "sweep",   # or "model": {...}
-      "delta": 0.2,              # sweep scenario nonlinearity (run only)
-      "model": { ... },          # inline model config, exclusive with scenario
+      "delta": 0.2,              # nonlinearity (run, "sweep" scenario only)
+      "model": { ... },          # inline model config, exclusive with scenario (run only)
       "J": 10,                   # number of assimilation steps (>= 0)
       "seed": 0,
-      "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct
+      "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct (sweep: a subset)
       "state_points": 1024,      # grid points per state axis
       "y_points": 512,           # grid points on the data axis
-      "n_particles": 1000,       # ensemble size for enkf_N
+      "n_particles": 1000,       # ensemble size for enkf_N (run only)
       "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],   # sweep subcommand only
       "save_densities": false,   # write per-step binary densities (run only)
       "out": "results"           # output directory (--out overrides)
@@ -90,6 +90,9 @@ def _key(default, types: tuple, convert=None):
 #: Config keys named differently from their ExperimentConfig field; the others are field names.
 _CONFIG_KEYS = {"model_cfg": "model"}
 
+#: Config keys a subcommand does not read; a config for it that sets one is rejected.
+_UNREAD_KEYS = {"run": {"deltas"}, "sweep": {"delta", "n_particles", "save_densities"}}
+
 
 @dataclass
 class ExperimentConfig:
@@ -124,17 +127,6 @@ class ExperimentConfig:
         cfg = cls(**values)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_dict(raw)
 
     def validate(self) -> None:
         if (self.scenario is None) == (self.model_cfg is None):
@@ -223,6 +215,31 @@ def _write_error(out_dir: str, exc: Exception) -> None:
         fh.write("\n")
 
 
+def load_config(command: str, path: str) -> ExperimentConfig:
+    """The validated config at ``path``; sweep's scenario rule comes before the kinds rule."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    if command == "sweep" and (raw.get("model") is not None
+                               or raw.get("scenario", "sweep") != "sweep"):
+        key = "model" if raw.get("model") is not None else "scenario"
+        raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
+    cfg = ExperimentConfig.from_dict(raw)
+    unread = set(raw) & _UNREAD_KEYS[command]
+    if "delta" in raw and cfg.scenario != "sweep":
+        unread.add("delta")  # the nonlinearity of the sweep scenario only
+    if unread:
+        raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
+    if command == "sweep" and "kinds" in raw and not set(cfg.kinds) <= set(verify.SWEEP_KINDS):
+        raise ConfigError(f"config key 'kinds' names kinds that sweep does not measure; "
+                          f"it measures {list(verify.SWEEP_KINDS)}")
+    return cfg
+
+
 def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
     """Run the configured filter kinds once and write the artifacts."""
     _ensure_writable(out_dir)
@@ -281,9 +298,6 @@ def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     """Sweep the scenario family over the configured deltas and write sweep.csv."""
-    if cfg.scenario != "sweep":
-        key = "model" if cfg.model_cfg is not None else "scenario"
-        raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
     if not cfg.deltas:
         raise ConfigError("sweep needs a nonempty 'deltas' list")
     if list(cfg.deltas) != sorted(cfg.deltas):
@@ -364,7 +378,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.out, args.seed)
-        cfg = ExperimentConfig.from_file(args.config)
+        cfg = load_config(args.command, args.config)
         out_dir = args.out if args.out is not None else cfg.out
         if args.command == "run":
             return cmd_run(cfg, out_dir)

@@ -1,7 +1,7 @@
 """Grid densities: probability measures on truncated boxes in R^n.
 
-A ``GridDensity`` stores nonnegative values on a uniform tensor grid and is
-always normalized to unit mass under trapezoidal quadrature. This module is the
+A ``GridDensity`` stores nonnegative values on a uniform tensor grid, and its
+constructor normalizes them to unit trapezoidal mass. This module is the
 one home of grid quadrature and coordinates. Everything of product form is
 evaluated from per-axis factors: :func:`integrate` is the only integration
 rule (per-axis trapezoidal weights contracted one axis at a time), moments and
@@ -12,7 +12,7 @@ coordinates broadcast against a value tensor. :func:`grid_points`, the only
 flat point list, serves model maps that are evaluated point by point. On
 these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), d_g, and the flat binary
-serialization format.
+format, whose reader checks that a file holds unit mass.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
 trailing axes as the data block. Densities on different grids cannot be
@@ -33,7 +33,7 @@ from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
 #: Minimum points per axis.
 MIN_POINTS = 16
 
-#: Unit-mass tolerance for a constructed density.
+#: Unit-mass tolerance for the values of a density file.
 MASS_TOL = 1e-8
 
 #: Pre-normalization mass drift that triggers a ResolutionWarning.
@@ -54,15 +54,19 @@ class ResolutionWarning(RuntimeWarning):
 
 @dataclass(frozen=True, eq=False)
 class GridDensity:
-    """Normalized density values on a uniform tensor grid over [box_lo, box_hi].
+    """Density values on a uniform tensor grid over [box_lo, box_hi], normalized when built.
+
+    The constructor is the only code that checks and normalizes density values:
+    it clips tiny negatives (interpolation noise), rejects a substantial
+    negative or a mass that is not positive and finite, and stores a
+    read-only values / mass that never aliases the values passed in.
 
     Parameters
     ----------
     box_lo, box_hi : ndarray, shape (n,)
         Box corners, componentwise lo < hi.
     values : ndarray
-        Nonnegative tensor with one axis per dimension; trapezoidal mass 1
-        within 1e-8. Use :func:`normalized` to build from raw values.
+        Nonnegative tensor with one axis per dimension, of any positive mass.
     blocks : BlockStructure, optional
         Present for joint state x data densities (trailing axes are data).
     """
@@ -72,13 +76,12 @@ class GridDensity:
     values: Array
     blocks: BlockStructure | None = None
     _moments: GaussianMeasure | None = field(default=None, init=False, repr=False)
+    _raw_mass: float = field(init=False, repr=False)  # mass of the values as given
 
     def __post_init__(self) -> None:
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
         hi = np.array(self.box_hi, dtype=float).reshape(-1)
-        vals = self.values
-        if not _frozen(vals):
-            vals = np.array(vals, dtype=float)
+        vals = np.asarray(self.values, dtype=float)
         if vals.ndim != lo.size or lo.size != hi.size:
             raise ValueError(
                 f"dimension mismatch: values have {vals.ndim} axes, box corners have {lo.size}/{hi.size}"
@@ -89,19 +92,23 @@ class GridDensity:
             raise ValueError("box_lo must be componentwise below box_hi")
         if any(s < MIN_POINTS for s in vals.shape):
             raise ValueError(f"every axis needs at least {MIN_POINTS} points, got shape {vals.shape}")
-        if vals.min() < 0.0:
-            raise ValueError("density values must be nonnegative")
-        mass = integrate(vals, lo, hi)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"density mass {mass:.12f} is not 1 within {MASS_TOL}")
         if self.blocks is not None and self.blocks.n != vals.ndim:
             raise ValueError(f"blocks cover {self.blocks.n} axes, values have {vals.ndim}")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        vals.setflags(write=False)
+        if vals.min() < 0.0:
+            floor = -1e-12 * max(vals.max(), np.finfo(float).tiny)
+            if vals.min() < floor:
+                raise ValueError(f"density values have a substantial negative entry ({vals.min():.3e})")
+            vals = np.clip(vals, 0.0, None)
+        mass = integrate(vals, lo, hi)
+        if mass <= 0.0 or not np.isfinite(mass):
+            raise ValueError(f"cannot normalize a grid density: mass is {mass}")
+        vals = vals / mass
+        for a in (lo, hi, vals):
+            a.setflags(write=False)
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_raw_mass", mass)
 
     @property
     def ndim(self) -> int:
@@ -127,12 +134,6 @@ class GridDensity:
             and np.array_equal(self.box_lo, other.box_lo)
             and np.array_equal(self.box_hi, other.box_hi)
         )
-
-
-def _frozen(a) -> bool:
-    """A float64 array that cannot be written through, nor the array it views."""
-    return (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable
-            and (not isinstance(a.base, np.ndarray) or not a.base.flags.writeable))
 
 
 def quad_weights(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
@@ -183,32 +184,19 @@ def normalized(
     expect_unit_mass: bool = True,
     context: str = "grid density",
 ) -> GridDensity:
-    """Build a GridDensity from raw nonnegative values, renormalizing to unit mass.
+    """Build a GridDensity from raw nonnegative values, which it renormalizes to unit mass.
 
-    Tiny negative values (interpolation noise) are clipped to zero. When
-    ``expect_unit_mass`` is set, a pre-normalization mass drift beyond 1e-3
-    emits a :class:`ResolutionWarning` naming ``context``.
+    When ``expect_unit_mass`` is set, a pre-normalization mass drift beyond
+    1e-3 emits a :class:`ResolutionWarning` naming ``context``.
     """
-    box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
-    box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
-    values = np.asarray(values, dtype=float)
-    if values.min() < 0.0:
-        floor = -1e-12 * max(values.max(), np.finfo(float).tiny)
-        if values.min() < floor:
-            raise ValueError(f"density values have a substantial negative entry ({values.min():.3e})")
-        values = np.clip(values, 0.0, None)
-    mass = integrate(values, box_lo, box_hi)
-    if mass <= 0.0 or not np.isfinite(mass):
-        raise ValueError(f"cannot normalize {context}: mass is {mass}")
-    if expect_unit_mass and abs(mass - 1.0) > DRIFT_WARN:
+    mu = GridDensity(box_lo, box_hi, values, blocks)
+    if expect_unit_mass and abs(mu._raw_mass - 1.0) > DRIFT_WARN:
         warnings.warn(
-            f"{context}: mass drifted to {mass:.6f} before renormalization; grid may be too coarse",
+            f"{context}: mass drifted to {mu._raw_mass:.6f} before renormalization; grid may be too coarse",
             ResolutionWarning,
             stacklevel=2,
         )
-    values = values / mass
-    values.setflags(write=False)
-    return GridDensity(box_lo, box_hi, values, blocks)
+    return mu
 
 
 def _grid_axes(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
@@ -385,7 +373,10 @@ def save_binary(mu: GridDensity, path) -> None:
 
 
 def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
-    """Read a density written by :func:`save_binary`; ``blocks`` reattaches joint structure."""
+    """Read a density written by :func:`save_binary`; ``blocks`` reattaches joint structure.
+
+    Its values must have unit mass within ``MASS_TOL``; renormalizing moves them by a few ulps.
+    """
     raw = np.fromfile(path, dtype="<f8")
     n = int(raw[0])
     shape = tuple(int(s) for s in raw[1 : 1 + n])
@@ -393,5 +384,8 @@ def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
     hi = raw[1 + 2 * n : 1 + 3 * n]
     count = int(np.prod(shape))
     values = raw[1 + 3 * n : 1 + 3 * n + count].reshape(shape)
+    mass = integrate(values, lo, hi)
+    if abs(mass - 1.0) > MASS_TOL:
+        raise ValueError(f"density file {path}: mass {mass:.12f} is not 1 within {MASS_TOL}")
     return GridDensity(lo, hi, values, blocks)
 

@@ -101,12 +101,6 @@ def _gridded(g: gaussian.GaussianMeasure, shape, blocks=None) -> density.GridDen
     return density.from_gaussian(g, g.mean - half, g.mean + half, shape, blocks)
 
 
-def _gridded_pair(g1, g2, shape):
-    lo, hi = _pair_box(g1, g2)
-    return (density.from_gaussian(g1, lo, hi, shape),
-            density.from_gaussian(g2, lo, hi, shape))
-
-
 def _kl_quadrature(mu1: density.GridDensity, g1: gaussian.GaussianMeasure,
                    g2: gaussian.GaussianMeasure) -> float:
     """Quadrature of rho1 (log phi1 - log phi2) over mu1's grid."""
@@ -164,36 +158,36 @@ def check_kl_zero_and_nonnegative(seed: int = 0) -> PropertyResult:
                           detail=f"min cross-KL {worst_cross:.3g}, max self-KL {worst_self:.3g}")
 
 
-def check_pinsker(seed: int = 0) -> PropertyResult:
-    """d_g^2 <= 2 (mu1[g^2] + mu2[g^2]) KL, quadrature d_g and KL, both KL directions."""
-    rng = np.random.default_rng([seed, 2])
+def _gaussian_pair_check(name: str, stream: int, seed: int, ratios, detail: str) -> PropertyResult:
+    """Largest ``ratios(a, b, ga, gb, d_g(ga, gb))`` over 100 Gaussian pairs gridded on one box."""
+    rng = np.random.default_rng([seed, stream])
     worst = 0.0
     for i in range(100):
         n = 1 if i % 2 == 0 else 2
         shape = (2048,) if n == 1 else (192, 192)
         a, b = _random_gaussian(rng, n), _random_gaussian(rng, n)
-        ga, gb = _gridded_pair(a, b, shape)
-        dg = density.dg_distance(ga, gb)
+        lo, hi = _pair_box(a, b)
+        ga, gb = (density.from_gaussian(g, lo, hi, shape) for g in (a, b))
+        worst = max(worst, *ratios(a, b, ga, gb, density.dg_distance(ga, gb)))
+    return PropertyResult("gaussian", name, worst, 1.0, detail=detail)
+
+
+def check_pinsker(seed: int = 0) -> PropertyResult:
+    """d_g^2 <= 2 (mu1[g^2] + mu2[g^2]) KL, quadrature d_g and KL, both KL directions."""
+    def ratios(a, b, ga, gb, dg):
         cap = 2.0 * (gaussian.g2_moment(a) + gaussian.g2_moment(b))
-        for kl in (_kl_quadrature(ga, a, b), _kl_quadrature(gb, b, a)):
-            worst = max(worst, dg**2 / max(cap * kl, 1e-300))
-    return PropertyResult("gaussian", "pinsker", worst, 1.0,
-                          detail="100 pairs, both directions")
+        return [dg**2 / max(cap * kl, 1e-300)
+                for kl in (_kl_quadrature(ga, a, b), _kl_quadrature(gb, b, a))]
+
+    return _gaussian_pair_check("pinsker", 2, seed, ratios, "100 pairs, both directions")
 
 
 def check_dg_bound_dominates(seed: int = 0) -> PropertyResult:
     """The closed-form Gaussian d_g bound dominates the quadrature distance."""
-    rng = np.random.default_rng([seed, 3])
-    worst = 0.0
-    for i in range(100):
-        n = 1 if i % 2 == 0 else 2
-        shape = (2048,) if n == 1 else (192, 192)
-        a, b = _random_gaussian(rng, n), _random_gaussian(rng, n)
-        ga, gb = _gridded_pair(a, b, shape)
-        dg = density.dg_distance(ga, gb)
-        worst = max(worst, dg / max(gaussian.dg_upper_bound(a, b), 1e-300))
-    return PropertyResult("gaussian", "dg_bound_dominates", worst, 1.0,
-                          detail="100 pairs, 1-D and 2-D")
+    def ratios(a, b, ga, gb, dg):
+        return [dg / max(gaussian.dg_upper_bound(a, b), 1e-300)]
+
+    return _gaussian_pair_check("dg_bound_dominates", 3, seed, ratios, "100 pairs, 1-D and 2-D")
 
 
 def check_conditioning_matches_bayes(seed: int = 0) -> PropertyResult:
@@ -305,36 +299,28 @@ def _bounded_workspace() -> tuple[model.ModelSpec, operators.OperatorWorkspace]:
     return spec, operators.default_workspace(spec, [-7.0], [7.0], (512,))
 
 
-def check_p_lipschitz(seed: int = 2) -> PropertyResult:
-    """d_g(P mu, P nu) <= (1 + kappa_psi^2 + tr Sigma) d_g(mu, nu) + 1e-3."""
+def _map_lipschitz(name: str, op, constant, stream: int, seed: int) -> PropertyResult:
+    """Largest d_g(op mu, op nu) - L d_g(mu, nu), L = constant(spec), over 50 mixture pairs."""
     spec, ws = _bounded_workspace()
-    rng = np.random.default_rng([seed, 1])
-    L = filters.lipschitz_p(spec)
+    rng = np.random.default_rng([seed, stream])
+    L = constant(spec)
     worst = -np.inf
     for _ in range(50):
         mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
                   for _ in range(2))
-        lhs = density.dg_distance(operators.predict(mu, spec, ws),
-                                  operators.predict(nu, spec, ws))
+        lhs = density.dg_distance(op(mu, spec, ws), op(nu, spec, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
-    return PropertyResult("operators", "p_lipschitz", worst, 1e-3,
-                          detail=f"50 pairs, constant {L:.3f}")
+    return PropertyResult("operators", name, worst, 1e-3, detail=f"50 pairs, constant {L:.3f}")
+
+
+def check_p_lipschitz(seed: int = 2) -> PropertyResult:
+    """d_g(P mu, P nu) <= (1 + kappa_psi^2 + tr Sigma) d_g(mu, nu) + 1e-3."""
+    return _map_lipschitz("p_lipschitz", operators.predict, filters.lipschitz_p, 1, seed)
 
 
 def check_q_lipschitz(seed: int = 2) -> PropertyResult:
     """d_g(Q mu, Q nu) <= (1 + kappa_h^2 + tr Gamma) d_g(mu, nu) + 1e-3."""
-    spec, ws = _bounded_workspace()
-    rng = np.random.default_rng([seed, 2])
-    L = filters.lipschitz_q(spec)
-    worst = -np.inf
-    for _ in range(50):
-        mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
-                  for _ in range(2))
-        lhs = density.dg_distance(operators.lift(mu, spec, ws),
-                                  operators.lift(nu, spec, ws))
-        worst = max(worst, lhs - L * density.dg_distance(mu, nu))
-    return PropertyResult("operators", "q_lipschitz", worst, 1e-3,
-                          detail=f"50 pairs, constant {L:.3f}")
+    return _map_lipschitz("q_lipschitz", operators.lift, filters.lipschitz_q, 2, seed)
 
 
 def check_pq_linear(seed: int = 2) -> PropertyResult:
@@ -470,6 +456,10 @@ def check_gpf_equivalence(seed: int = 3) -> PropertyResult:
                           detail="delta=0.2, J=5, per-step weighted TV")
 
 
+#: The filter kinds the nonlinearity sweep runs at every delta.
+SWEEP_KINDS = ("true", "enkf_mf", "gpf_bg")
+
+
 def measure_sweep(deltas=model.SWEEP_DELTAS, J: int = 5, seed: int = 3,
                   config: filters.FilterConfig | None = None) -> list[dict]:
     """Run the nonlinearity sweep and measure (eps, filter errors) per delta.
@@ -484,7 +474,7 @@ def measure_sweep(deltas=model.SWEEP_DELTAS, J: int = 5, seed: int = 3,
     for delta in deltas:
         spec = model.sweep_model(float(delta))
         traj = filters.generate_data(spec, J=J, seed=seed)
-        runs = filters.run_filter(["true", "enkf_mf", "gpf_bg"], spec, traj,
+        runs = filters.run_filter(list(SWEEP_KINDS), spec, traj,
                                   config or filters.FilterConfig(seed=seed))
         eps = max(e for e in runs["true"].diagnostics["eps"] if e is not None)
         rows.append({

@@ -2,16 +2,21 @@
 
 ``perfbench/`` wraps named module boundaries and requires each workload to
 record calls at some of them, so renaming one of those functions fails the
-benchmark. This test finds such a rename without running a workload: it
-loads the benchmark's tracer and workload modules by path, installs and
-uninstalls the tracer, and checks every required span name against the
-spans the tracer can record.
+benchmark. These tests find such a rename without running a workload: they
+load the benchmark's tracer and workload modules by path, install and
+uninstall the tracer, and check every required span name against the spans
+the tracer can record. The tracer's counters also bind parameters of some
+boundaries by name, so the boundaries that carry a counter are called once
+under the tracer.
 """
 
 import importlib.util
 from pathlib import Path
 
-from filtermaps import filters, verify
+import numpy as np
+import pytest
+
+from filtermaps import density, filters, model, operators, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +45,26 @@ def test_every_required_boundary_is_a_traced_span():
     for name in workloads.NAMES:
         missing = set(workloads.make(name).required()) - spans
         assert not missing, f"{name} requires spans the tracer cannot record: {sorted(missing)}"
+
+
+def test_counters_bind_the_parameters_they_name():
+    # a counter that binds a renamed parameter raises inside the traced call
+    tracer = _load("tracer").Tracer()
+    spec = model.bounded_model_1d()
+    ws = operators.default_workspace(spec, [-7.0], [7.0], (32,))
+    x = np.linspace(-7.0, 7.0, 32)
+    drifted = (1.0 + 5e-4) * np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+    tracer.install()
+    try:
+        mu = density.normalized([-7.0], [7.0], drifted)
+        density.moments(mu)
+        operators.predict(mu, spec, ws)
+    finally:
+        tracer.uninstall()
+
+    summary = tracer.summary()
+    for span in ("density.normalized", "density.moments", "operators.predict"):
+        assert summary[span]["calls"] >= 1, span
+    assert tracer.moments_densities >= 1
+    assert tracer.max_mass_drift == pytest.approx(5e-4, rel=1e-3)
+    assert tracer.kernel_entries == [32 * 32]

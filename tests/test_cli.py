@@ -229,6 +229,30 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         cfg.write_text(json.dumps({"model": model.to_config(spec), "J": 1, "kinds": ["true"]}))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
         assert "grid filter kinds" in capsys.readouterr().err
+        # sweep names its scenario rule before the kinds are checked against the model
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+        assert "sweep runs only the 'sweep' scenario" in capsys.readouterr().err
+
+    # a key the subcommand does not read is named, not silently ignored
+    unread = (
+        ("sweep", "delta", dict(scenario="sweep", delta=0.3)),
+        ("sweep", "n_particles", dict(scenario="sweep", n_particles=5)),
+        ("sweep", "save_densities", dict(scenario="sweep", save_densities=True)),
+        ("sweep", "kinds", dict(scenario="sweep", kinds=["enkf_N"])),
+        ("run", "deltas", dict(deltas=[0.0, 0.1])),
+        ("run", "delta", dict(delta=0.3)),
+    )
+    for command, key, overrides in unread:
+        cfg = _write_config(tmp_path / f"{command}_{key}.json", **overrides)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "unread")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "unread").exists()
+    # the sweep's own kinds, or a subset, and delta with the sweep scenario are read
+    full = _write_config(tmp_path / "full.json", scenario="sweep", deltas=[0.0, 0.1],
+                         kinds=list(verify.SWEEP_KINDS))
+    assert cli.load_config("sweep", full).kinds == verify.SWEEP_KINDS
+    swept = _write_config(tmp_path / "swept.json", scenario="sweep", delta=0.3)
+    assert cli.load_config("run", swept).delta == 0.3
 
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)

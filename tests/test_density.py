@@ -144,17 +144,17 @@ def test_density_values_are_read_only_and_never_aliased():
     before = mu.values.copy()
     raw[:] = 0.0
     assert np.array_equal(mu.values, before)
-    # a read-only array is taken as it is; a writable one, or a read-only
-    # view of a writable one, is copied
-    assert GridDensity(mu.box_lo, mu.box_hi, mu.values).values is mu.values
+    # a writable array, a read-only view of one, or another density's values
+    # are copied; re-wrapping renormalizes, which can move a value by an ulp
     writable = before.copy()
     view = writable.view()
     view.setflags(write=False)
-    copied = [GridDensity(mu.box_lo, mu.box_hi, a) for a in (writable, view)]
+    copied = [GridDensity(mu.box_lo, mu.box_hi, a) for a in (writable, view, mu.values)]
     writable[:] = 0.0
     for other in copied:
-        assert np.array_equal(other.values, before)
+        assert_allclose(other.values, before, rtol=4 * np.finfo(float).eps, atol=0.0)
         assert not other.values.flags.writeable
+        assert not np.shares_memory(other.values, mu.values)
 
 
 def test_grid_density_validation():
@@ -165,8 +165,46 @@ def test_grid_density_validation():
         GridDensity(np.array([1.0]), np.array([0.0]), ok, None)  # lo >= hi
     with pytest.raises(ValueError):
         GridDensity(np.array([0.0]), np.array([10.0]), np.full(8, 0.1), None)  # too coarse
-    with pytest.raises(ValueError):
-        GridDensity(np.array([0.0]), np.array([10.0]), ok * 3.0, None)  # mass not 1
+    with pytest.raises(ValueError, match="blocks cover 2 axes"):
+        GridDensity(np.array([0.0]), np.array([10.0]), ok, BlockStructure(1, 1))
+    negative = ok.copy()
+    negative[5] = -1e-3
+    with pytest.raises(ValueError, match="substantial negative"):
+        GridDensity(np.array([0.0]), np.array([10.0]), negative)
+    for bad_mass in (np.zeros(32), np.full(32, np.nan)):
+        with pytest.raises(ValueError, match="cannot normalize"):
+            GridDensity(np.array([0.0]), np.array([10.0]), bad_mass)
+    # values of any positive mass are normalized, not rejected
+    tripled = GridDensity(np.array([0.0]), np.array([10.0]), ok * 3.0, None)
+    assert_allclose(integrate(tripled.values, tripled.box_lo, tripled.box_hi), 1.0, rtol=1e-15)
+    assert_allclose(tripled.values, ok_d.values, rtol=1e-15)
+
+
+def test_grid_density_normalizes_like_normalized():
+    x = np.linspace(-4.0, 4.0, 48)
+    raw = np.exp(-0.5 * (x[:, None] ** 2 + 2.0 * (x[None, :] - 0.5) ** 2)) * 7.3
+    raw[0, 0] = -1e-15 * raw.max()  # clipped, as interpolation noise
+    lo, hi = [-4.0, -4.0], [4.0, 4.0]
+    mu = GridDensity(lo, hi, raw, BlockStructure(1, 1))
+    assert_allclose(integrate(mu.values, mu.box_lo, mu.box_hi), 1.0, rtol=1e-14)
+    assert mu.values[0, 0] == 0.0
+    ref = normalized(lo, hi, raw, BlockStructure(1, 1), expect_unit_mass=False)
+    assert np.array_equal(mu.values, ref.values)
+    assert np.array_equal(mu.box_lo, ref.box_lo) and np.array_equal(mu.box_hi, ref.box_hi)
+
+
+def test_building_a_density_integrates_once(monkeypatch):
+    calls = []
+    real = density.integrate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(density, "integrate", counting)
+    x = np.linspace(-5.0, 5.0, 64)
+    normalized([-5.0], [5.0], np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi), context="test")
+    assert len(calls) == 1
 
 
 def test_from_gaussian_coverage():
@@ -353,6 +391,18 @@ def test_binary_roundtrip_and_layout(tmp_path):
     assert_allclose(raw[3:5], [-7.0, -7.0])
     assert_allclose(raw[5:7], [7.0, 7.0])
     assert_allclose(raw[7:].reshape(64, 96), mu.values)
+
+
+
+def test_load_binary_rejects_values_off_unit_mass(tmp_path):
+    mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,))
+    path = tmp_path / "mu.bin"
+    save_binary(mu, path)
+    raw = np.fromfile(path, dtype="<f8")
+    raw[4:] *= 1.0 + 1e-6  # header: n, shape, lo, hi
+    raw.tofile(path)
+    with pytest.raises(ValueError, match="not 1 within"):
+        load_binary(path)
 
 
 def test_bayes_conditioning_consistency_with_gaussian_module():
