@@ -20,9 +20,9 @@ def describe(label, mu):
     print(f"  {label:<22} mean {mom.mean[0]:+.4f}  var {mom.cov[0, 0]:.4f}")
 
 
-def one_step(mu, model, ws, y_dagger):
-    pred = predict(mu, model, ws)
-    joint = lift(pred, model, ws)
+def one_step(mu, ws, y_dagger):
+    pred = predict(mu, ws)
+    joint = lift(pred, ws)
     describe("predicted", pred)
     print(f"  {'joint datum marginal':<22} mean {moments(joint).mean[1]:+.4f}  "
           f"gain {kalman_gain(joint)[0, 0]:+.4f}")
@@ -41,14 +41,14 @@ def main():
     print("Gaussian prior N(0.2, 0.4):")
     gauss = from_gaussian(GaussianMeasure([0.2], [[0.4]]),
                           ws.state_lo, ws.state_hi, ws.state_shape)
-    one_step(gauss, model, ws, y_dagger)
+    one_step(gauss, ws, y_dagger)
 
     print("\nbimodal prior (modes at -1.5 and +1.5):")
     x = ws.state_axes[0]
     vals = np.exp(-0.5 * (x - 1.5) ** 2 / 0.2) + np.exp(-0.5 * (x + 1.5) ** 2 / 0.2)
     bimodal = normalized(ws.state_lo, ws.state_hi, vals, expect_unit_mass=False,
                          context="demo prior")
-    one_step(bimodal, model, ws, y_dagger)
+    one_step(bimodal, ws, y_dagger)
     print("\nthe transport analysis only matches exact conditioning when the")
     print("lifted prediction is close to Gaussian; the gap above is that defect.")
 

@@ -27,7 +27,7 @@ Config file schema (JSON), all keys optional unless noted::
       "delta": 0.2,              # nonlinearity (run, "sweep" scenario only)
       "model": { ... },          # inline model config, exclusive with scenario (run only)
       "J": 10,                   # number of assimilation steps (>= 0)
-      "seed": 0,
+      "seed": 0,                 # >= 0
       "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct (sweep: a subset)
       "state_points": 1024,      # grid points per state axis
       "y_points": 512,           # grid points on the data axis
@@ -91,7 +91,7 @@ def _key(default, types: tuple, convert=None):
 _CONFIG_KEYS = {"model_cfg": "model"}
 
 #: Config keys a subcommand does not read; a config for it that sets one is rejected.
-_UNREAD_KEYS = {"run": {"deltas"}, "sweep": {"delta", "n_particles", "save_densities"}}
+_UNREAD_KEYS = {"run": {"deltas"}, "sweep": {"delta", "model", "n_particles", "save_densities"}}
 
 
 @dataclass
@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario '{self.scenario}'; known: {_SCENARIOS}")
         if self.J < 0:
             raise ConfigError("J must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("config key 'seed' must be >= 0")
         if self.state_points is not None and self.state_points < density.MIN_POINTS:
             raise ConfigError(f"state_points must be >= {density.MIN_POINTS}")
         if self.y_points is not None and self.y_points < density.MIN_POINTS:
@@ -169,10 +171,18 @@ class ExperimentConfig:
             n_particles=self.n_particles,
         )
 
-    def to_dict(self) -> dict:
-        """The config keys and values, as metadata.json records them."""
+    def unread_keys(self, command: str) -> set[str]:
+        """The config keys ``command`` does not read; ``delta`` is the sweep scenario's only."""
+        return _UNREAD_KEYS[command] | ({"delta"} if self.scenario != "sweep" else set())
+
+    def to_dict(self, command: str) -> dict:
+        """The keys ``command`` reads, as metadata.json records them; a sweep runs SWEEP_KINDS."""
         out = {_CONFIG_KEYS.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+        if command == "sweep":
+            out["kinds"] = verify.SWEEP_KINDS
+        unread = self.unread_keys(command)
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in out.items() if k not in unread}
 
 
 def _ensure_writable(out_dir: str) -> None:
@@ -186,12 +196,12 @@ def _ensure_writable(out_dir: str) -> None:
         raise ConfigError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
 
-def _write_metadata(out_dir: str, cfg: ExperimentConfig | None, spec, timings: dict,
+def _write_metadata(out_dir: str, config: dict | None, spec, timings: dict,
                     extra: dict | None = None) -> None:
     meta = {
         "version": __version__,
-        "seed": None if cfg is None else cfg.seed,
-        "config": None if cfg is None else cfg.to_dict(),
+        "seed": None if config is None else config["seed"],
+        "config": config,
         "model_fingerprint": None if spec is None else model.fingerprint(spec),
         "timings_seconds": {k: round(v, 3) for k, v in timings.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -229,9 +239,7 @@ def load_config(command: str, path: str) -> ExperimentConfig:
         key = "model" if raw.get("model") is not None else "scenario"
         raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
     cfg = ExperimentConfig.from_dict(raw)
-    unread = set(raw) & _UNREAD_KEYS[command]
-    if "delta" in raw and cfg.scenario != "sweep":
-        unread.add("delta")  # the nonlinearity of the sweep scenario only
+    unread = set(raw) & cfg.unread_keys(command)
     if unread:
         raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
     if command == "sweep" and "kinds" in raw and not set(cfg.kinds) <= set(verify.SWEEP_KINDS):
@@ -266,7 +274,7 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
                 if isinstance(measure, density.GridDensity):
                     density.save_binary(
                         measure, os.path.join(out_dir, f"density_{kind_name}_step{step}.bin"))
-    _write_metadata(out_dir, cfg, spec,
+    _write_metadata(out_dir, cfg.to_dict("run"), spec,
                     {"run": run_seconds, "write": time.perf_counter() - t1})
     print(f"wrote steps.csv, summary.csv, metadata.json to {out_dir}")
     return EXIT_OK
@@ -324,7 +332,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
                               for k in ("delta", "eps_measured", "err_enkf", "err_gpf")) + "\n")
 
     checks = verify.sweep_checks(rows)
-    _write_metadata(out_dir, cfg, spec0, {"sweep": sweep_seconds}, extra={"checks": checks})
+    _write_metadata(out_dir, cfg.to_dict("sweep"), spec0, {"sweep": sweep_seconds},
+                    extra={"checks": checks})
     print(f"wrote sweep.csv to {out_dir}")
     for name, value in checks.items():
         print(f"  {name}: {value}")

@@ -376,14 +376,22 @@ def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
     """Read a density written by :func:`save_binary`; ``blocks`` reattaches joint structure.
 
     Its values must have unit mass within ``MASS_TOL``; renormalizing moves them by a few ulps.
+    An empty or cut-short file raises ``ValueError`` naming the path.
     """
     raw = np.fromfile(path, dtype="<f8")
-    n = int(raw[0])
+    n = int(raw[0]) if raw.size and raw[0] in (1.0, 2.0, 3.0) else 0
+    header = 1 + 3 * n
+    if n == 0 or raw.size < header:
+        raise ValueError(f"density file {path}: no header of 1 to 3 axes "
+                         f"({raw.size} values in the file)")
     shape = tuple(int(s) for s in raw[1 : 1 + n])
     lo = raw[1 + n : 1 + 2 * n]
-    hi = raw[1 + 2 * n : 1 + 3 * n]
+    hi = raw[1 + 2 * n : header]
     count = int(np.prod(shape))
-    values = raw[1 + 3 * n : 1 + 3 * n + count].reshape(shape)
+    if raw.size - header != count:
+        raise ValueError(f"density file {path}: shape {shape} needs {count} values, "
+                         f"found {raw.size - header}")
+    values = raw[header:].reshape(shape)
     mass = integrate(values, lo, hi)
     if abs(mass - 1.0) > MASS_TOL:
         raise ValueError(f"density file {path}: mass {mass:.12f} is not 1 within {MASS_TOL}")

@@ -32,8 +32,9 @@ import numpy as np
 from . import density
 from .density import GridDensity, lifted_epsilon, moments
 from .gaussian import Array, BlockStructure, GaussianMeasure, condition, sample
-from .model import ModelSpec
-from .operators import OperatorWorkspace, bayes, default_resolution, lift, predict, transport
+from .model import ModelSpec, fingerprint
+from .operators import (OperatorWorkspace, WorkspaceMismatchError, bayes, default_resolution,
+                        lift, predict, transport)
 
 #: Jitter scale added to the empirical data covariance of the particle filter.
 ENSEMBLE_JITTER = 1e-10
@@ -173,8 +174,6 @@ def plan_workspace(model: ModelSpec, trajectory: FilterTrajectory,
     the per-step measures of all kinds comparable in the weighted-TV metric.
     """
     config = config or FilterConfig()
-    if model.K != 1:
-        raise ValueError("grid filtering supports K = 1 only")
     rng = np.random.default_rng([config.seed, _PILOT_STREAM])
     ens = sample(model.initial_law(), rng, PILOT_SIZE)
 
@@ -284,8 +283,8 @@ def kalman_analytic(model: ModelSpec, trajectory: FilterTrajectory) -> list[Gaus
 # -- sequential driver ---------------------------------------------------------
 
 
-def _lifted_prediction(mu, model: ModelSpec, ws: OperatorWorkspace) -> GridDensity:
-    return lift(predict(ws.state_grid(mu), model, ws), model, ws)
+def _lifted_prediction(mu, ws: OperatorWorkspace) -> GridDensity:
+    return lift(predict(ws.state_grid(mu), ws), ws)
 
 
 # Each kind is (init, step). init(model, ws, config, rng) gives the step-0
@@ -306,23 +305,23 @@ def _init_ensemble(model, ws, config, rng):
 
 
 def _step_true(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, model, ws)
+    joint = _lifted_prediction(mu, ws)
     return bayes(joint, y_dagger), joint
 
 
 def _step_enkf_mf(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, model, ws)
+    joint = _lifted_prediction(mu, ws)
     return transport(joint, y_dagger), joint
 
 
 def _step_gpf_bg(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, model, ws)
+    joint = _lifted_prediction(mu, ws)
     proj = density.gaussian_projection(joint)
     return condition(proj, joint.blocks, np.atleast_1d(y_dagger)), joint
 
 
 def _step_gpf_gt(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, model, ws)
+    joint = _lifted_prediction(mu, ws)
     return density.gaussian_projection(transport(joint, y_dagger)), joint
 
 
@@ -381,20 +380,28 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         'enkf_N'; a single kind is passed as a one-element list. All kinds
         run on one shared workspace. :func:`validate_kinds` rejects the rest.
     model, trajectory, config : problem definition, data realization, knobs
+        Each datum needs K = ``model.K`` components.
     ws : OperatorWorkspace, optional
-        Reuse an existing workspace (must match the model).
+        Reuse an existing workspace; it must have been built for ``model``.
 
     Returns
     -------
     dict[str, FilterRun]
-        One :class:`FilterRun` per kind, in the order given. A failing step,
-        or a measure the pairwise distances cannot put on the state grid,
-        aborts with :class:`FilterStepError` carrying the step index and the
-        kind.
+        One :class:`FilterRun` per kind, in the order given. Invalid kinds,
+        data of the wrong width or a workspace built for another model raise
+        ``ValueError`` (``WorkspaceMismatchError`` for the workspace) before
+        any step. A failing step, or a measure the pairwise distances cannot
+        put on the state grid, aborts with :class:`FilterStepError` carrying
+        the step index and the kind.
     """
     validate_kinds(kinds, model)
     kinds = list(kinds)
     config = config or FilterConfig()
+    if trajectory.data.shape[1] != model.K:
+        raise ValueError(f"data have {trajectory.data.shape[1]} components per step, "
+                         f"the model observes K = {model.K}")
+    if ws is not None and ws.model_fingerprint != fingerprint(model):
+        raise WorkspaceMismatchError("the workspace was built for a different model")
     if ws is None and any(k != "enkf_N" for k in kinds):
         ws = plan_workspace(model, trajectory, config)
 

@@ -2,7 +2,7 @@
 
 The four maps act on ``GridDensity`` values through an ``OperatorWorkspace``
 that pins the state grid, the data axis, and the quadrature kernels for a
-specific model:
+specific model; the maps read the model only through it:
 
 - ``predict`` convolves with the Markov kernel of the stochastic dynamics,
 - ``lift`` extends a state density to the joint state x data space,
@@ -53,7 +53,7 @@ def default_resolution(d: int) -> tuple[tuple[int, ...], int]:
 
 
 class WorkspaceMismatchError(ValueError):
-    """Workspace kernel caches were built for a different model or grid."""
+    """A workspace was built for a different model than the one it is used with."""
 
 
 class OutOfDomainError(ValueError):
@@ -222,42 +222,43 @@ def default_workspace(model: ModelSpec, state_lo, state_hi, state_shape=None,
     return OperatorWorkspace(model, state_lo, state_hi, state_shape, y_lo, y_hi, y_points)
 
 
-def _check_model(ws: OperatorWorkspace, model: ModelSpec) -> None:
-    if ws.model_fingerprint != fingerprint(model):
-        raise WorkspaceMismatchError("workspace kernels were built for a different model")
-
-
-def predict(mu: GridDensity, model: ModelSpec, ws: OperatorWorkspace) -> GridDensity:
+def predict(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """Prediction map: push a state density through the stochastic dynamics.
 
     Computes (P mu)(u) = (2 pi)^(-d/2) det(Sigma)^(-1/2)
     integral exp(-1/2 |u - Psi(v)|^2_Sigma) mu(v) dv by quadrature and
     renormalizes.
     """
-    _check_model(ws, model)
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
     return normalized(ws.state_lo, ws.state_hi, ws.apply_markov(mu.values), context="predict")
 
 
-def lift(mu: GridDensity, model: ModelSpec, ws: OperatorWorkspace) -> GridDensity:
+def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """Lifting map: extend a state density to the joint state x data space.
 
     Computes (Q mu)(u, y) = N(y; H(u), Gamma) mu(u) on the workspace's joint
     grid; the result carries a BlockStructure with the trailing data axis.
     """
-    _check_model(ws, model)
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
     joint = mu.values[..., None] * ws._likelihood
     return normalized(ws.joint_lo, ws.joint_hi, joint, blocks=ws.blocks, context="lift")
 
 
+def _scalar_datum(joint: GridDensity, y_dagger, analysis: str) -> float:
+    """The datum of a joint with a scalar data axis; it must hold exactly one value."""
+    if joint.blocks is None or joint.blocks.K != 1:
+        raise ValueError(f"grid {analysis} requires a joint with a scalar data axis")
+    y = np.asarray(y_dagger, dtype=float).reshape(-1)
+    if y.size != 1:
+        raise ValueError(f"a scalar data axis takes a datum of one value, got {y.size}")
+    return float(y[0])
+
+
 def _slice_at_datum(pi: GridDensity, y_dagger) -> Array:
     """Piecewise-linear slice of a joint at the datum along the trailing data axis."""
-    if pi.blocks is None or pi.blocks.K != 1:
-        raise ValueError("grid conditioning requires a joint with a scalar data axis")
-    y = float(np.asarray(y_dagger, dtype=float).reshape(-1)[0])
+    y = _scalar_datum(pi, y_dagger, "conditioning")
     ya = pi.axis(pi.ndim - 1)
     h = pi.spacing(pi.ndim - 1)
     if y < ya[0] + 2.0 * h or y > ya[-1] - 2.0 * h:
@@ -313,9 +314,7 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     leaving the state box raises :class:`CoverageError`; the output mean
     equals M_u + A (y_dagger - M_y) up to grid error.
     """
-    if joint.blocks is None or joint.blocks.K != 1:
-        raise ValueError("grid transport requires a joint with a scalar data axis")
-    y = float(np.asarray(y_dagger, dtype=float).reshape(-1)[0])
+    y = _scalar_datum(joint, y_dagger, "transport")
     gain = kalman_gain(joint)[:, 0]
     d = joint.blocks.d
     lo, hi = joint.box_lo[:d], joint.box_hi[:d]

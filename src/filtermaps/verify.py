@@ -308,7 +308,7 @@ def _map_lipschitz(name: str, op, constant, stream: int, seed: int) -> PropertyR
     for _ in range(50):
         mu, nu = (_random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
                   for _ in range(2))
-        lhs = density.dg_distance(op(mu, spec, ws), op(nu, spec, ws))
+        lhs = density.dg_distance(op(mu, ws), op(nu, ws))
         worst = max(worst, lhs - L * density.dg_distance(mu, nu))
     return PropertyResult("operators", name, worst, 1e-3, detail=f"50 pairs, constant {L:.3f}")
 
@@ -325,7 +325,7 @@ def check_q_lipschitz(seed: int = 2) -> PropertyResult:
 
 def check_pq_linear(seed: int = 2) -> PropertyResult:
     """P and Q commute with convex combinations on the raw tensors."""
-    spec, ws = _bounded_workspace()
+    _, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
     for _ in range(20):
@@ -335,8 +335,8 @@ def check_pq_linear(seed: int = 2) -> PropertyResult:
         combo = density.normalized(mu.box_lo, mu.box_hi,
                                    alpha * mu.values + (1 - alpha) * nu.values)
         for op in (operators.predict, operators.lift):
-            mixed = op(combo, spec, ws).values
-            split = alpha * op(mu, spec, ws).values + (1 - alpha) * op(nu, spec, ws).values
+            mixed = op(combo, ws).values
+            split = alpha * op(mu, ws).values + (1 - alpha) * op(nu, ws).values
             worst = max(worst, float(np.abs(mixed - split).max() / split.max()))
     return PropertyResult("operators", "pq_linear", worst, 1e-9,
                           detail="20 combinations, relative tensor error")
@@ -359,13 +359,13 @@ def check_transport_equals_bayes(seed: int = 2) -> PropertyResult:
 
 def check_mass_conservation(seed: int = 2) -> PropertyResult:
     """Every operator output integrates to one within 1e-8."""
-    spec, ws = _bounded_workspace()
+    _, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
     for _ in range(10):
         mu = _random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
-        pred = operators.predict(mu, spec, ws)
-        joint = operators.lift(pred, spec, ws)
+        pred = operators.predict(mu, ws)
+        joint = operators.lift(pred, ws)
         yd = rng.uniform(-1.0, 1.0, 1)
         for out in (pred, joint, operators.bayes(joint, yd), operators.transport(joint, yd)):
             worst = max(worst, abs(density.integrate(out.values, out.box_lo, out.box_hi) - 1.0))
@@ -382,13 +382,13 @@ def check_moment_envelopes(seed: int = 2) -> PropertyResult:
     worst = -np.inf
     for _ in range(50):
         mu = _random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
-        pred = operators.predict(mu, spec, ws)
+        pred = operators.predict(mu, ws)
         pm = density.moments(pred)
         worst = max(worst,
                     float(np.linalg.norm(pm.mean)) - mean_p,
                     float(np.linalg.eigvalsh(cov_lo - pm.cov).max()),
                     float(np.linalg.eigvalsh(pm.cov - cov_hi).max()))
-        jm = density.moments(operators.lift(pred, spec, ws))
+        jm = density.moments(operators.lift(pred, ws))
         worst = max(worst,
                     float(np.linalg.norm(jm.mean)) - mean_qp,
                     eig_lo - float(np.linalg.eigvalsh(jm.cov).min()),

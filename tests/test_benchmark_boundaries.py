@@ -7,10 +7,12 @@ load the benchmark's tracer and workload modules by path, install and
 uninstall the tracer, and check every required span name against the spans
 the tracer can record. The tracer's counters also bind parameters of some
 boundaries by name, so the boundaries that carry a counter are called once
-under the tracer.
+under the tracer. A change that stops calling a required boundary shows only
+when a workload runs, so the tiny filter workloads run once under the tracer.
 """
 
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,7 @@ def test_counters_bind_the_parameters_they_name():
     try:
         mu = density.normalized([-7.0], [7.0], drifted)
         density.moments(mu)
-        operators.predict(mu, spec, ws)
+        operators.predict(mu, ws)
     finally:
         tracer.uninstall()
 
@@ -68,3 +70,20 @@ def test_counters_bind_the_parameters_they_name():
     assert tracer.moments_densities >= 1
     assert tracer.max_mass_drift == pytest.approx(5e-4, rel=1e-3)
     assert tracer.kernel_entries == [32 * 32]
+
+
+@pytest.mark.parametrize("name", ["filter_1d", "filter_2d"])
+def test_tiny_filter_workloads_call_every_required_boundary(name):
+    # as the benchmark's traced run: setup and one repetition, warnings captured
+    tracer_mod, workloads = _load("tracer"), _load("workloads")
+    w = workloads.make(name, tiny=True)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            state = tracer.span("bench.setup", w.setup, 5)
+            tracer.span("bench.rep", w.run, state, 0)
+    finally:
+        tracer.uninstall()
+    tracer_mod.require_calls(tracer.summary(), w.required())

@@ -178,7 +178,10 @@ def test_sweep_metadata_checks_agree_with_verify(tmp_path):
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
         rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
-    checks = json.loads((tmp_path / "out" / "metadata.json").read_text())["checks"]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["config"]["kinds"] == list(verify.SWEEP_KINDS)
+    assert not {"delta", "model", "n_particles", "save_densities"} & set(meta["config"])
+    checks = meta["checks"]
     assert checks == verify.sweep_checks(rows)
     assert set(checks) == {"monotone_err_enkf", "monotone_err_gpf", "max_err_over_eps"}
     assert checks["monotone_err_enkf"] and checks["monotone_err_gpf"]
@@ -191,12 +194,20 @@ def test_sweep_metadata_checks_agree_with_verify(tmp_path):
 
 
 def test_config_defaults_round_trip_to_metadata():
-    assert cli.ExperimentConfig.from_dict({"scenario": "sweep"}).to_dict() == {
+    # metadata records the keys a subcommand reads, and a sweep the kinds it runs
+    swept = cli.ExperimentConfig.from_dict({"scenario": "sweep"})
+    assert swept.to_dict("sweep") == {
+        "scenario": "sweep", "J": 10, "seed": 0,
+        "kinds": list(verify.SWEEP_KINDS), "state_points": None, "y_points": None,
+        "deltas": [0.0, 0.05, 0.1, 0.2, 0.3], "out": "results",
+    }
+    assert swept.to_dict("run") == {
         "scenario": "sweep", "delta": 0.0, "model": None, "J": 10, "seed": 0,
         "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt"], "state_points": None,
-        "y_points": None, "n_particles": 1000, "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],
-        "save_densities": False, "out": "results",
+        "y_points": None, "n_particles": 1000, "save_densities": False, "out": "results",
     }
+    bounded = cli.ExperimentConfig.from_dict({"scenario": "bounded_1d"}).to_dict("run")
+    assert "delta" not in bounded and "deltas" not in bounded
 
 
 def test_config_validation_exit_codes(tmp_path, capsys):
@@ -256,7 +267,8 @@ def test_config_validation_exit_codes(tmp_path, capsys):
 
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)
-    for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true"), ("out", None)):
+    for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true"), ("out", None),
+                       ("seed", -1)):
         bad = _write_config(tmp_path / f"{key}.json", **{key: value})
         assert cli.main(["run", "--config", bad]) == 2
         assert f"'{key}'" in capsys.readouterr().err

@@ -316,7 +316,7 @@ def _lifted_1d_joint():
     x = ws.state_axes[0]
     bumps = np.exp(-0.5 * (x - 1.0) ** 2) + np.exp(-2.0 * (x + 1.5) ** 2)
     prior = normalized(ws.state_lo, ws.state_hi, bumps, expect_unit_mass=False)
-    return lift(prior, model, ws)
+    return lift(prior, ws)
 
 
 def _skewed_3_axis_joint():
@@ -403,6 +403,22 @@ def test_load_binary_rejects_values_off_unit_mass(tmp_path):
     raw.tofile(path)
     with pytest.raises(ValueError, match="not 1 within"):
         load_binary(path)
+
+
+def test_load_binary_rejects_empty_and_truncated_files(tmp_path):
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    with pytest.raises(ValueError, match=r"empty\.bin: no header"):
+        load_binary(empty)
+    mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,))
+    cut = tmp_path / "cut.bin"
+    save_binary(mu, cut)
+    cut.write_bytes(cut.read_bytes()[:-8 * 10])  # the last ten values
+    with pytest.raises(ValueError, match=r"cut\.bin: shape \(64,\) needs 64 values, found 54"):
+        load_binary(cut)
+    cut.write_bytes(cut.read_bytes()[:8 * 2])  # n and the shape only
+    with pytest.raises(ValueError, match=r"cut\.bin: no header"):
+        load_binary(cut)
 
 
 def test_bayes_conditioning_consistency_with_gaussian_module():

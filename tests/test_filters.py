@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from filtermaps import density, filters
+from filtermaps import density, filters, operators
 from filtermaps.density import CoverageError, GridDensity, from_gaussian, gaussian_projection, lifted_epsilon, moments
 from filtermaps.filters import (
     Ensemble,
@@ -23,7 +23,8 @@ from filtermaps.filters import (
 )
 from filtermaps.gaussian import GaussianMeasure, SingularCovarianceError, condition, sample
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
-from filtermaps.operators import OutOfDomainError, bayes, default_workspace, lift, predict, transport
+from filtermaps.operators import (OutOfDomainError, WorkspaceMismatchError, bayes,
+                                  default_workspace, lift, predict, transport)
 
 
 SMALL = FilterConfig(state_shape=(256,), y_points=128)
@@ -193,7 +194,7 @@ def test_run_filter_matches_manual_step_loop(kind):
         mu = _on_grid(mu, ws)
     assert _same_measure(run.measures[0], mu)
     for j in range(traj.J):
-        joint = lift(predict(_on_grid(mu, ws), model, ws), model, ws)
+        joint = lift(predict(_on_grid(mu, ws), ws), ws)
         mu = ANALYSES[kind](joint, traj.data[j])
         assert _same_measure(run.measures[j + 1], mu)
         assert run.diagnostics["eps"][j + 1] == lifted_epsilon(joint)
@@ -227,7 +228,7 @@ def test_gpf_forms_agree():
     model = bounded_model_1d()
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     mu = GaussianMeasure([0.2], [[0.8]])
-    joint = lift(predict(_on_grid(mu, ws), model, ws), model, ws)
+    joint = lift(predict(_on_grid(mu, ws), ws), ws)
     bg = ANALYSES["gpf_bg"](joint, [0.1])
     gt = ANALYSES["gpf_gt"](joint, [0.1])
     assert_allclose(bg.mean, gt.mean, atol=5e-3)
@@ -338,6 +339,59 @@ def test_run_filter_rejects_repeated_kind():
     traj = generate_data(model, J=1, seed=0)
     with pytest.raises(ValueError, match="distinct"):
         run_filter(["true", "true"], model, traj, config=SMALL)
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_filter went past its input checks")
+
+    for name in names:
+        monkeypatch.setattr(filters, name, forbidden)
+
+
+def test_run_filter_rejects_another_models_workspace(monkeypatch):
+    # the pairing is checked once, before any step or pilot; the maps take no model
+    model = bounded_model_1d()
+    traj = generate_data(model, J=1, seed=0)
+    ws = default_workspace(linear_model_1d(), [-7.0], [7.0], (256,), y_lo=-9.0, y_hi=9.0)
+    _forbid(monkeypatch, "predict", "plan_workspace", "step_enkf_particles")
+    for kinds in (["true"], ["enkf_N"]):
+        with pytest.raises(WorkspaceMismatchError, match="different model"):
+            run_filter(kinds, model, traj, SMALL, ws)
+
+
+@pytest.mark.parametrize("planned", [False, True])
+def test_run_filter_rejects_data_of_the_wrong_width(monkeypatch, planned):
+    # the maps read one datum value; a second column is rejected before the pilot
+    model = sweep_model(0.2)
+    traj = generate_data(model, J=2, seed=1)
+    ws = plan_workspace(model, traj, SMALL) if planned else None
+    wide = FilterTrajectory(data=np.hstack([traj.data, traj.data]))
+    _forbid(monkeypatch, "predict", "plan_workspace", "step_enkf_particles")
+    with pytest.raises(ValueError, match="2 components per step.*K = 1"):
+        run_filter(["true", "enkf_mf"], model, wide, SMALL, ws)
+
+
+def test_model_is_fingerprinted_once_per_workspace_and_per_run(monkeypatch):
+    # the workspace hashes its model when built, run_filter when handed one
+    calls = []
+    real = filters.fingerprint
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in (filters, operators):
+        monkeypatch.setattr(module, "fingerprint", counting)
+    model = sweep_model(0.2)
+    traj = generate_data(model, J=5, seed=1)
+    config = FilterConfig(seed=1, state_shape=(128,), y_points=64)
+    ws = plan_workspace(model, traj, config)
+    assert len(calls) == 1
+    run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, config, ws)
+    assert len(calls) == 2
+    run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, config)
+    assert len(calls) == 3  # the planned workspace only
 
 
 def test_filter_step_error_carries_location():

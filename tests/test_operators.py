@@ -27,7 +27,6 @@ from filtermaps.operators import (
     DegenerateEvidenceError,
     OperatorWorkspace,
     OutOfDomainError,
-    WorkspaceMismatchError,
     bayes,
     default_workspace,
     kalman_gain,
@@ -70,7 +69,7 @@ def test_predict_forgets_prior_when_dynamics_are_constant():
     )
     ws = default_workspace(model, [-7.0], [7.0], (1024,))
     rng = np.random.default_rng(0)
-    out = predict(_state_mixture(ws, rng), model, ws)
+    out = predict(_state_mixture(ws, rng), ws)
     x = ws.state_axes[0]
     expected = np.exp(-0.5 * x**2 / 0.25) / np.sqrt(2 * np.pi * 0.25)
     assert_allclose(out.values, expected, rtol=1e-8, atol=1e-12)
@@ -81,7 +80,7 @@ def test_predict_against_monte_carlo():
     ws = default_workspace(model, [-7.0], [7.0], (1024,))
     prior = GaussianMeasure([0.8], [[0.3]])
     mu = from_gaussian(prior, box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
-    mom = moments(predict(mu, model, ws))
+    mom = moments(predict(mu, ws))
 
     rng = np.random.default_rng(42)
     n = 1_000_000
@@ -99,7 +98,7 @@ def test_predict_moment_envelope_random_priors():
     kappa, lower, upper = prediction_envelope(model)
     rng = np.random.default_rng(7)
     for _ in range(20):
-        mom = moments(predict(_state_mixture(ws, rng), model, ws))
+        mom = moments(predict(_state_mixture(ws, rng), ws))
         assert abs(mom.mean[0]) <= kappa + 1e-9
         assert mom.cov[0, 0] >= lower[0, 0] - 1e-9
         assert mom.cov[0, 0] <= upper[0, 0] + 1e-9
@@ -123,7 +122,7 @@ def test_lift_with_constant_observation_is_a_product():
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     rng = np.random.default_rng(3)
     mu = _state_mixture(ws, rng)
-    joint = lift(mu, model, ws)
+    joint = lift(mu, ws)
     pdf_y = np.exp(-0.5 * (ws.y_axis - 0.7) ** 2 / 0.25) / np.sqrt(2 * np.pi * 0.25)
     assert_allclose(joint.values, mu.values[:, None] * pdf_y[None, :], rtol=1e-8, atol=1e-12)
     mom = moments(joint)
@@ -138,7 +137,7 @@ def test_lift_odd_symmetry():
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]),
                        box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
-    mom = moments(lift(mu, model, ws))
+    mom = moments(lift(mu, ws))
     assert abs(mom.mean[0]) < 1e-12
     assert abs(mom.mean[1]) < 1e-12
     assert mom.cov[0, 1] > 0.0  # tanh is increasing, so state and datum correlate
@@ -148,7 +147,7 @@ def test_bayes_on_product_joint_returns_prior():
     model = _constant_h_model(0.7)
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     mu = _state_mixture(ws, np.random.default_rng(5))
-    joint = lift(mu, model, ws)
+    joint = lift(mu, ws)
     post = bayes(joint, 0.4)  # datum carries no information here
     assert_allclose(post.values, mu.values, rtol=1e-10, atol=1e-13)
 
@@ -158,7 +157,7 @@ def test_bayes_against_fine_quadrature():
     ws = default_workspace(model, [-7.0], [7.0], (1024,), y_points=4096)
     mu = from_gaussian(GaussianMeasure([0.3], [[0.4]]),
                        box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
-    post = bayes(lift(mu, model, ws), 0.35)
+    post = bayes(lift(mu, ws), 0.35)
     mom = moments(post)
 
     # independent oracle: pointwise prior-times-likelihood on its own fine axis
@@ -175,12 +174,25 @@ def test_bayes_datum_domain_errors():
     model = bounded_model_1d()
     ws = default_workspace(model, [-7.0], [7.0], (256,))
     mu = _state_mixture(ws, np.random.default_rng(1))
-    joint = lift(mu, model, ws)
+    joint = lift(mu, ws)
     with pytest.raises(OutOfDomainError):
         bayes(joint, 50.0)
     # inside the axis but within the two-cell margin of the edge
     with pytest.raises(OutOfDomainError):
         bayes(joint, float(ws.y_axis[-1]) - 0.5 * float(ws.y_axis[1] - ws.y_axis[0]))
+
+
+@pytest.mark.parametrize("analysis", [bayes, transport])
+def test_analyses_take_a_datum_of_exactly_one_value(analysis):
+    # one value in any shape is the datum; more or fewer is an error, never dropped
+    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (256,))
+    joint = lift(_state_mixture(ws, np.random.default_rng(1)), ws)
+    reference = analysis(joint, 0.3).values
+    for datum in ([0.3], [[0.3]], np.array([0.3])):
+        assert np.array_equal(analysis(joint, datum).values, reference)
+    for datum in ([0.3, 0.9], [[0.3], [0.3]], []):
+        with pytest.raises(ValueError, match="datum of one value"):
+            analysis(joint, datum)
 
 
 def test_bayes_degenerate_evidence():
@@ -199,7 +211,7 @@ def test_transport_with_zero_gain_returns_state_marginal():
     model = _constant_h_model(0.7)
     ws = default_workspace(model, [-7.0], [7.0], (512,))
     mu = _state_mixture(ws, np.random.default_rng(9))
-    joint = lift(mu, model, ws)
+    joint = lift(mu, ws)
     assert abs(kalman_gain(joint)[0, 0]) < 1e-9
     moved = transport(joint, 0.2)
     w_y = quad_weights(joint.box_lo, joint.box_hi, joint.shape)[1]
@@ -229,7 +241,7 @@ def test_transport_equals_bayes_on_gaussian_joints():
 def test_transport_mean_identity():
     model = bounded_model_1d()
     ws = default_workspace(model, [-7.0], [7.0], (1024,))
-    joint = lift(_state_mixture(ws, np.random.default_rng(13)), model, ws)
+    joint = lift(_state_mixture(ws, np.random.default_rng(13)), ws)
     mom = moments(joint)
     gain = kalman_gain(joint)[0, 0]
     y_dagger = 0.3
@@ -319,23 +331,13 @@ def test_maps_and_diagnostics_leave_their_inputs_untouched(d):
             assert not mu.values.flags.writeable
 
 
-def test_workspace_model_fingerprint_check():
-    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (256,))
-    mu = _state_mixture(ws, np.random.default_rng(2))
-    other = linear_model_1d()
-    with pytest.raises(WorkspaceMismatchError):
-        predict(mu, other, ws)
-    with pytest.raises(WorkspaceMismatchError):
-        lift(mu, other, ws)
-
-
 def test_grid_mismatch_rejected():
     model = bounded_model_1d()
     ws = default_workspace(model, [-7.0], [7.0], (256,))
     off_grid = from_gaussian(GaussianMeasure([0.0], [[1.0]]),
                              box_lo=[-8.0], box_hi=[8.0], shape=(256,))
     with pytest.raises(GridMismatchError):
-        predict(off_grid, model, ws)
+        predict(off_grid, ws)
 
 
 def test_default_workspace_requires_bounded_h_or_explicit_axis():
@@ -426,12 +428,12 @@ def test_chunked_kernel_matches_cached(monkeypatch, case):
     mu = from_gaussian(prior, box_lo=lo, box_hi=hi, shape=shape)
     ws_cached = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
     assert ws_cached._factors is not None and len(ws_cached._factors) == model.d
-    reference = predict(mu, model, ws_cached)
+    reference = predict(mu, ws_cached)
 
     monkeypatch.setattr(ops, "KERNEL_CACHE_MAX", 1024)
     ws_chunked = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
     assert ws_chunked._factors is None
-    assert_allclose(predict(mu, model, ws_chunked).values, reference.values,
+    assert_allclose(predict(mu, ws_chunked).values, reference.values,
                     rtol=1e-12, atol=1e-15)
 
 
@@ -442,7 +444,7 @@ def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
     ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
     assert ws._factors is None
     mu = from_gaussian(GaussianMeasure([0.5, -0.4], [[0.5, 0.1], [0.1, 0.4]]), lo, hi, shape)
-    got = predict(mu, model, ws).values
+    got = predict(mu, ws).values
 
     # direct quadrature of N(u_i; A v_j, Sigma) w_j mu(v_j) over every pair of grid points
     u1, u2 = np.meshgrid(np.linspace(lo[0], hi[0], shape[0]),
@@ -463,7 +465,7 @@ def test_cached_1d_kernel_factor_matches_brute_force():
     ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
     assert ws._factors is not None
     mu = from_gaussian(GaussianMeasure([0.4], [[0.8]]), lo, hi, shape)
-    got = predict(mu, model, ws).values
+    got = predict(mu, ws).values
 
     # direct quadrature of N(u_i; 0.9 tanh(v_j), Sigma) w_j mu(v_j) over every pair of grid points
     u = np.linspace(lo[0], hi[0], shape[0])
@@ -497,6 +499,6 @@ def test_covariances_are_factored_once_when_validated(monkeypatch):
     assert gaussian.sample(g, np.random.default_rng(0), 5).shape == (5, 2)
     assert gaussian.kl_divergence(g, other) > 0.0
     assert gaussian.dg_upper_bound(g, other) > 0.0
-    for mu, model, ws in ((mu_1d, model_1d, ws_1d), (mu_2d, model_2d, ws_2d)):
-        assert lift(predict(mu, model, ws), model, ws).shape == ws.joint_shape
+    for mu, ws in ((mu_1d, ws_1d), (mu_2d, ws_2d)):
+        assert lift(predict(mu, ws), ws).shape == ws.joint_shape
     assert np.all(np.isfinite(ws_2d.apply_markov(mu_2d.values)))
