@@ -3,8 +3,8 @@
 Three subcommands:
 
 - ``run``     one experiment: filter kinds over a generated trajectory;
-              writes steps.csv, summary.csv, optional binary densities,
-              and metadata.json.
+              writes steps.csv, summary.csv, optional per-step grid
+              densities (density_<kind>_step<j>.npz) and metadata.json.
 - ``sweep``   the nonlinearity sweep: verify.SWEEP_KINDS at each delta of the
               "sweep" scenario, the only one it takes; writes sweep.csv with
               (delta, eps_measured, err_enkf, err_gpf) and monotonicity/ratio checks.
@@ -33,7 +33,7 @@ Config file schema (JSON), all keys optional unless noted::
       "y_points": 512,           # grid points on the data axis
       "n_particles": 1000,       # ensemble size for enkf_N (run only)
       "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],   # sweep subcommand only
-      "save_densities": false,   # write per-step binary densities (run only)
+      "save_densities": false,   # write per-step grid densities as .npz (run only)
       "out": "results"           # output directory (--out overrides)
     }
 
@@ -51,7 +51,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -248,8 +248,9 @@ def load_config(command: str, path: str) -> ExperimentConfig:
     return cfg
 
 
-def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Run the configured filter kinds once and write the artifacts."""
+def cmd_run(cfg: ExperimentConfig) -> int:
+    """Run the configured filter kinds once and write the artifacts to ``cfg.out``."""
+    out_dir = cfg.out
     _ensure_writable(out_dir)
     spec = cfg.build_model()
     t0 = time.perf_counter()
@@ -272,8 +273,8 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
         for kind_name, res in results.items():
             for step, measure in enumerate(res.measures):
                 if isinstance(measure, density.GridDensity):
-                    density.save_binary(
-                        measure, os.path.join(out_dir, f"density_{kind_name}_step{step}.bin"))
+                    np.savez(os.path.join(out_dir, f"density_{kind_name}_step{step}.npz"),
+                             box_lo=measure.box_lo, box_hi=measure.box_hi, values=measure.values)
     _write_metadata(out_dir, cfg.to_dict("run"), spec,
                     {"run": run_seconds, "write": time.perf_counter() - t1})
     print(f"wrote steps.csv, summary.csv, metadata.json to {out_dir}")
@@ -304,8 +305,9 @@ def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) 
     return verify.measure_sweep(deltas=[delta], J=J, seed=seed, config=config)[0]
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Sweep the scenario family over the configured deltas and write sweep.csv."""
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    """Sweep the scenario family over the configured deltas and write sweep.csv to ``cfg.out``."""
+    out_dir = cfg.out
     if not cfg.deltas:
         raise ConfigError("sweep needs a nonempty 'deltas' list")
     if list(cfg.deltas) != sorted(cfg.deltas):
@@ -342,6 +344,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def cmd_verify(suite: str, out_dir: str | None, seed: int) -> int:
     """Run property suites; exit 0 only if every check passes."""
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
     names = list(verify.SUITE_NAMES) if suite == "all" else [suite]
     if any(n not in verify.SUITES for n in names):
         raise ConfigError(f"unknown suite '{suite}'; known: {list(verify.SUITE_NAMES) + ['all']}")
@@ -388,10 +392,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.suite, args.out, args.seed)
         cfg = load_config(args.command, args.config)
-        out_dir = args.out if args.out is not None else cfg.out
-        if args.command == "run":
-            return cmd_run(cfg, out_dir)
-        return cmd_sweep(cfg, out_dir)
+        if args.out is not None:  # metadata.json then records the directory written
+            cfg = replace(cfg, out=args.out)
+        return cmd_run(cfg) if args.command == "run" else cmd_sweep(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

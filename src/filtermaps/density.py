@@ -11,8 +11,9 @@ are evaluated on the open mesh (``np.ix_`` of the grid axes), whose
 coordinates broadcast against a value tensor. :func:`grid_points`, the only
 flat point list, serves model maps that are evaluated point by point. On
 these the module builds moments, kept on the density as its moment-matched
-Gaussian (which is also its Gaussian projection), d_g, and the flat binary
-format, whose reader checks that a file holds unit mass.
+Gaussian (which is also its Gaussian projection), and d_g.
+A density is stored as its three arrays (``np.savez`` of ``box_lo``,
+``box_hi`` and ``values``); passing them back to ``GridDensity`` validates it.
 
 Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
 trailing axes as the data block. Densities on different grids cannot be
@@ -32,9 +33,6 @@ from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
 
 #: Minimum points per axis.
 MIN_POINTS = 16
-
-#: Unit-mass tolerance for the values of a density file.
-MASS_TOL = 1e-8
 
 #: Pre-normalization mass drift that triggers a ResolutionWarning.
 DRIFT_WARN = 1e-3
@@ -356,44 +354,4 @@ def lifted_epsilon(joint: GridDensity) -> float:
     diff /= mass
     np.subtract(joint.values, diff, out=diff)
     return _integrate_g(np.abs(diff, out=diff), joint.box_lo, joint.box_hi)
-
-
-def save_binary(mu: GridDensity, path) -> None:
-    """Write the flat binary layout: n, shape, box corners, then values row-major.
-
-    Every field is a little-endian 64-bit float; the value block has
-    prod(shape) entries in row-major (C) order.
-    """
-    header = np.concatenate(
-        [[float(mu.ndim)], np.asarray(mu.shape, dtype=float), mu.box_lo, mu.box_hi]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.astype("<f8").tobytes())
-        fh.write(mu.values.astype("<f8").reshape(-1).tobytes())
-
-
-def load_binary(path, blocks: BlockStructure | None = None) -> GridDensity:
-    """Read a density written by :func:`save_binary`; ``blocks`` reattaches joint structure.
-
-    Its values must have unit mass within ``MASS_TOL``; renormalizing moves them by a few ulps.
-    An empty or cut-short file raises ``ValueError`` naming the path.
-    """
-    raw = np.fromfile(path, dtype="<f8")
-    n = int(raw[0]) if raw.size and raw[0] in (1.0, 2.0, 3.0) else 0
-    header = 1 + 3 * n
-    if n == 0 or raw.size < header:
-        raise ValueError(f"density file {path}: no header of 1 to 3 axes "
-                         f"({raw.size} values in the file)")
-    shape = tuple(int(s) for s in raw[1 : 1 + n])
-    lo = raw[1 + n : 1 + 2 * n]
-    hi = raw[1 + 2 * n : header]
-    count = int(np.prod(shape))
-    if raw.size - header != count:
-        raise ValueError(f"density file {path}: shape {shape} needs {count} values, "
-                         f"found {raw.size - header}")
-    values = raw[header:].reshape(shape)
-    mass = integrate(values, lo, hi)
-    if abs(mass - 1.0) > MASS_TOL:
-        raise ValueError(f"density file {path}: mass {mass:.12f} is not 1 within {MASS_TOL}")
-    return GridDensity(lo, hi, values, blocks)
 

@@ -1,24 +1,27 @@
 """Measure-valued filter recursions and their drivers.
 
-Five filter kinds over a shared trajectory of observed data:
+Five filter kinds over a shared trajectory of observed data. Four are
+compositions of maps on measures, applied to the lifted prediction Q P mu:
 
-- ``true``     grid recursion  bayes . lift . predict  (the exact filter),
-- ``enkf_mf``  grid recursion  transport . lift . predict  (mean-field
-               ensemble Kalman filter, the infinite-ensemble limit),
-- ``gpf_bg``   Gaussian recursion  condition . project . lift . predict,
-- ``gpf_gt``   Gaussian recursion  project . transport . lift . predict
-               (equivalent form of the same Gaussian projected filter),
-- ``enkf_N``   finite ensemble with perturbed observations.
+- ``true``     B . Q . P  (conditioning ``bayes``; the exact filter),
+- ``enkf_mf``  T . Q . P  (``transport``; the mean-field ensemble Kalman
+               filter, the infinite-ensemble limit),
+- ``gpf_bg``   condition . G . Q . P  (Gaussian projection G, then Gaussian
+               conditioning),
+- ``gpf_gt``   G . T . Q . P  (equivalent form of the same Gaussian
+               projected filter),
 
-Each composition is written once, as the step of its kind in the table
-``_KINDS`` (kind -> (init, step)); ``FILTER_KINDS`` are its keys. A step
-returns the next measure and the lifted prediction it analysed (None for
-``enkf_N``). ``run_filter`` takes a list of kinds, drives them through that
-table over one data realization (a ``FilterTrajectory``) on a shared
-workspace, and returns a dict of one ``FilterRun`` per kind: its per-step
-measures, their moments, the near-Gaussianity defect eps_j of each lifted
-prediction, and weighted-TV distances to the other kinds.
-``kalman_analytic`` is the closed-form oracle for linear models.
+and ``enkf_N`` is a finite ensemble with perturbed observations.
+
+The table ``_KINDS`` gives each kind its step-0 form (grid, Gaussian or
+ensemble) and the names of its analysis stages after P and Q;
+``FILTER_KINDS`` are its keys. ``run_filter`` takes a list of kinds and
+drives them over one data realization (a ``FilterTrajectory``) on a shared
+workspace: its loop is the one place that applies P and Q, measures the
+near-Gaussianity defect eps_j of the lifted joint, and then applies the named
+stages in order. It returns a dict of one ``FilterRun`` per kind: its
+per-step measures, their moments, eps_j, and weighted-TV distances to the
+other kinds. ``kalman_analytic`` is the closed-form oracle for linear models.
 """
 
 from __future__ import annotations
@@ -283,60 +286,26 @@ def kalman_analytic(model: ModelSpec, trajectory: FilterTrajectory) -> list[Gaus
 # -- sequential driver ---------------------------------------------------------
 
 
-def _lifted_prediction(mu, ws: OperatorWorkspace) -> GridDensity:
-    return lift(predict(ws.state_grid(mu), ws), ws)
-
-
-# Each kind is (init, step). init(model, ws, config, rng) gives the step-0
-# measure; step(measure, model, y_dagger, ws, rng) gives the next measure and
-# the lifted joint it analysed. The bodies look the measure maps up as module
-# globals at call time, so rebinding a map (e.g. to trace it) reaches the table.
-
-def _init_grid(model, ws, config, rng):
-    return ws.state_grid(model.initial_law())
-
-
-def _init_gaussian(model, ws, config, rng):
-    return model.initial_law()
-
-
-def _init_ensemble(model, ws, config, rng):
-    return Ensemble(sample(model.initial_law(), rng, config.n_particles))
-
-
-def _step_true(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, ws)
-    return bayes(joint, y_dagger), joint
-
-
-def _step_enkf_mf(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, ws)
-    return transport(joint, y_dagger), joint
-
-
-def _step_gpf_bg(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, ws)
-    proj = density.gaussian_projection(joint)
-    return condition(proj, joint.blocks, np.atleast_1d(y_dagger)), joint
-
-
-def _step_gpf_gt(mu, model, y_dagger, ws, rng):
-    joint = _lifted_prediction(mu, ws)
-    return density.gaussian_projection(transport(joint, y_dagger)), joint
-
-
-def _step_enkf_n(ens, model, y_dagger, ws, rng):
-    return step_enkf_particles(ens, model, y_dagger, rng), None
-
-
+# Each kind is (step-0 form, analysis stages after P and Q). A kind with stages
+# steps as stages[-1] . ... . stages[0] . Q . P on the state grid; enkf_N, with
+# none, is the particle step. A stage looks its map up as a module global at call
+# time, so rebinding a map (e.g. to trace it) reaches every kind.
+_STAGES = {
+    "bayes": lambda m, y, ws: bayes(m, y),
+    "transport": lambda m, y, ws: transport(m, y),
+    "project": lambda m, y, ws: density.gaussian_projection(m),
+    "condition": lambda m, y, ws: condition(m, ws.blocks, np.atleast_1d(y)),
+}
 _KINDS = {
-    "true": (_init_grid, _step_true),
-    "enkf_mf": (_init_grid, _step_enkf_mf),
-    "gpf_bg": (_init_gaussian, _step_gpf_bg),
-    "gpf_gt": (_init_gaussian, _step_gpf_gt),
-    "enkf_N": (_init_ensemble, _step_enkf_n),
+    "true": ("grid", ("bayes",)),
+    "enkf_mf": ("grid", ("transport",)),
+    "gpf_bg": ("gaussian", ("project", "condition")),
+    "gpf_gt": ("gaussian", ("transport", "project")),
+    "enkf_N": ("ensemble", ()),
 }
 FILTER_KINDS = tuple(_KINDS)
+#: The kinds that step on the workspace's grids and are compared there in d_g.
+_GRID_KINDS = tuple(k for k, (_, stages) in _KINDS.items() if stages)
 
 
 def _measure_moments(measure) -> tuple[Array, Array]:
@@ -352,7 +321,7 @@ def validate_kinds(kinds: Sequence[str], model: ModelSpec) -> None:
     """Raise ``ValueError`` unless ``kinds`` can run together on ``model``.
 
     ``kinds`` must be a nonempty list of distinct known kinds, and every kind
-    but ``enkf_N`` needs d in {1, 2} and K = 1.
+    that steps on the grids (all but ``enkf_N``) needs d in {1, 2} and K = 1.
     """
     if isinstance(kinds, str):
         raise ValueError(f"kinds must be a list of filter kinds, e.g. [{kinds!r}], not a string")
@@ -364,7 +333,7 @@ def validate_kinds(kinds: Sequence[str], model: ModelSpec) -> None:
             raise ValueError(f"unknown filter kind '{k}'; known: {FILTER_KINDS}")
     if len(set(kinds)) != len(kinds):
         raise ValueError(f"filter kinds must be distinct, got {kinds}")
-    if any(k != "enkf_N" for k in kinds) and (model.d not in (1, 2) or model.K != 1):
+    if any(k in _GRID_KINDS for k in kinds) and (model.d not in (1, 2) or model.K != 1):
         raise ValueError("grid filter kinds require d in {1, 2} and K = 1")
 
 
@@ -402,13 +371,15 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                          f"the model observes K = {model.K}")
     if ws is not None and ws.model_fingerprint != fingerprint(model):
         raise WorkspaceMismatchError("the workspace was built for a different model")
-    if ws is None and any(k != "enkf_N" for k in kinds):
+    if ws is None and any(k in _GRID_KINDS for k in kinds):
         ws = plan_workspace(model, trajectory, config)
 
     rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
     runs: dict[str, FilterRun] = {}
     for k in kinds:
-        init = _KINDS[k][0](model, ws, config, rng)
+        form, law = _KINDS[k][0], model.initial_law()
+        init = (ws.state_grid(law) if form == "grid" else
+                Ensemble(sample(law, rng, config.n_particles)) if form == "ensemble" else law)
         mean0, cov0 = _measure_moments(init)
         runs[k] = FilterRun(k, [init], {"mean": [mean0], "cov": [cov0], "eps": [None]})
 
@@ -416,8 +387,14 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         yd = trajectory.data[j]
         for k, run in runs.items():
             try:
-                nxt, joint = _KINDS[k][1](run.measures[-1], model, yd, ws, rng)
-                eps_j = None if joint is None else lifted_epsilon(joint)
+                if k in _GRID_KINDS:
+                    # keep `joint` until the next lift returns; freed sooner, its pages are re-faulted
+                    nxt = joint = lift(predict(ws.state_grid(run.measures[-1]), ws), ws)
+                    eps_j = lifted_epsilon(joint)
+                    for stage in _KINDS[k][1]:
+                        nxt = _STAGES[stage](nxt, yd, ws)
+                else:
+                    nxt, eps_j = step_enkf_particles(run.measures[-1], model, yd, rng), None
                 mean, cov = _measure_moments(nxt)
             except Exception as exc:  # noqa: BLE001 - step index must be attached
                 raise FilterStepError(j, k, exc) from exc
@@ -427,7 +404,7 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
             run.diagnostics["eps"].append(eps_j)
 
     if len(kinds) > 1:
-        grids = {k: [] for k in kinds if k != "enkf_N"}
+        grids = {k: [] for k in kinds if k in _GRID_KINDS}
         for k, grid in grids.items():
             for i, measure in enumerate(runs[k].measures):
                 try:

@@ -13,7 +13,7 @@ import pytest
 import filtermaps.cli as cli
 import filtermaps.gaussian
 from filtermaps import model, verify
-from filtermaps.density import load_binary
+from filtermaps.density import GridDensity
 from filtermaps.filters import FilterStepError
 
 
@@ -46,6 +46,7 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path):
     meta = json.loads((out1 / "metadata.json").read_text())
     assert meta["seed"] == 1
     assert "model_fingerprint" in meta
+    assert meta["config"]["out"] == str(out1)  # the directory written, not the config's
 
     assert cli.main(["run", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
@@ -67,7 +68,8 @@ def test_run_saves_loadable_densities(tmp_path):
     out = tmp_path / "dens"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     for step in (0, 1):
-        mu = load_binary(out / f"density_true_step{step}.bin")
+        with np.load(out / f"density_true_step{step}.npz") as saved:
+            mu = GridDensity(saved["box_lo"], saved["box_hi"], saved["values"])
         assert mu.shape == (256,)
         assert mu.values.min() >= 0.0
 
@@ -179,6 +181,7 @@ def test_sweep_metadata_checks_agree_with_verify(tmp_path):
     with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
         rows = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["config"]["out"] == str(tmp_path / "out")
     assert meta["config"]["kinds"] == list(verify.SWEEP_KINDS)
     assert not {"delta", "model", "n_particles", "save_densities"} & set(meta["config"])
     checks = meta["checks"]
@@ -303,11 +306,16 @@ def test_sweep_rejects_a_model_other_than_the_sweep_family(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_verify_subcommand_reports_and_exit_codes(tmp_path):
+def test_verify_subcommand_reports_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "report"
     assert cli.main(["verify", "--suite", "model", "--out", str(out)]) == 0
     assert (out / "verify_report.csv").exists()
     assert (out / "metadata.json").exists()
+    # a negative seed is a config error before any check runs or any file is written
+    rejected = tmp_path / "rejected"
+    assert cli.main(["verify", "--suite", "gaussian", "--seed", "-1", "--out", str(rejected)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not rejected.exists()
 
 
 def test_verify_fails_under_mutation(monkeypatch):

@@ -1,4 +1,4 @@
-"""Grid densities: quadrature, the weighted-TV metric, projection, and files."""
+"""Grid densities: quadrature, the weighted-TV metric and projection."""
 
 from functools import reduce
 
@@ -18,11 +18,9 @@ from filtermaps.density import (
     gaussian_projection,
     integrate,
     lifted_epsilon,
-    load_binary,
     moments,
     normalized,
     quad_weights,
-    save_binary,
     tv_distance,
     weight_tensor,
 )
@@ -370,55 +368,6 @@ def test_marginal_u_matches_conditional_algebra():
     mom = moments(marg)
     assert_allclose(mom.mean, [0.5], atol=1e-6)
     assert_allclose(mom.cov, [[1.5]], atol=1e-5)
-
-
-def test_binary_roundtrip_and_layout(tmp_path):
-    blocks = BlockStructure(1, 1)
-    joint = GaussianMeasure([0.0, 0.0], [[1.0, 0.3], [0.3, 1.0]])
-    mu = from_gaussian(joint, [-7.0, -7.0], [7.0, 7.0], (64, 96), blocks=blocks)
-    path = tmp_path / "joint.bin"
-    save_binary(mu, path)
-    back = load_binary(path, blocks=blocks)
-    assert back.shape == mu.shape
-    assert_allclose(back.box_lo, mu.box_lo)
-    assert_allclose(back.box_hi, mu.box_hi)
-    assert_allclose(back.values, mu.values)
-
-    # documented layout: n, shape, corners, then row-major values, all f8 LE
-    raw = np.fromfile(path, dtype="<f8")
-    assert raw[0] == 2.0
-    assert tuple(raw[1:3].astype(int)) == (64, 96)
-    assert_allclose(raw[3:5], [-7.0, -7.0])
-    assert_allclose(raw[5:7], [7.0, 7.0])
-    assert_allclose(raw[7:].reshape(64, 96), mu.values)
-
-
-
-def test_load_binary_rejects_values_off_unit_mass(tmp_path):
-    mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,))
-    path = tmp_path / "mu.bin"
-    save_binary(mu, path)
-    raw = np.fromfile(path, dtype="<f8")
-    raw[4:] *= 1.0 + 1e-6  # header: n, shape, lo, hi
-    raw.tofile(path)
-    with pytest.raises(ValueError, match="not 1 within"):
-        load_binary(path)
-
-
-def test_load_binary_rejects_empty_and_truncated_files(tmp_path):
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    with pytest.raises(ValueError, match=r"empty\.bin: no header"):
-        load_binary(empty)
-    mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,))
-    cut = tmp_path / "cut.bin"
-    save_binary(mu, cut)
-    cut.write_bytes(cut.read_bytes()[:-8 * 10])  # the last ten values
-    with pytest.raises(ValueError, match=r"cut\.bin: shape \(64,\) needs 64 values, found 54"):
-        load_binary(cut)
-    cut.write_bytes(cut.read_bytes()[:8 * 2])  # n and the shape only
-    with pytest.raises(ValueError, match=r"cut\.bin: no header"):
-        load_binary(cut)
 
 
 def test_bayes_conditioning_consistency_with_gaussian_module():

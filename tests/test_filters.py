@@ -200,6 +200,45 @@ def test_run_filter_matches_manual_step_loop(kind):
         assert run.diagnostics["eps"][j + 1] == lifted_epsilon(joint)
 
 
+# The paper's compositions after Q.P: true = B, enkf_mf = T, gpf_bg = condition.G,
+# gpf_gt = G.T; each kind first measures eps on the lifted joint.
+COMPOSITIONS = {
+    "true": ["bayes"],
+    "enkf_mf": ["transport"],
+    "gpf_bg": ["gaussian_projection", "condition"],
+    "gpf_gt": ["transport", "gaussian_projection"],
+}
+
+
+@pytest.mark.parametrize("kind", list(COMPOSITIONS))
+def test_each_kind_applies_its_composition_through_the_module_namespace(kind, monkeypatch):
+    # the maps are rebound where run_filter looks them up, as the benchmark tracer
+    # does; a stage holding a reference taken at import would record nothing
+    calls, depth = [], [0]
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            if depth[0] == 0:  # only the calls run_filter makes, not nested ones
+                calls.append((name, args[0]))
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((filters, "lifted_epsilon"), (filters, "bayes"), (filters, "transport"),
+                         (filters, "condition"), (density, "gaussian_projection")):
+        recording(module, name)
+    model = bounded_model_1d()
+    run_filter([kind], model, generate_data(model, J=1, seed=5), SMALL)
+    assert [name for name, _ in calls] == ["lifted_epsilon"] + COMPOSITIONS[kind]
+    assert calls[1][1] is calls[0][1]  # the first stage analyses the joint eps measured
+
+
 def test_particle_step_matches_kalman_for_linear_model():
     model = linear_model_1d()
     n = 200_000
