@@ -26,7 +26,7 @@ Config file schema (JSON), all keys optional unless noted::
       "scenario": "linear_1d" | "bounded_1d" | "sweep",   # or "model": {...}
       "delta": 0.2,              # nonlinearity (run, "sweep" scenario only)
       "model": { ... },          # inline model config, exclusive with scenario (run only)
-      "J": 10,                   # number of assimilation steps (>= 0)
+      "J": 10,                   # number of assimilation steps (run: >= 0, sweep: >= 1)
       "seed": 0,                 # >= 0
       "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct (sweep: a subset)
       "state_points": 1024,      # grid points per state axis
@@ -312,6 +312,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         raise ConfigError("sweep needs a nonempty 'deltas' list")
     if list(cfg.deltas) != sorted(cfg.deltas):
         raise ConfigError("'deltas' must be sorted ascending")
+    if cfg.J < 1:
+        raise ConfigError("sweep needs config key 'J' >= 1: each point measures the drift over the data")
     _ensure_writable(out_dir)
     spec0 = model.sweep_model(cfg.deltas[0])
     fcfg = cfg.filter_config(spec0)

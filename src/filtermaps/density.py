@@ -312,11 +312,15 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
 def _integrate_g(values: Array, lo: Array, hi: Array) -> float:
     """Integral of (1 + |v|^2) values(v) over the box, as per-axis contractions."""
     w = quad_weights(lo, hi, values.shape)
-    # g is a sum of product-form terms: 1 and x_a^2 for each axis a
-    out = _contract(values, w)
-    for a, x in enumerate(_grid_axes(lo, hi, values.shape)):
-        out += _contract(values, w[:a] + [w[a] * x * x] + w[a + 1:])
-    return out
+    # g is a sum of product-form terms: 1 and x_a^2 for each axis a. The axes are
+    # contracted from the last, so the term of axis a and every term of an earlier
+    # axis share the contraction over the axes after a: two full-grid passes in all.
+    x = _grid_axes(lo, hi, values.shape)
+    terms, partial = [0.0] * values.ndim, values
+    for a in reversed(range(values.ndim)):
+        terms[a] = _contract(partial, w[:a] + [w[a] * x[a] * x[a]])
+        partial = np.einsum("...i,i->...", partial, w[a])
+    return sum(terms, float(partial))
 
 
 def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:

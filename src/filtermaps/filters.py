@@ -19,7 +19,10 @@ ensemble) and the names of its analysis stages after P and Q;
 drives them over one data realization (a ``FilterTrajectory``) on a shared
 workspace: its loop is the one place that applies P and Q, measures the
 near-Gaussianity defect eps_j of the lifted joint, and then applies the named
-stages in order. It returns a dict of one ``FilterRun`` per kind: its
+stages in order. Each map is applied once per step and distinct input: kinds
+that enter a step with the same state density (at step 1, every grid kind)
+share its P, Q and eps, and their common leading stages, such as the T of
+``enkf_mf`` and ``gpf_gt``. It returns a dict of one ``FilterRun`` per kind: its
 per-step measures, their moments, eps_j, and weighted-TV distances to the
 other kinds. ``kalman_analytic`` is the closed-form oracle for linear models.
 """
@@ -357,11 +360,12 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
     -------
     dict[str, FilterRun]
         One :class:`FilterRun` per kind, in the order given. Invalid kinds,
-        data of the wrong width or a workspace built for another model raise
-        ``ValueError`` (``WorkspaceMismatchError`` for the workspace) before
-        any step. A failing step, or a measure the pairwise distances cannot
-        put on the state grid, aborts with :class:`FilterStepError` carrying
-        the step index and the kind.
+        data of the wrong width, a workspace built for another model or a
+        state box that does not cover the initial law raise ``ValueError``
+        (``WorkspaceMismatchError`` for the workspace, ``CoverageError`` for
+        the box) before any step. A failing step, or a measure the pairwise
+        distances cannot put on the state grid, aborts with
+        :class:`FilterStepError` carrying the step index and the kind.
     """
     validate_kinds(kinds, model)
     kinds = list(kinds)
@@ -375,33 +379,47 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         ws = plan_workspace(model, trajectory, config)
 
     rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
+    law = model.initial_law()
+    # every grid kind enters step 1 with this one density
+    law_grid = ws.state_grid(law) if any(k in _GRID_KINDS for k in kinds) else None
     runs: dict[str, FilterRun] = {}
     for k in kinds:
-        form, law = _KINDS[k][0], model.initial_law()
-        init = (ws.state_grid(law) if form == "grid" else
+        form = _KINDS[k][0]
+        init = (law_grid if form == "grid" else
                 Ensemble(sample(law, rng, config.n_particles)) if form == "ensemble" else law)
         mean0, cov0 = _measure_moments(init)
         runs[k] = FilterRun(k, [init], {"mean": [mean0], "cov": [cov0], "eps": [None]})
 
+    # Grid kinds that enter a step with the same state density (the group's `mu`)
+    # share its P, Q and eps, and each leading stage prefix: `done` maps a prefix
+    # of stage names to its output, () to the lifted joint. The group holds `mu`,
+    # so the identity test cannot match a freed object. The work is done for the
+    # first kind that needs it, so a failure names the kind that fails first.
     for j in range(trajectory.J):
-        yd = trajectory.data[j]
+        yd, mu = trajectory.data[j], None  # the stages read this step's datum
         for k, run in runs.items():
             try:
                 if k in _GRID_KINDS:
-                    # keep `joint` until the next lift returns; freed sooner, its pages are re-faulted
-                    nxt = joint = lift(predict(ws.state_grid(run.measures[-1]), ws), ws)
-                    eps_j = lifted_epsilon(joint)
-                    for stage in _KINDS[k][1]:
-                        nxt = _STAGES[stage](nxt, yd, ws)
+                    state = ws.state_grid(run.measures[-1]) if j else law_grid
+                    if state is not mu:
+                        # the previous joint is dropped once the next lift returns, no
+                        # sooner (its pages would be re-faulted) and no later (memory)
+                        mu, done = state, {(): lift(predict(state, ws), ws)}
+                        eps_j = lifted_epsilon(done[()])
+                    stages = _KINDS[k][1]
+                    for i in range(1, len(stages) + 1):
+                        if stages[:i] not in done:
+                            done[stages[:i]] = _STAGES[stages[i - 1]](done[stages[:i - 1]], yd, ws)
+                    nxt, eps = done[stages], eps_j
                 else:
-                    nxt, eps_j = step_enkf_particles(run.measures[-1], model, yd, rng), None
+                    nxt, eps = step_enkf_particles(run.measures[-1], model, yd, rng), None
                 mean, cov = _measure_moments(nxt)
             except Exception as exc:  # noqa: BLE001 - step index must be attached
                 raise FilterStepError(j, k, exc) from exc
             run.measures.append(nxt)
             run.diagnostics["mean"].append(mean)
             run.diagnostics["cov"].append(cov)
-            run.diagnostics["eps"].append(eps_j)
+            run.diagnostics["eps"].append(eps)
 
     if len(kinds) > 1:
         grids = {k: [] for k in kinds if k in _GRID_KINDS}

@@ -141,6 +141,18 @@ def test_sweep_rejects_bad_delta_lists(tmp_path):
     assert cli.main(["sweep", "--config", empty_cfg, "--out", str(out)]) == 2
 
 
+def test_sweep_rejects_zero_steps_before_the_pool(tmp_path, monkeypatch, capsys):
+    # run accepts J = 0 (test_run_zero_steps); a sweep point has no drift to measure
+    def no_pool(max_workers):
+        raise AssertionError("the pool must not start")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = _write_config(tmp_path / "j0.json", scenario="sweep", J=0, deltas=[0.0, 0.2])
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "'J'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_sweep_pool_is_sized_by_the_usable_cpus(tmp_path, monkeypatch):
     # under taskset or a cpuset the process may use fewer CPUs than cpu_count
     workers = []

@@ -179,25 +179,41 @@ def _on_grid(measure, ws):
 def _same_measure(a, b):
     if isinstance(a, GridDensity):
         return np.array_equal(a.values, b.values)
+    if isinstance(a, Ensemble):
+        return np.array_equal(a.particles, b.particles)
     return np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
 
 
-@pytest.mark.parametrize("kind", list(ANALYSES))
-def test_run_filter_matches_manual_step_loop(kind):
+@pytest.fixture(scope="module")
+def all_kinds_run():
+    """One run of every kind, enkf_N among them, on a shared workspace."""
     model = bounded_model_1d()
     traj = generate_data(model, J=3, seed=7)
     ws = plan_workspace(model, traj, SMALL)
-    run = run_filter([kind], model, traj, config=SMALL, ws=ws)[kind]
+    return model, traj, ws, run_filter(list(filters.FILTER_KINDS), model, traj, SMALL, ws)
 
-    mu = model.initial_law()
-    if kind in ("true", "enkf_mf"):
-        mu = _on_grid(mu, ws)
-    assert _same_measure(run.measures[0], mu)
-    for j in range(traj.J):
-        joint = lift(predict(_on_grid(mu, ws), ws), ws)
-        mu = ANALYSES[kind](joint, traj.data[j])
-        assert _same_measure(run.measures[j + 1], mu)
-        assert run.diagnostics["eps"][j + 1] == lifted_epsilon(joint)
+
+@pytest.mark.parametrize("kind", list(ANALYSES) + ["enkf_N"])
+def test_run_filter_matches_manual_step_loop(kind, all_kinds_run):
+    # alone or among all kinds, whose shared work must not change its record
+    model, traj, ws, together = all_kinds_run
+    alone = run_filter([kind], model, traj, config=SMALL, ws=ws)[kind]
+    for run in (alone, together[kind]):
+        mu = model.initial_law()
+        if kind == "enkf_N":
+            rng = np.random.default_rng([SMALL.seed, filters._PARTICLE_STREAM])
+            mu = Ensemble(sample(mu, rng, SMALL.n_particles))
+        elif kind in ("true", "enkf_mf"):
+            mu = _on_grid(mu, ws)
+        assert _same_measure(run.measures[0], mu)
+        for j in range(traj.J):
+            if kind == "enkf_N":
+                mu, eps = step_enkf_particles(mu, model, traj.data[j], rng), None
+            else:
+                joint = lift(predict(_on_grid(mu, ws), ws), ws)
+                mu, eps = ANALYSES[kind](joint, traj.data[j]), lifted_epsilon(joint)
+            assert _same_measure(run.measures[j + 1], mu)
+            assert run.diagnostics["eps"][j + 1] == eps
 
 
 # The paper's compositions after Q.P: true = B, enkf_mf = T, gpf_bg = condition.G,
@@ -315,9 +331,34 @@ def test_run_filter_makes_one_moment_pass_per_lifted_joint(monkeypatch):
     traj = generate_data(model, J=2, seed=3)
     run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, config=SMALL)
     joint_passes = [mu for mu in passes if mu.blocks is not None]
-    assert len(lifted) == 4 * traj.J
+    # the 4 kinds share step 1's joint and each lift their own after it
+    assert len(lifted) == 1 + 4 * (traj.J - 1)
     assert len(joint_passes) == len(lifted)
     assert {id(mu) for mu in joint_passes} == {id(mu) for mu in lifted}
+
+
+def test_run_filter_applies_each_map_once_per_distinct_input(monkeypatch):
+    # every kind enters step 1 with the gridded initial law, so P, Q and eps run
+    # once there, and enkf_mf's T is the T that gpf_gt projects; from step 2 on
+    # each kind has its own state density
+    calls = []
+    for name in ("predict", "lift", "lifted_epsilon", "transport"):
+        real = getattr(filters, name)
+        monkeypatch.setattr(filters, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    model = bounded_model_1d()
+    traj = generate_data(model, J=2, seed=3)
+    ws = plan_workspace(model, traj, SMALL)
+    kinds = ["true", "enkf_mf", "gpf_bg", "gpf_gt"]
+    counts = []
+    for steps in (traj.data[:1], traj.data):  # step 1 alone, then steps 1 and 2
+        calls.clear()
+        run_filter(kinds, model, FilterTrajectory(data=steps), SMALL, ws)
+        counts.append({name: calls.count(name) for name in set(calls)})
+    step_1, both = counts
+    assert step_1 == {"predict": 1, "lift": 1, "lifted_epsilon": 1, "transport": 1}
+    assert {name: both[name] - step_1[name] for name in both} == \
+        {"predict": 4, "lift": 4, "lifted_epsilon": 4, "transport": 2}
 
 
 def test_pairwise_distances_are_measured_once_per_pair(monkeypatch):
@@ -443,6 +484,16 @@ def test_filter_step_error_carries_location():
     assert err.value.kind == "true"
     assert "step 1" in str(err.value)
     assert isinstance(err.value.__cause__, OutOfDomainError)
+
+
+@pytest.mark.parametrize("kinds", [["true"], ["gpf_bg", "gpf_gt"]])
+def test_initial_law_outside_the_state_box_fails_before_any_step(kinds):
+    # every grid kind starts from the one gridded initial law, N(0, 1) here,
+    # whose 6-stdev band the [-3, 3] box does not cover
+    model = bounded_model_1d()
+    ws = default_workspace(model, [-3.0], [3.0], (256,), y_points=128)
+    with pytest.raises(CoverageError):
+        run_filter(kinds, model, FilterTrajectory(data=[[0.1]]), ws=ws)
 
 
 def test_distance_block_failure_carries_step_and_kind():
