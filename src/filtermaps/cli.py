@@ -14,7 +14,8 @@ Three subcommands:
 ``run`` and ``sweep`` read every experiment value from the config file; only
 ``--out`` overrides one, the output directory. An unknown config key, a key
 the subcommand does not read, an unknown key of an inline model or an
-unknown map-family parameter is a configuration error.
+unknown map-family parameter is a configuration error, and so is a number
+that is not finite (NaN, Infinity, or a literal such as 1e999 that overflows).
 
 Exit codes: 0 success, 1 property or step failure, 2 configuration or
 environment error. Data CSVs are byte-identical across repeated runs with the
@@ -225,11 +226,19 @@ def _write_error(out_dir: str, exc: Exception) -> None:
         fh.write("\n")
 
 
+def _finite(literal: str) -> float:
+    """A JSON number literal as a float; NaN, the infinities and overflowing literals are rejected."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ConfigError(f"config holds a non-finite number: {literal}")
+    return value
+
+
 def load_config(command: str, path: str) -> ExperimentConfig:
     """The validated config at ``path``; sweep's scenario rule comes before the kinds rule."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -18,13 +18,16 @@ ensemble) and the names of its analysis stages after P and Q;
 ``FILTER_KINDS`` are its keys. ``run_filter`` takes a list of kinds and
 drives them over one data realization (a ``FilterTrajectory``) on a shared
 workspace: its loop is the one place that applies P and Q, measures the
-near-Gaussianity defect eps_j of the lifted joint, and then applies the named
-stages in order. Each map is applied once per step and distinct input: kinds
-that enter a step with the same state density (at step 1, every grid kind)
-share its P, Q and eps, and their common leading stages, such as the T of
-``enkf_mf`` and ``gpf_gt``. It returns a dict of one ``FilterRun`` per kind: its
-per-step measures, their moments, eps_j, and weighted-TV distances to the
-other kinds. ``kalman_analytic`` is the closed-form oracle for linear models.
+near-Gaussianity defect eps_j of the lifted joint, applies the named stages in
+order and puts the result on the state grid, once, for the next step and the
+pairwise distances; a measure that leaves the state box fails its own step,
+for a lone kind and at the last step too. Each map is applied once per step
+and distinct input: kinds that enter a step with the same state density (at
+step 1, every grid kind) share its P, Q and eps, and their common leading
+stages, such as the T of ``enkf_mf`` and ``gpf_gt``. It returns a dict of one
+``FilterRun`` per kind: its per-step measures, their moments, eps_j, and
+weighted-TV distances to the other kinds. ``kalman_analytic`` is the
+closed-form oracle for linear models.
 """
 
 from __future__ import annotations
@@ -363,8 +366,8 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         data of the wrong width, a workspace built for another model or a
         state box that does not cover the initial law raise ``ValueError``
         (``WorkspaceMismatchError`` for the workspace, ``CoverageError`` for
-        the box) before any step. A failing step, or a measure the pairwise
-        distances cannot put on the state grid, aborts with
+        the box) before any step. A failing step, including a grid kind's
+        step whose measure cannot be put on the state grid, aborts with
         :class:`FilterStepError` carrying the step index and the kind.
     """
     validate_kinds(kinds, model)
@@ -380,8 +383,9 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
 
     rng = np.random.default_rng([config.seed, _PARTICLE_STREAM])
     law = model.initial_law()
-    # every grid kind enters step 1 with this one density
+    # each grid kind's measures on the state grid; all enter step 1 with one density
     law_grid = ws.state_grid(law) if any(k in _GRID_KINDS for k in kinds) else None
+    grids = {k: [law_grid] for k in kinds if k in _GRID_KINDS}
     runs: dict[str, FilterRun] = {}
     for k in kinds:
         form = _KINDS[k][0]
@@ -400,7 +404,7 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         for k, run in runs.items():
             try:
                 if k in _GRID_KINDS:
-                    state = ws.state_grid(run.measures[-1]) if j else law_grid
+                    state = grids[k][-1]
                     if state is not mu:
                         # the previous joint is dropped once the next lift returns, no
                         # sooner (its pages would be re-faulted) and no later (memory)
@@ -411,6 +415,7 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                         if stages[:i] not in done:
                             done[stages[:i]] = _STAGES[stages[i - 1]](done[stages[:i - 1]], yd, ws)
                     nxt, eps = done[stages], eps_j
+                    grids[k].append(ws.state_grid(nxt))
                 else:
                     nxt, eps = step_enkf_particles(run.measures[-1], model, yd, rng), None
                 mean, cov = _measure_moments(nxt)
@@ -422,13 +427,6 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
             run.diagnostics["eps"].append(eps)
 
     if len(kinds) > 1:
-        grids = {k: [] for k in kinds if k in _GRID_KINDS}
-        for k, grid in grids.items():
-            for i, measure in enumerate(runs[k].measures):
-                try:
-                    grid.append(ws.state_grid(measure))
-                except Exception as exc:  # noqa: BLE001 - measure i comes from step i - 1
-                    raise FilterStepError(max(i - 1, 0), k, exc) from exc
         # d_g is symmetric and zero on the diagonal: one pass per unordered pair
         names = list(grids)
         for i, a in enumerate(names):

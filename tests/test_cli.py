@@ -303,6 +303,22 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         assert cli.main(["run", "--config", str(typo), "--out", str(tmp_path / name)]) == 2
         assert f"'{name}'" in capsys.readouterr().err
 
+    # json reads NaN, Infinity and overflowing literals such as 1e999; each is
+    # named as a config error instead of failing later in a step or a pool worker
+    nonfinite = (
+        ("run", '{"scenario": "sweep", "J": 1, "delta": NaN}', "NaN"),
+        ("run", '{"scenario": "sweep", "J": 1, "delta": 1e999}', "1e999"),
+        ("run", '{"scenario": "sweep", "J": 1, "delta": -Infinity}', "-Infinity"),
+        ("sweep", '{"scenario": "sweep", "J": 1, "deltas": [0.0, Infinity]}', "Infinity"),
+        ("run", json.dumps({"model": dict(inline, m0=[float("nan")]), "J": 1}), "NaN"),
+    )
+    for i, (command, text, literal) in enumerate(nonfinite):
+        cfg = tmp_path / f"nonfinite{i}.json"
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "nonfinite")]) == 2
+        assert f"non-finite number: {literal}" in capsys.readouterr().err
+    assert not (tmp_path / "nonfinite").exists()
+
 
 def test_sweep_rejects_a_model_other_than_the_sweep_family(tmp_path, capsys):
     # sweep always runs sweep_model(delta); another scenario or an inline model

@@ -1,4 +1,8 @@
-"""Every demo runs to completion against the package's public surface."""
+"""Every demo runs to completion against the package's public surface.
+
+Each demo runs in a child process with ``-W error``, as pytest's own
+``filterwarnings = ["error"]`` does not reach child processes.
+"""
 
 import os
 import subprocess
@@ -20,6 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / script)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

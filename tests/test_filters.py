@@ -509,6 +509,34 @@ def test_distance_block_failure_carries_step_and_kind():
     assert isinstance(err.value.__cause__, CoverageError)
 
 
+@pytest.mark.parametrize("kinds", [["true", "gpf_bg"], ["gpf_bg"]])
+@pytest.mark.parametrize("J", [3, 4])
+def test_gridding_failure_belongs_to_the_step_that_made_the_measure(J, kinds):
+    # the escaping gpf_bg posterior of the test above fails step 2, which made
+    # it, whether or not a step follows and whether or not another kind runs
+    model = linear_model_1d()
+    ws = default_workspace(model, [-6.0], [6.0], (256,), y_lo=-30.0, y_hi=30.0, y_points=256)
+    traj = FilterTrajectory(data=[[0.0], [0.0], [8.0], [0.0]][:J])
+    with pytest.raises(FilterStepError) as err:
+        run_filter(kinds, model, traj, FilterConfig(), ws)
+    assert (err.value.step, err.value.kind) == (2, "gpf_bg")
+    assert isinstance(err.value.__cause__, CoverageError)
+
+
+def test_from_gaussian_runs_once_per_distinct_gaussian(monkeypatch):
+    # the initial law, then each posterior of gpf_bg and gpf_gt, is put on the
+    # state grid once: for the next step and the pairwise distances alike
+    model = bounded_model_1d()
+    traj = generate_data(model, J=3, seed=3)
+    ws = plan_workspace(model, traj, SMALL)
+    gridded = []
+    real = operators.from_gaussian
+    monkeypatch.setattr(operators, "from_gaussian", lambda g, *args: gridded.append(g) or real(g, *args))
+    run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj, SMALL, ws)
+    assert len(gridded) == 1 + 2 * traj.J
+    assert len({id(g) for g in gridded}) == len(gridded)
+
+
 def test_moment_failure_carries_step_and_kind(monkeypatch):
     # moments validate the covariance as a GaussianMeasure does, so a singular
     # one raises; that failure belongs to the step and kind that produced it
