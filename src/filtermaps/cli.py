@@ -24,7 +24,7 @@ same config and seed; timestamps and timings live only in metadata.json.
 Config file schema (JSON), all keys optional unless noted::
 
     {
-      "scenario": "linear_1d" | "bounded_1d" | "sweep",   # or "model": {...}
+      "scenario": "linear_1d" | "bounded_1d" | "sweep",   # or "model": {...}; sweep defaults to "sweep"
       "delta": 0.2,              # nonlinearity (run, "sweep" scenario only)
       "model": { ... },          # inline model config, exclusive with scenario (run only)
       "J": 10,                   # number of assimilation steps (run: >= 0, sweep: >= 1)
@@ -46,6 +46,7 @@ path writes identical CSV bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -123,7 +124,11 @@ class ExperimentConfig:
             meta = by_key[key].metadata
             if meta:
                 value = _typed(key, value, meta["types"])
-                value = value if meta["convert"] is None else meta["convert"](value)
+                try:
+                    value = value if meta["convert"] is None else meta["convert"](value)
+                except OverflowError as exc:  # an integer literal beyond the float range
+                    raise ConfigError(
+                        f"config key '{key}' holds a number too large for a float") from exc
             values[by_key[key].name] = value
         cfg = cls(**values)
         cfg.validate()
@@ -235,7 +240,10 @@ def _finite(literal: str) -> float:
 
 
 def load_config(command: str, path: str) -> ExperimentConfig:
-    """The validated config at ``path``; sweep's scenario rule comes before the kinds rule."""
+    """The validated config at ``path``; sweep's scenario rule comes before the kinds rule.
+
+    A sweep config's ``scenario`` defaults to ``"sweep"``, the only one it takes.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
@@ -243,10 +251,11 @@ def load_config(command: str, path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    if command == "sweep" and (raw.get("model") is not None
-                               or raw.get("scenario", "sweep") != "sweep"):
-        key = "model" if raw.get("model") is not None else "scenario"
-        raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
+    if command == "sweep":
+        if raw.get("model") is not None or raw.get("scenario", "sweep") != "sweep":
+            key = "model" if raw.get("model") is not None else "scenario"
+            raise ConfigError(f"sweep runs only the 'sweep' scenario; config key '{key}' selects another")
+        raw = dict(raw, scenario="sweep")
     cfg = ExperimentConfig.from_dict(raw)
     unread = set(raw) & cfg.unread_keys(command)
     if unread:
@@ -276,7 +285,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     run_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    filters.trajectory_to_csv(results, os.path.join(out_dir, "steps.csv"))
+    _write_steps(results, os.path.join(out_dir, "steps.csv"))
     _write_summary(results, os.path.join(out_dir, "summary.csv"))
     if cfg.save_densities:
         for kind_name, res in results.items():
@@ -288,6 +297,30 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                     {"run": run_seconds, "write": time.perf_counter() - t1})
     print(f"wrote steps.csv, summary.csv, metadata.json to {out_dir}")
     return EXIT_OK
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Every result CSV: a float as %.17g, None as an empty cell, str and int as they are."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow("%.17g" % v if isinstance(v, (float, np.floating)) else v for v in row)
+
+
+def _write_steps(results: dict, path: str) -> None:
+    """Per-step moments (row-major), eps and d_g to ``true``; empty where they do not apply."""
+    d = len(next(iter(results.values())).diagnostics["mean"][0])
+    header = ["step", "kind", *(f"mean_{i}" for i in range(d)),
+              *(f"cov_{i}_{j}" for i in range(d) for j in range(d)), "eps", "dg_to_true"]
+    rows = []
+    for kind_name, res in results.items():
+        diag = res.diagnostics
+        dg_true = diag.get("dg_vs_true", [None] * len(diag["eps"]))
+        steps = zip(diag["mean"], diag["cov"], diag["eps"], dg_true)
+        for step, (mean, cov, eps, dg) in enumerate(steps):
+            rows.append([step, kind_name, *np.ravel(mean), *np.ravel(cov), eps, dg])
+    _write_csv(path, header, rows)
 
 
 def _write_summary(results: dict, path: str) -> None:
@@ -303,10 +336,7 @@ def _write_summary(results: dict, path: str) -> None:
                 kind_b = key.removeprefix("dg_vs_")
                 if kind_a < kind_b:
                     rows.append(("max_dg", f"{kind_a}_vs_{kind_b}", max(res.diagnostics[key])))
-    with open(path, "w", newline="") as fh:
-        fh.write("quantity,kind,value\n")
-        for quantity, kind_name, value in rows:
-            fh.write(f"{quantity},{kind_name},{'%.17g' % value}\n")
+    _write_csv(path, ("quantity", "kind", "value"), rows)
 
 
 def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) -> dict:
@@ -338,11 +368,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         rows = [_sweep_point(*a) for a in args]
     sweep_seconds = time.perf_counter() - t0
 
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("delta,eps_measured,err_enkf,err_gpf\n")
-        for row in rows:
-            fh.write(",".join("%.17g" % row[k]
-                              for k in ("delta", "eps_measured", "err_enkf", "err_gpf")) + "\n")
+    columns = ("delta", "eps_measured", "err_enkf", "err_gpf")
+    _write_csv(os.path.join(out_dir, "sweep.csv"), columns,
+               [[row[k] for k in columns] for row in rows])
 
     checks = verify.sweep_checks(rows)
     _write_metadata(out_dir, cfg.to_dict("sweep"), spec0, {"sweep": sweep_seconds},
@@ -370,7 +398,10 @@ def cmd_verify(suite: str, out_dir: str | None, seed: int) -> int:
     print(f"{len(results) - n_fail}/{len(results)} checks passed "
           f"({time.perf_counter() - t0:.1f} s)")
     if out_dir is not None:
-        verify.write_report(results, os.path.join(out_dir, "verify_report.csv"))
+        _write_csv(os.path.join(out_dir, "verify_report.csv"),
+                   ("suite", "name", "passed", "measured", "relation", "bound", "seconds", "detail"),
+                   [(r.suite, r.name, int(r.passed), float(r.measured), r.relation,
+                     float(r.bound), "%.3f" % r.seconds, r.detail) for r in results])
         _write_metadata(out_dir, None, None, {"verify": time.perf_counter() - t0},
                         extra={"suites": names, "failed": n_fail})
     return EXIT_OK if n_fail == 0 else EXIT_FAILURE

@@ -436,32 +436,3 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                 runs[a].diagnostics[f"dg_vs_{b}"] = dg
                 runs[b].diagnostics[f"dg_vs_{a}"] = list(dg)  # each kind owns its lists
     return runs
-
-
-def trajectory_to_csv(results: dict[str, FilterRun], path) -> None:
-    """Write per-step records as CSV: step, kind, moments, eps, dg_to_true.
-
-    ``results`` maps each kind to its :class:`FilterRun`, as :func:`run_filter`
-    returns them. Mean components and covariance entries
-    are flattened row-major; empty cells mark diagnostics that do not apply
-    to a kind. Output bytes depend only on the recorded values, so identical
-    runs serialize identically.
-    """
-    first = next(iter(results.values()))
-    d = len(first.diagnostics["mean"][0])
-    cols = ["step", "kind"]
-    cols += [f"mean_{i}" for i in range(d)]
-    cols += [f"cov_{i}_{j}" for i in range(d) for j in range(d)]
-    cols += ["eps", "dg_to_true"]
-    fmt = lambda v: "" if v is None else "%.17g" % v
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for kind_name, run in results.items():
-            dg_true = run.diagnostics.get("dg_vs_true")
-            for step in range(len(run.diagnostics["mean"])):
-                row = [str(step), kind_name]
-                row += [fmt(v) for v in np.asarray(run.diagnostics["mean"][step]).reshape(-1)]
-                row += [fmt(v) for v in np.asarray(run.diagnostics["cov"][step]).reshape(-1)]
-                row.append(fmt(run.diagnostics["eps"][step]))
-                row.append(fmt(dg_true[step] if dg_true is not None else None))
-                fh.write(",".join(row) + "\n")

@@ -13,7 +13,6 @@ monkeypatched (or broken) implementation is what actually gets measured.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 import time
@@ -702,14 +701,3 @@ def run_suites(names, seed: int = 0) -> list[PropertyResult]:
             elapsed = time.perf_counter() - start
             results.extend(replace(r, seconds=elapsed / len(out)) for r in out)
     return results
-
-
-def write_report(results: list[PropertyResult], path) -> None:
-    """CSV report: one row per property with pass/fail, measured value, relation and bound."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("suite", "name", "passed", "measured", "relation", "bound",
-                         "seconds", "detail"))
-        for r in results:
-            writer.writerow((r.suite, r.name, int(r.passed), f"{r.measured:.17g}", r.relation,
-                             f"{r.bound:.17g}", f"{r.seconds:.3f}", r.detail))

@@ -1,7 +1,9 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +14,10 @@ import pytest
 
 import filtermaps.cli as cli
 import filtermaps.gaussian
-from filtermaps import model, verify
+from filtermaps import filters, model, verify
 from filtermaps.density import GridDensity
 from filtermaps.filters import FilterStepError
+from filtermaps.verify import PropertyResult
 
 
 def _write_config(path, **overrides):
@@ -61,6 +64,28 @@ def test_run_zero_steps(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2  # one initial-law row per kind
     assert all(r["step"] == "0" for r in rows)
+
+
+def test_steps_csv_layout(tmp_path):
+    spec = model.bounded_model_1d()
+    traj = filters.generate_data(spec, J=2, seed=2)
+    kinds = ("true", "enkf_mf")
+
+    def render(path):
+        results = filters.run_filter(kinds, spec, traj,
+                                     config=filters.FilterConfig(state_shape=(256,), y_points=128))
+        cli._write_steps(results, path)
+        return path.read_bytes()
+
+    first = render(tmp_path / "a.csv")
+    lines = first.decode().strip().split("\n")
+    assert lines[0] == "step,kind,mean_0,cov_0_0,eps,dg_to_true"
+    assert len(lines) == 1 + len(kinds) * (traj.J + 1)
+    step0 = lines[1].split(",")
+    assert step0[0] == "0" and step0[1] == "true"
+    assert step0[4] == ""  # no lifted joint before the first step
+    assert float(step0[5]) == 0.0
+    assert first == render(tmp_path / "b.csv")
 
 
 def test_run_saves_loadable_densities(tmp_path):
@@ -131,6 +156,21 @@ def test_single_delta_sweep_matches_run(tmp_path):
     assert float(row["eps_measured"]) == summary[("eps_measured", "true")]
     assert float(row["err_enkf"]) == summary[("max_dg", "enkf_mf_vs_true")]
     assert float(row["err_gpf"]) == summary[("max_dg", "gpf_bg_vs_true")]
+
+
+def test_sweep_scenario_defaults_to_sweep(tmp_path):
+    # "sweep" is the only scenario a sweep takes, so its config may leave it out
+    common = {"J": 1, "seed": 1, "deltas": [0.0], "state_points": 128, "y_points": 64}
+    outs = {}
+    for name, raw in (("implicit", common), ("explicit", dict(common, scenario="sweep"))):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(raw))
+        outs[name] = tmp_path / name
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(outs[name])]) == 0
+    implicit, explicit = (outs[name] / "sweep.csv" for name in ("implicit", "explicit"))
+    assert implicit.read_bytes() == explicit.read_bytes()
+    meta = json.loads((outs["implicit"] / "metadata.json").read_text())
+    assert meta["config"]["scenario"] == "sweep"
 
 
 def test_sweep_rejects_bad_delta_lists(tmp_path):
@@ -319,6 +359,19 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         assert f"non-finite number: {literal}" in capsys.readouterr().err
     assert not (tmp_path / "nonfinite").exists()
 
+    # an integer literal too large for a float is a config error naming its key
+    huge = "1" + "0" * 400
+    overflow = (
+        ("run", "delta", '{"scenario": "sweep", "J": 1, "delta": %s}' % huge),
+        ("sweep", "deltas", '{"scenario": "sweep", "J": 1, "deltas": [0.0, %s]}' % huge),
+    )
+    for i, (command, key, text) in enumerate(overflow):
+        cfg = tmp_path / f"overflow{i}.json"
+        cfg.write_text(text)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "overflow")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "overflow").exists()
+
 
 def test_sweep_rejects_a_model_other_than_the_sweep_family(tmp_path, capsys):
     # sweep always runs sweep_model(delta); another scenario or an inline model
@@ -344,6 +397,65 @@ def test_verify_subcommand_reports_and_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--suite", "gaussian", "--seed", "-1", "--out", str(rejected)]) == 2
     assert "--seed" in capsys.readouterr().err
     assert not rejected.exists()
+
+
+def _verify_report(tmp_path, monkeypatch, results) -> list[dict]:
+    """The rows of the verify_report.csv that ``verify --out`` writes for ``results``."""
+    monkeypatch.setattr(verify, "run_suites", lambda names, seed: results)
+    cli.main(["verify", "--out", str(tmp_path)])
+    with open(tmp_path / "verify_report.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_verify_report_roundtrip(tmp_path, monkeypatch):
+    detail = """error: ValueError("unknown filter kind 'x'"), then more"""
+    results = verify.run_suites(["model"], seed=0)
+    results.append(PropertyResult("filters", "quoted", math.nan, math.nan, detail=detail))
+    rows = _verify_report(tmp_path, monkeypatch, results)
+    assert len(rows) == len(results)
+    assert rows[0]["suite"] == "model"
+    assert rows[0]["passed"] in ("0", "1")
+    assert rows[0]["relation"] in ("<=", ">=")
+    float(rows[0]["measured"])  # numeric columns parse
+    assert rows[-1]["detail"] == detail
+    assert rows[-1]["passed"] == "0"
+
+
+def _rejudge(row: dict) -> bool:
+    measured, bound = float(row["measured"]), float(row["bound"])
+    return measured <= bound if row["relation"] == "<=" else measured >= bound
+
+
+def test_report_rows_rejudge_to_their_passed_column(tmp_path, monkeypatch):
+    results = verify.run_suites(["density", "model"], seed=0)
+    rows = _verify_report(tmp_path, monkeypatch, results)
+    assert len(rows) == len(results) == len(verify.SUITES["density"]) + len(verify.SUITES["model"])
+    for row in rows:
+        assert _rejudge(row) == (row["passed"] == "1"), row
+
+
+#: Calls that write a file, as (module, function) or (builtin,).
+_FILE_WRITERS = {("open",), ("np", "save"), ("np", "savez"), ("np", "savez_compressed"),
+                 ("csv", "writer"), ("json", "dump")}
+
+
+def test_only_cli_writes_files():
+    # the library computes and cli writes: every file format lives in one module
+    calls = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name):
+                name = (func.id,)
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = (func.value.id, func.attr)
+            else:
+                continue
+            if name in _FILE_WRITERS:
+                calls.append(f"{path.name}:{node.lineno} {'.'.join(name)}")
+    assert calls == []
 
 
 def test_verify_fails_under_mutation(monkeypatch):

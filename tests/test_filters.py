@@ -1,4 +1,4 @@
-"""Filter drivers: data generation, per-step maps, multi-kind runs, CSV export."""
+"""Filter drivers: data generation, per-step maps, multi-kind runs."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from filtermaps.filters import (
     plan_workspace,
     run_filter,
     step_enkf_particles,
-    trajectory_to_csv,
 )
 from filtermaps.gaussian import GaussianMeasure, SingularCovarianceError, condition, sample
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
@@ -496,24 +495,13 @@ def test_initial_law_outside_the_state_box_fails_before_any_step(kinds):
         run_filter(kinds, model, FilterTrajectory(data=[[0.1]]), ws=ws)
 
 
-def test_distance_block_failure_carries_step_and_kind():
-    # Every step completes, but the datum 8 pulls the gpf_bg posterior of step 2
-    # to N(4.8, 0.15), whose 6-stdev band reaches past the [-6, 6] state box;
-    # putting that Gaussian on the state grid for the pairwise distances fails.
-    model = linear_model_1d()
-    ws = default_workspace(model, [-6.0], [6.0], (256,), y_lo=-30.0, y_hi=30.0, y_points=256)
-    traj = FilterTrajectory(data=[[0.0], [0.0], [8.0]])
-    with pytest.raises(FilterStepError) as err:
-        run_filter(["true", "gpf_bg"], model, traj, FilterConfig(), ws)
-    assert (err.value.step, err.value.kind) == (2, "gpf_bg")
-    assert isinstance(err.value.__cause__, CoverageError)
-
-
 @pytest.mark.parametrize("kinds", [["true", "gpf_bg"], ["gpf_bg"]])
 @pytest.mark.parametrize("J", [3, 4])
 def test_gridding_failure_belongs_to_the_step_that_made_the_measure(J, kinds):
-    # the escaping gpf_bg posterior of the test above fails step 2, which made
-    # it, whether or not a step follows and whether or not another kind runs
+    # the datum 8 pulls the gpf_bg posterior of step 2 to N(4.8, 0.15), whose
+    # 6-stdev band leaves the [-6, 6] state box; putting it on the state grid
+    # fails step 2, which made it, whether or not a step follows and whether
+    # or not another kind runs
     model = linear_model_1d()
     ws = default_workspace(model, [-6.0], [6.0], (256,), y_lo=-30.0, y_hi=30.0, y_points=256)
     traj = FilterTrajectory(data=[[0.0], [0.0], [8.0], [0.0]][:J])
@@ -598,27 +586,6 @@ def test_lipschitz_constant_values():
     assert lipschitz_q(model) == pytest.approx(1.0 + 1.0 + 0.25)
     with pytest.raises(ValueError):
         lipschitz_p(linear_model_1d())
-
-
-def test_trajectory_to_csv_layout(tmp_path):
-    model = bounded_model_1d()
-    traj = generate_data(model, J=2, seed=2)
-    kinds = ("true", "enkf_mf")
-
-    def render(path):
-        results = run_filter(kinds, model, traj, config=SMALL)
-        trajectory_to_csv(results, path)
-        return path.read_bytes()
-
-    first = render(tmp_path / "a.csv")
-    lines = first.decode().strip().split("\n")
-    assert lines[0] == "step,kind,mean_0,cov_0_0,eps,dg_to_true"
-    assert len(lines) == 1 + len(kinds) * (traj.J + 1)
-    step0 = lines[1].split(",")
-    assert step0[0] == "0" and step0[1] == "true"
-    assert step0[4] == ""  # no lifted joint before the first step
-    assert float(step0[5]) == 0.0
-    assert first == render(tmp_path / "b.csv")
 
 
 def test_plan_workspace_margins_and_determinism():
