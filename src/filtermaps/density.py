@@ -12,6 +12,12 @@ coordinates broadcast against a value tensor. :func:`grid_points`, the only
 flat point list, serves model maps that are evaluated point by point. On
 these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), and d_g.
+A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
+and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
+``_BLOCK_ENTRIES`` entries; each entry gets the same arithmetic and the
+contractions run in the same order, so no result depends on the block size.
+A measure map hands its fresh output to a density that normalizes it in
+place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
 A density is stored as its three arrays (``np.savez`` of ``box_lo``,
 ``box_hi`` and ``values``); passing them back to ``GridDensity`` validates it.
 
@@ -22,6 +28,7 @@ compared; callers must construct compatible grids.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
@@ -36,6 +43,11 @@ MIN_POINTS = 16
 
 #: Pre-normalization mass drift that triggers a ResolutionWarning.
 DRIFT_WARN = 1e-3
+
+#: Entries in one block of a kernel that streams a computation over a grid
+#: (``dg_distance``, ``lifted_epsilon``, ``operators.transport``): its
+#: temporaries are this size.
+_BLOCK_ENTRIES = 2**17
 
 
 class CoverageError(ValueError):
@@ -54,10 +66,11 @@ class ResolutionWarning(RuntimeWarning):
 class GridDensity:
     """Density values on a uniform tensor grid over [box_lo, box_hi], normalized when built.
 
-    The constructor is the only code that checks and normalizes density values:
-    it clips tiny negatives (interpolation noise), rejects a substantial
-    negative or a mass that is not positive and finite, and stores a
-    read-only values / mass that never aliases the values passed in.
+    The constructor's validator is the only code that checks and normalizes
+    density values: it clips tiny negatives (interpolation noise), rejects a
+    substantial negative or a mass that is not positive and finite, and
+    stores a read-only values / mass that never aliases the values passed in
+    (only ``_normalized_in_place`` hands it an array to divide in place).
 
     Parameters
     ----------
@@ -77,6 +90,10 @@ class GridDensity:
     _raw_mass: float = field(init=False, repr=False)  # mass of the values as given
 
     def __post_init__(self) -> None:
+        self._validate(in_place=False)
+
+    def _validate(self, in_place: bool) -> None:
+        """The one check and normalization of the fields; a copy unless ``in_place``."""
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
         hi = np.array(self.box_hi, dtype=float).reshape(-1)
         vals = np.asarray(self.values, dtype=float)
@@ -96,11 +113,11 @@ class GridDensity:
             floor = -1e-12 * max(vals.max(), np.finfo(float).tiny)
             if vals.min() < floor:
                 raise ValueError(f"density values have a substantial negative entry ({vals.min():.3e})")
-            vals = np.clip(vals, 0.0, None)
+            vals = np.clip(vals, 0.0, None, out=vals if in_place else None)
         mass = integrate(vals, lo, hi)
         if mass <= 0.0 or not np.isfinite(mass):
             raise ValueError(f"cannot normalize a grid density: mass is {mass}")
-        vals = vals / mass
+        vals = np.divide(vals, mass, out=vals if in_place else None)
         for a in (lo, hi, vals):
             a.setflags(write=False)
         object.__setattr__(self, "box_lo", lo)
@@ -168,10 +185,28 @@ def _contract(values: Array, weights: Sequence[Array]) -> float:
     costs more than the whole contraction when several processes share the
     cores, as the sweep's worker pool does.
     """
+    return float(_contract_trailing(values, weights))
+
+
+def _contract_trailing(values: Array, weights: Sequence[Array]) -> Array:
+    """The contraction of :func:`_contract` over the last ``len(weights)`` axes only.
+
+    The axes go from the last, so contracting the trailing axes of a block of
+    leading rows gives each row the numbers it gets in the whole tensor.
+    """
     out = values
     for w in reversed(weights):
         out = np.einsum("...i,i->...", out, w)
-    return float(out)
+    return out
+
+
+def _blocks(count: int, entries_each: int) -> list[slice]:
+    """Consecutive slices over ``count`` items, each of at most ``_BLOCK_ENTRIES`` entries.
+
+    An item holds ``entries_each`` entries; every slice takes at least one.
+    """
+    step = max(1, _BLOCK_ENTRIES // entries_each)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def normalized(
@@ -187,12 +222,31 @@ def normalized(
     When ``expect_unit_mass`` is set, a pre-normalization mass drift beyond
     1e-3 emits a :class:`ResolutionWarning` naming ``context``.
     """
-    mu = GridDensity(box_lo, box_hi, values, blocks)
+    return _checked_drift(GridDensity(box_lo, box_hi, values, blocks), expect_unit_mass, context)
+
+
+def _normalized_in_place(box_lo: Array, box_hi: Array, values: Array,
+                         blocks: BlockStructure | None = None, expect_unit_mass: bool = True,
+                         context: str = "grid density") -> GridDensity:
+    """:func:`normalized` of a map's fresh float array, which the density takes over.
+
+    The values are checked as the constructor checks them, but clipped and
+    divided in place, so no second array of their size is made.
+    """
+    mu = GridDensity.__new__(GridDensity)
+    for name, value in (("box_lo", box_lo), ("box_hi", box_hi), ("values", values),
+                        ("blocks", blocks), ("_moments", None)):
+        object.__setattr__(mu, name, value)
+    mu._validate(in_place=True)
+    return _checked_drift(mu, expect_unit_mass, context)
+
+
+def _checked_drift(mu: GridDensity, expect_unit_mass: bool, context: str) -> GridDensity:
     if expect_unit_mass and abs(mu._raw_mass - 1.0) > DRIFT_WARN:
         warnings.warn(
             f"{context}: mass drifted to {mu._raw_mass:.6f} before renormalization; grid may be too coarse",
             ResolutionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return mu
 
@@ -210,7 +264,8 @@ def grid_points(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
 
 def _gaussian_values(g: GaussianMeasure, lo: Array, hi: Array, shape: Sequence[int]) -> Array:
     """Unnormalized density values of ``g`` on a grid, evaluated on its open mesh."""
-    return np.exp(log_density_at(g, np.ix_(*_grid_axes(lo, hi, shape))))
+    values = log_density_at(g, np.ix_(*_grid_axes(lo, hi, shape)))
+    return np.exp(values, out=values)
 
 
 def from_gaussian(
@@ -273,21 +328,34 @@ def _quadrature_moments(mu: GridDensity) -> GaussianMeasure:
 
     The mean on axis a weights that axis by w_a x_a; a covariance entry
     weights its axes by w_a (x_a - m_a) (by w_a (x_a - m_a)^2 on the diagonal).
+    The last axis is contracted first, in the only pass over the full tensor,
+    and entries that weight it alike share that pass: w_y for the entries of
+    the other axes, w_y (y - m_y) for those pairing y with another axis. With
+    the mean and variance of y that is four full passes for any number of axes.
     """
     w = quad_weights(mu.box_lo, mu.box_hi, mu.shape)
     axes = mu.axes()
     n = mu.ndim
+    *lead, last = range(n)
 
-    def weighted(factors: dict[int, Array]) -> float:
-        return _contract(mu.values, [w[a] * factors[a] if a in factors else w[a] for a in range(n)])
+    def tail(factor: Array | None = None) -> Array:
+        return np.einsum("...i,i->...", mu.values, w[last] if factor is None else w[last] * factor)
 
-    mean = np.array([weighted({a: axes[a]}) for a in range(n)])
+    def weighted(partial: Array, factors: dict[int, Array]) -> float:
+        return _contract(partial, [w[a] * factors[a] if a in factors else w[a] for a in lead])
+
+    plain = tail() if lead else None
+    mean = np.array([weighted(plain, {a: axes[a]}) for a in lead]
+                    + [weighted(tail(axes[last]), {})])
     centered = [axes[a] - mean[a] for a in range(n)]
+    cross = tail(centered[last]) if lead else None
     cov = np.empty((n, n))
-    for i in range(n):
-        cov[i, i] = weighted({i: centered[i] ** 2})
-        for j in range(i + 1, n):
-            cov[i, j] = cov[j, i] = weighted({i: centered[i], j: centered[j]})
+    for i in lead:
+        cov[i, i] = weighted(plain, {i: centered[i] ** 2})
+        for j in lead[i + 1:]:
+            cov[i, j] = cov[j, i] = weighted(plain, {i: centered[i], j: centered[j]})
+        cov[i, last] = cov[last, i] = weighted(cross, {i: centered[i]})
+    cov[last, last] = weighted(tail(centered[last] ** 2), {})
     return GaussianMeasure(mean, cov)
 
 
@@ -302,25 +370,42 @@ def _require_same_grid(mu1: GridDensity, mu2: GridDensity) -> None:
 def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     """Weighted total-variation metric d_g = integral of (1 + |v|^2) |rho1 - rho2| dv.
 
-    Both densities must live on the identical grid.
+    Both densities must live on the identical grid. The difference is taken a
+    block of rows at a time, so no array of the grid's size is made.
     """
     _require_same_grid(mu1, mu2)
-    diff = np.subtract(mu1.values, mu2.values)
-    return _integrate_g(np.abs(diff, out=diff), mu1.box_lo, mu1.box_hi)
+
+    def deviation(s: slice) -> Array:
+        diff = np.subtract(mu1.values[s], mu2.values[s])
+        return np.abs(diff, out=diff)
+
+    return _integrate_g(deviation, mu1.box_lo, mu1.box_hi, mu1.shape)
 
 
-def _integrate_g(values: Array, lo: Array, hi: Array) -> float:
-    """Integral of (1 + |v|^2) values(v) over the box, as per-axis contractions."""
-    w = quad_weights(lo, hi, values.shape)
+def _integrate_g(block: Callable[[slice], Array], lo: Array, hi: Array,
+                 shape: Sequence[int]) -> float:
+    """Integral of (1 + |v|^2) f(v) over the box, as per-axis contractions.
+
+    ``block(s)`` gives f on the rows ``s`` of the first axis, one block of
+    :func:`_blocks` at a time. Each block is contracted over the trailing
+    axes, and the first axis is contracted last, over the per-row results.
+    """
+    w = quad_weights(lo, hi, shape)
+    x = _grid_axes(lo, hi, shape)
     # g is a sum of product-form terms: 1 and x_a^2 for each axis a. The axes are
     # contracted from the last, so the term of axis a and every term of an earlier
     # axis share the contraction over the axes after a: two full-grid passes in all.
-    x = _grid_axes(lo, hi, values.shape)
-    terms, partial = [0.0] * values.ndim, values
-    for a in reversed(range(values.ndim)):
-        terms[a] = _contract(partial, w[:a] + [w[a] * x[a] * x[a]])
-        partial = np.einsum("...i,i->...", partial, w[a])
-    return sum(terms, float(partial))
+    # Row a >= 1 of `rows` holds the term of axis a; row 0 the contraction that the
+    # term 1 and the term of axis 0 share.
+    rows = np.empty((len(shape), shape[0]))
+    for s in _blocks(shape[0], math.prod(shape[1:])):
+        partial = block(s)
+        for a in reversed(range(1, len(shape))):
+            rows[a, s] = _contract_trailing(partial, w[1:a] + [w[a] * x[a] * x[a]])
+            partial = np.einsum("...i,i->...", partial, w[a])
+        rows[0, s] = partial
+    terms = [_contract(rows[0], [w[0] * x[0] * x[0]])] + [_contract(r, w[:1]) for r in rows[1:]]
+    return sum(terms, _contract(rows[0], w[:1]))
 
 
 def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
@@ -344,18 +429,35 @@ def lifted_epsilon(joint: GridDensity) -> float:
     The projection is evaluated on the joint's own grid and renormalized
     there, so a box that truncates a Gaussian tail narrows the comparison
     rather than failing; the joint's box is sized for the joint itself. It
-    equals ``dg_distance(joint, normalized(...))`` of those gridded values,
-    but builds no intermediate density: the projection's values, their
-    difference to the joint and its absolute value share one buffer.
+    equals ``dg_distance(joint, normalized(...))`` of those gridded values
+    bit for bit, but holds no array of the joint's size: it runs over blocks
+    of rows of the first axis, twice. The first pass contracts each block of
+    the projection's values over the trailing axes, which gives their mass;
+    the second evaluates the block again, and its normalized values, their
+    difference to the joint and its absolute value share one block buffer.
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
-    diff = log_density_at(gaussian_projection(joint), np.ix_(*joint.axes()))
-    np.exp(diff, out=diff)
-    mass = integrate(diff, joint.box_lo, joint.box_hi)
+    projection = gaussian_projection(joint)
+    w = quad_weights(joint.box_lo, joint.box_hi, joint.shape)
+    x = joint.axes()
+
+    def projected(s: slice) -> Array:
+        values = log_density_at(projection, np.ix_(x[0][s], *x[1:]))
+        return np.exp(values, out=values)
+
+    row_mass = np.empty(joint.shape[0])
+    for s in _blocks(joint.shape[0], joint.values[0].size):
+        row_mass[s] = _contract_trailing(projected(s), w[1:])
+    mass = _contract(row_mass, w[:1])
     if mass <= 0.0 or not np.isfinite(mass):
         raise ValueError(f"cannot normalize lifted_epsilon: mass is {mass}")
-    diff /= mass
-    np.subtract(joint.values, diff, out=diff)
-    return _integrate_g(np.abs(diff, out=diff), joint.box_lo, joint.box_hi)
+
+    def deviation(s: slice) -> Array:
+        diff = projected(s)
+        diff /= mass
+        np.subtract(joint.values[s], diff, out=diff)
+        return np.abs(diff, out=diff)
+
+    return _integrate_g(deviation, joint.box_lo, joint.box_hi, joint.shape)
 

@@ -406,8 +406,11 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                 if k in _GRID_KINDS:
                     state = grids[k][-1]
                     if state is not mu:
-                        # the previous joint is dropped once the next lift returns, no
-                        # sooner (its pages would be re-faulted) and no later (memory)
+                        # the joint is the one joint-sized array of a step: eps and
+                        # transport stream it in blocks. The previous joint is dropped
+                        # once the next lift returns, no sooner (its pages would be
+                        # re-faulted) and no later (memory), so a run of several steps
+                        # peaks at two joints
                         mu, done = state, {(): lift(predict(state, ws), ws)}
                         eps_j = lifted_epsilon(done[()])
                     stages = _KINDS[k][1]

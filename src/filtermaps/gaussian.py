@@ -155,11 +155,21 @@ def log_density_at(g: GaussianMeasure, x) -> Array | float:
         for j in range(1, i + 1):
             z = z + L_inv[i, j] * centered[j]
         z *= z
-        # the sum grows to the broadcast shape of the coordinates, so it is not in place
-        quad = z if i == 0 else quad + z
-    quad += g.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(g.chol)))
+        if i == 0:
+            quad = z
+        elif isinstance(z, np.ndarray) and z.shape == np.broadcast_shapes(np.shape(quad), z.shape):
+            # row i spans the axes of every earlier row, so its own term holds the sum
+            quad = np.add(quad, z, out=z)
+        else:
+            quad = quad + z
+    quad += log_normalizer(g)
     quad *= -0.5
     return float(quad) if np.ndim(quad) == 0 else quad
+
+
+def log_normalizer(g: GaussianMeasure) -> float:
+    """n log(2 pi) + log det(cov), which :func:`log_density_at` adds before scaling by -1/2."""
+    return g.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(g.chol)))
 
 
 def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -> GaussianMeasure:

@@ -9,8 +9,9 @@ specific model; the maps read the model only through it:
 - ``bayes`` conditions a joint on an observed datum (slice + renormalize),
 - ``transport`` pushes a joint through the affine Kalman map
   u + C_uy C_yy^-1 (y_dagger - y) by linear interpolation: every data-axis
-  plane is blended by its fractional cell shift, all planes at once, then
-  added into the output at its whole-cell shift; one code path for d in {1, 2}.
+  plane is blended by its fractional cell shift, a block of planes at once,
+  then added into the output at its whole-cell shift; one code path for
+  d in {1, 2}.
 
 Grid operators support state dimension d in {1, 2} with a scalar data axis
 (K = 1); the joint therefore has at most 3 axes.
@@ -27,15 +28,16 @@ from .density import (
     GridDensity,
     GridMismatchError,
     MIN_POINTS,
+    _blocks,
+    _normalized_in_place,
     from_gaussian,
     grid_points,
     integrate,
     moments,
-    normalized,
     quad_weights,
     weight_tensor,
 )
-from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
+from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at, log_normalizer
 from .model import ModelSpec, fingerprint
 
 #: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
@@ -85,7 +87,10 @@ class OperatorWorkspace:
     The prediction kernel N(u_i; Psi(v_j), Sigma) w_j and the always cached
     likelihood N(y; H(u), Gamma) are ``log_density_at`` of the noise Gaussians
     N(0, Sigma), N(0, Gamma), whose covariances are factored once, when they
-    are validated. With a diagonal Sigma the kernel factors exactly per axis:
+    are validated. The likelihood, a joint-sized array, is built in place in
+    its one buffer with the steps of ``log_density_at``, which would make two
+    more joint-sized temporaries. With a diagonal Sigma the kernel factors
+    exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
     Those factors, one (state_shape[a], m) matrix per axis, are cached when
     they fit ``KERNEL_CACHE_MAX`` entries in total, and built in place: through
@@ -146,8 +151,7 @@ class OperatorWorkspace:
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
-        like = log_density_at(gamma_noise, [self.y_axis[None, :] - h_mesh[:, None]])
-        self._likelihood = np.exp(like, out=like).reshape(self.state_shape + (int(y_points),))
+        self._likelihood = self._likelihood_values(gamma_noise, h_mesh).reshape(self.joint_shape)
 
     def _axis_factor(self, a: int, var: float) -> Array:
         """N(u_a,i; Psi_a(v_j), var) over output points i, source points j.
@@ -161,6 +165,21 @@ class OperatorWorkspace:
         np.exp(f, out=f)
         f *= 1.0 / math.sqrt(2.0 * math.pi * var)
         return f
+
+    def _likelihood_values(self, noise: GaussianMeasure, h_mesh: Array) -> Array:
+        """N(y_k; H(u_i), Gamma) over state points i and data points k, in one buffer.
+
+        Each step is the one ``log_density_at(noise, [y - H(u)])`` takes, in
+        place: centre, scale by L^-1, square, add the constant, scale by -1/2,
+        then exponentiate.
+        """
+        like = np.subtract(self.y_axis[None, :], h_mesh[:, None])
+        like -= noise.mean[0]
+        like *= np.linalg.inv(noise.chol)[0, 0]
+        like *= like
+        like += log_normalizer(noise)
+        like *= -0.5
+        return np.exp(like, out=like)
 
     def _kernel_rows(self, rows: Array) -> Array:
         """Markov-kernel rows N(u_i; Psi(v_j), Sigma) for the output points ``rows``."""
@@ -231,7 +250,8 @@ def predict(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
-    return normalized(ws.state_lo, ws.state_hi, ws.apply_markov(mu.values), context="predict")
+    return _normalized_in_place(ws.state_lo, ws.state_hi, ws.apply_markov(mu.values),
+                                context="predict")
 
 
 def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
@@ -243,7 +263,7 @@ def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
     joint = mu.values[..., None] * ws._likelihood
-    return normalized(ws.joint_lo, ws.joint_hi, joint, blocks=ws.blocks, context="lift")
+    return _normalized_in_place(ws.joint_lo, ws.joint_hi, joint, blocks=ws.blocks, context="lift")
 
 
 def _scalar_datum(joint: GridDensity, y_dagger, analysis: str) -> float:
@@ -284,7 +304,7 @@ def bayes(joint: GridDensity, y_dagger) -> GridDensity:
     mass = integrate(slc, lo, hi)
     if mass < 1e-300:
         raise DegenerateEvidenceError(f"joint density carries no mass at datum {y_dagger}")
-    return normalized(lo, hi, slc, expect_unit_mass=False, context="bayes")
+    return _normalized_in_place(lo, hi, slc, expect_unit_mass=False, context="bayes")
 
 
 def kalman_gain(joint: GridDensity) -> Array:
@@ -306,13 +326,16 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     Realized by the change-of-variables integral
     (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy with linear
     interpolation: the plane at y_j moves by A (y_dagger - y_j) / h = k_j + f_j
-    cells per state axis (k_j integer, 0 <= f_j < 1). All planes are blended
-    at once, z[i] <- (1 - f_j) z[i] + f_j z[i-1], then each is added into the
-    output k_j cells on; one code path serves d in {1, 2}. Points off the grid
-    read zero, and entry 0 keeps its value only where f_j = 0, so nothing is
-    interpolated between the edge and the outside. More than 10% of the mass
-    leaving the state box raises :class:`CoverageError`; the output mean
-    equals M_u + A (y_dagger - M_y) up to grid error.
+    cells per state axis (k_j integer, 0 <= f_j < 1). The planes go in blocks
+    of consecutive j: each block is blended at once,
+    z[i] <- (1 - f_j) z[i] + f_j z[i-1], then each of its planes is added into
+    the output k_j cells on, in order of j. So the temporaries are block-sized
+    and the adds read planes that are still in cache; one code path serves
+    d in {1, 2}. Points off the grid read zero, and entry 0 keeps its value
+    only where f_j = 0, so nothing is interpolated between the edge and the
+    outside. More than 10% of the mass leaving the state box raises
+    :class:`CoverageError`; the output mean equals M_u + A (y_dagger - M_y) up
+    to grid error.
     """
     y = _scalar_datum(joint, y_dagger, "transport")
     gain = kalman_gain(joint)[:, 0]
@@ -325,34 +348,38 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     cells = gain[:, None] * (y - ya) / spacings[:, None]
     k = np.floor(cells)
     f = cells - k
-    # z keeps the joint's layout: a data-axis-first copy would cost a
-    # transposing pass, about what the strided plane reads below cost
-    z = np.empty(joint.shape)
-    source = joint.values
-    for a in range(d):
-        lower = f[a] * source.swapaxes(0, a)[:-1]
-        za = z.swapaxes(0, a)
-        np.multiply(source.swapaxes(0, a), 1.0 - f[a], out=za)
-        za[0][..., f[a] > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
-        za[1:] += lower
-        del lower  # before the next axis allocates its own
-        source = z
-    z *= wy
     # output i takes blended input i - k_j: on the grid, one slice per axis
     size = np.array(n)[:, None]
     first, stop = np.clip(k, 0, size), np.clip(k + size, 0, size)
-    live = np.all(first < stop, axis=0)
-    first, stop, k = first[:, live], stop[:, live], k[:, live]
+    live = np.all(first < stop, axis=0).tolist()
+    dst, src = list(_slices(first, stop)), list(_slices(first - k, stop - k))
     out = np.zeros(n)
-    for j, dst, src in zip(np.flatnonzero(live).tolist(), _slices(first, stop),
-                           _slices(first - k, stop - k)):
-        out[dst] += z[src + (j,)]
+    blocks = _blocks(ya.size, math.prod(n))
+    # z keeps the joint's layout: a data-axis-first block would make every
+    # later pass contiguous, but its transposing copy made a 1-D run slower
+    buf = np.empty(n + (blocks[0].stop,))
+    for cols in blocks:
+        source = joint.values[..., cols]
+        z = buf[..., : cols.stop - cols.start]
+        for a in range(d):
+            fa = f[a, cols]
+            lower = fa * source.swapaxes(0, a)[:-1]
+            za = z.swapaxes(0, a)
+            np.multiply(source.swapaxes(0, a), 1.0 - fa, out=za)
+            za[0][..., fa > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
+            za[1:] += lower
+            del lower  # before the next axis allocates its own
+            source = z
+        z *= wy[cols]
+        for j in range(cols.start, cols.stop):
+            if live[j]:
+                out[dst[j]] += z[src[j] + (j - cols.start,)]
     mass = integrate(out, lo, hi)
     if mass < TRANSPORT_COVERAGE_MIN:
         raise CoverageError(
             f"transport image escapes the state box: only {mass:.4f} of the mass remains"
         )
-    return normalized(lo, hi, out, context="transport")
+    return _normalized_in_place(lo, hi, out, context="transport")
 
 
 def _bounded_constants(model: ModelSpec) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Grid measure maps: prediction, lifting, conditioning, transport."""
 
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import ndimage
 
+import filtermaps.density as density
 import filtermaps.gaussian as gaussian
 import filtermaps.operators as ops
 from filtermaps.density import (
@@ -502,3 +504,66 @@ def test_covariances_are_factored_once_when_validated(monkeypatch):
     for mu, ws in ((mu_1d, ws_1d), (mu_2d, ws_2d)):
         assert lift(predict(mu, ws), ws).shape == ws.joint_shape
     assert np.all(np.isfinite(ws_2d.apply_markov(mu_2d.values)))
+
+
+def _lifted_joint(model, lo, hi, shape, y_points, prior):
+    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=y_points)
+    return lift(predict(from_gaussian(prior, lo, hi, shape), ws), ws)
+
+
+_JOINTS = {
+    "lifted_1d": lambda: _lifted_joint(bounded_model_1d(), [-7.0], [7.0], (128,), 64,
+                                       GaussianMeasure([0.4], [[0.8]])),
+    "3_axis": lambda: _lifted_joint(*_KERNEL_CASES["2d"][:4], 24, _KERNEL_CASES["2d"][4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JOINTS))
+def test_block_size_cannot_change_a_result(monkeypatch, case):
+    # the streamed kernels give every entry the same arithmetic in the same
+    # order whatever the block: one row or plane per block, or the whole grid
+    def results():
+        joint = _JOINTS[case]()  # a fresh joint, so its moments are computed again
+        moved = transport(joint, 0.3)
+        kept, image = moments(joint), moments(moved)
+        return [lifted_epsilon(joint), moved.values, kept.mean, kept.cov, image.mean, image.cov,
+                dg_distance(moved, bayes(joint, 0.3))]
+
+    default = results()
+    for entries in (1, 10**9):
+        monkeypatch.setattr(density, "_BLOCK_ENTRIES", entries)
+        for got, expected in zip(results(), default, strict=True):
+            assert np.array_equal(got, expected)
+
+
+def test_streamed_kernels_hold_no_second_joint():
+    # a 3-axis joint of 8 MB: the kernels that stream a grid in blocks stay
+    # far below its size, lift makes the joint alone, and building the
+    # workspace makes its likelihood in place
+    model = _linear_model_2d((0.25 * np.eye(2)).tolist())
+    lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (64, 64)
+    tracemalloc.start()
+    try:
+        ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=256)
+        held, peak = tracemalloc.get_traced_memory()
+        assert peak - held < 0.5 * ws._likelihood.nbytes
+        mu = predict(from_gaussian(GaussianMeasure([0.4, -0.3], [[0.8, 0.2], [0.2, 0.6]]),
+                                   lo, hi, shape), ws)
+        other = lift(from_gaussian(GaussianMeasure([0.0, 0.0], np.eye(2)), lo, hi, shape), ws)
+
+        def peak_of(call):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return tracemalloc.get_traced_memory()[1] - before, result
+
+        lift_peak, joint = peak_of(lambda: lift(mu, ws))
+        nbytes = joint.values.nbytes
+        assert nbytes >= 8e6
+        assert lift_peak < 1.1 * nbytes
+        moments(joint)  # kept on the joint, outside the peaks below
+        assert peak_of(lambda: lifted_epsilon(joint))[0] < 0.5 * nbytes
+        assert peak_of(lambda: transport(joint, 0.3))[0] < 0.5 * nbytes
+        assert peak_of(lambda: dg_distance(joint, other))[0] < 0.5 * nbytes
+    finally:
+        tracemalloc.stop()
