@@ -14,8 +14,10 @@ these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), and d_g.
 A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
 and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
-``_BLOCK_ENTRIES`` entries; each entry gets the same arithmetic and the
-contractions run in the same order, so no result depends on the block size.
+``_BLOCK_ENTRIES`` entries and holds one block buffer at a time, besides
+temporaries of a fraction of a block; each entry gets the same arithmetic and
+each row is contracted on its own, so no result depends on the block size or
+on the order of the blocks.
 A measure map hands its fresh output to a density that normalizes it in
 place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
 A density is stored as its three arrays (``np.savez`` of ``box_lo``,
@@ -387,8 +389,9 @@ def _integrate_g(block: Callable[[slice], Array], lo: Array, hi: Array,
     """Integral of (1 + |v|^2) f(v) over the box, as per-axis contractions.
 
     ``block(s)`` gives f on the rows ``s`` of the first axis, one block of
-    :func:`_blocks` at a time. Each block is contracted over the trailing
-    axes, and the first axis is contracted last, over the per-row results.
+    :func:`_blocks` at a time, from the last block to the first. Each block is
+    contracted over the trailing axes, and the first axis is contracted last,
+    over the per-row results, so the order of the blocks changes no result.
     """
     w = quad_weights(lo, hi, shape)
     x = _grid_axes(lo, hi, shape)
@@ -398,7 +401,7 @@ def _integrate_g(block: Callable[[slice], Array], lo: Array, hi: Array,
     # Row a >= 1 of `rows` holds the term of axis a; row 0 the contraction that the
     # term 1 and the term of axis 0 share.
     rows = np.empty((len(shape), shape[0]))
-    for s in _blocks(shape[0], math.prod(shape[1:])):
+    for s in reversed(_blocks(shape[0], math.prod(shape[1:]))):
         partial = block(s)
         for a in reversed(range(1, len(shape))):
             rows[a, s] = _contract_trailing(partial, w[1:a] + [w[a] * x[a] * x[a]])
@@ -433,7 +436,8 @@ def lifted_epsilon(joint: GridDensity) -> float:
     bit for bit, but holds no array of the joint's size: it runs over blocks
     of rows of the first axis, twice. The first pass contracts each block of
     the projection's values over the trailing axes, which gives their mass;
-    the second evaluates the block again, and its normalized values, their
+    the second starts with the block the first pass evaluated last and
+    evaluates each other block again, and its normalized values, their
     difference to the joint and its absolute value share one block buffer.
     """
     if joint.blocks is None:
@@ -447,14 +451,21 @@ def lifted_epsilon(joint: GridDensity) -> float:
         return np.exp(values, out=values)
 
     row_mass = np.empty(joint.shape[0])
-    for s in _blocks(joint.shape[0], joint.values[0].size):
+    *head, last = _blocks(joint.shape[0], joint.values[0].size)
+    for s in head:
         row_mass[s] = _contract_trailing(projected(s), w[1:])
+    kept = projected(last)  # the block that pass 2 takes first
+    row_mass[last] = _contract_trailing(kept, w[1:])
     mass = _contract(row_mass, w[:1])
     if mass <= 0.0 or not np.isfinite(mass):
         raise ValueError(f"cannot normalize lifted_epsilon: mass is {mass}")
 
     def deviation(s: slice) -> Array:
-        diff = projected(s)
+        nonlocal kept
+        if s == last:
+            diff, kept = kept, None
+        else:
+            diff = projected(s)
         diff /= mass
         np.subtract(joint.values[s], diff, out=diff)
         return np.abs(diff, out=diff)

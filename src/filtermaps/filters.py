@@ -407,11 +407,12 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                     state = grids[k][-1]
                     if state is not mu:
                         # the joint is the one joint-sized array of a step: eps and
-                        # transport stream it in blocks. The previous joint is dropped
-                        # once the next lift returns, no sooner (its pages would be
-                        # re-faulted) and no later (memory), so a run of several steps
-                        # peaks at two joints
-                        mu, done = state, {(): lift(predict(state, ws), ws)}
+                        # transport stream it in blocks. Group members are consecutive
+                        # kinds, so the previous group's joint is dead here; dropping
+                        # it before the next lift keeps a run at one joint, and glibc
+                        # then reuses its pages instead of faulting in fresh ones
+                        mu, done = state, None
+                        done = {(): lift(predict(state, ws), ws)}
                         eps_j = lifted_epsilon(done[()])
                     stages = _KINDS[k][1]
                     for i in range(1, len(stages) + 1):
@@ -429,6 +430,7 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
             run.diagnostics["cov"].append(cov)
             run.diagnostics["eps"].append(eps)
 
+    done = None  # the last joint, before the pairwise pass
     if len(kinds) > 1:
         # d_g is symmetric and zero on the diagonal: one pass per unordered pair
         names = list(grids)

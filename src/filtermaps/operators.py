@@ -327,10 +327,11 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     (T pi)(v) = integral pi(v - A (y_dagger - y), y) dy with linear
     interpolation: the plane at y_j moves by A (y_dagger - y_j) / h = k_j + f_j
     cells per state axis (k_j integer, 0 <= f_j < 1). The planes go in blocks
-    of consecutive j: each block is blended at once,
-    z[i] <- (1 - f_j) z[i] + f_j z[i-1], then each of its planes is added into
-    the output k_j cells on, in order of j. So the temporaries are block-sized
-    and the adds read planes that are still in cache; one code path serves
+    of consecutive j: each block is blended at once, axis by axis, in one block
+    buffer, z[i] <- (1 - f_j) z[i] + f_j z[i-1], the products f_j z[i-1] taken
+    an eighth of a block at a time; then each of its planes is added into the
+    output k_j cells on, in order of j. So the call holds one block buffer and
+    the adds read planes that are still in cache; one code path serves
     d in {1, 2}. Points off the grid read zero, and entry 0 keeps its value
     only where f_j = 0, so nothing is interpolated between the edge and the
     outside. More than 10% of the mass leaving the state box raises
@@ -362,13 +363,18 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
         source = joint.values[..., cols]
         z = buf[..., : cols.stop - cols.start]
         for a in range(d):
-            fa = f[a, cols]
-            lower = fa * source.swapaxes(0, a)[:-1]
-            za = z.swapaxes(0, a)
-            np.multiply(source.swapaxes(0, a), 1.0 - fa, out=za)
-            za[0][..., fa > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
-            za[1:] += lower
-            del lower  # before the next axis allocates its own
+            fa, keep = f[a, cols], 1.0 - f[a, cols]
+            sa, za = source.swapaxes(0, a), z.swapaxes(0, a)
+            # chunks of rows from the last: where the source is z itself (a >= 1),
+            # each chunk reads its rows i - 1 before any of them is overwritten
+            for r in reversed(_blocks(n[a], 8 * za[0].size)):
+                below = max(r.start, 1)
+                lower = fa * sa[below - 1 : r.stop - 1]
+                np.multiply(sa[r], keep, out=za[r])
+                if r.start == 0:
+                    za[0][..., fa > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
+                za[below : r.stop] += lower
+                del lower  # before the next chunk takes its own
             source = z
         z *= wy[cols]
         for j in range(cols.start, cols.stop):

@@ -351,6 +351,25 @@ def test_lifted_epsilon_matches_its_definition(make_joint, truncated):
     assert lifted_epsilon(joint) == expected
 
 
+@pytest.mark.parametrize("rows_per_block, count", [(40, 7), (256, 1)])
+def test_lifted_epsilon_evaluates_its_last_block_once(monkeypatch, rows_per_block, count):
+    # pass 2 starts with the block that pass 1 evaluated last, so B blocks cost
+    # 2 B - 1 evaluations of the projection, and the value does not change
+    joint = _lifted_1d_joint()
+    expected = lifted_epsilon(joint)
+    monkeypatch.setattr(density, "_BLOCK_ENTRIES", rows_per_block * joint.shape[1])
+    assert len(density._blocks(joint.shape[0], joint.shape[1])) == count
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return log_density_at(*args)
+
+    monkeypatch.setattr(density, "log_density_at", counted)
+    assert lifted_epsilon(joint) == expected
+    assert len(calls) == 2 * count - 1
+
+
 def test_lifted_epsilon_rejects_a_projection_without_mass(monkeypatch):
     # a projection centred far outside the box underflows to zero mass on it
     far = GaussianMeasure([60.0, 60.0], np.eye(2) * 0.01)

@@ -1,5 +1,7 @@
 """Filter drivers: data generation, per-step maps, multi-kind runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -599,3 +601,27 @@ def test_plan_workspace_margins_and_determinism():
     assert_allclose(again.state_lo, ws.state_lo)
     assert_allclose(again.state_hi, ws.state_hi)
     assert_allclose(again.y_axis, ws.y_axis)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_filter_run_holds_one_joint(d):
+    # true and enkf_mf enter every step after the first with different states, so
+    # each step lifts two joints; a group's joint is released before the next lift
+    # and the last one before the pairwise pass, so the run peaks below two joints
+    if d == 1:
+        model, config, J = sweep_model(0.2), FilterConfig(), 3
+    else:
+        model, config, J = _linear_model_2d(), FilterConfig(state_shape=(64, 64), y_points=256), 2
+    trajectory = generate_data(model, J=J, seed=3)
+    ws = plan_workspace(model, trajectory, config)
+    joint_bytes = 8 * np.prod(ws.joint_shape)
+    assert joint_bytes >= 4e6
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runs = run_filter(["true", "enkf_mf"], model, trajectory, config, ws)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert runs["true"].diagnostics["dg_vs_enkf_mf"][1] > 0.0
+    assert peak < 1.6 * joint_bytes

@@ -521,7 +521,9 @@ _JOINTS = {
 @pytest.mark.parametrize("case", sorted(_JOINTS))
 def test_block_size_cannot_change_a_result(monkeypatch, case):
     # the streamed kernels give every entry the same arithmetic in the same
-    # order whatever the block: one row or plane per block, or the whole grid
+    # order whatever the block: one row or plane per block, or the whole grid.
+    # transport blends each state axis in chunks of rows of an eighth of a block:
+    # one row each, several with a shorter last chunk, or the whole axis at once
     def results():
         joint = _JOINTS[case]()  # a fresh joint, so its moments are computed again
         moved = transport(joint, 0.3)
@@ -530,7 +532,8 @@ def test_block_size_cannot_change_a_result(monkeypatch, case):
                 dg_distance(moved, bayes(joint, 0.3))]
 
     default = results()
-    for entries in (1, 10**9):
+    plane = default[1].size
+    for entries in (1, 2 * plane - 1, 10**9):
         monkeypatch.setattr(density, "_BLOCK_ENTRIES", entries)
         for got, expected in zip(results(), default, strict=True):
             assert np.array_equal(got, expected)
@@ -563,7 +566,12 @@ def test_streamed_kernels_hold_no_second_joint():
         assert lift_peak < 1.1 * nbytes
         moments(joint)  # kept on the joint, outside the peaks below
         assert peak_of(lambda: lifted_epsilon(joint))[0] < 0.5 * nbytes
-        assert peak_of(lambda: transport(joint, 0.3))[0] < 0.5 * nbytes
+        transport_peak = peak_of(lambda: transport(joint, 0.3))[0]
+        assert transport_peak < 0.5 * nbytes
+        # one block buffer of data-axis planes, a fraction of one more, and the output
+        plane = joint.values[..., 0].nbytes
+        buffer = density._blocks(joint.shape[-1], joint.values[..., 0].size)[0].stop * plane
+        assert transport_peak < 1.5 * buffer + plane
         assert peak_of(lambda: dg_distance(joint, other))[0] < 0.5 * nbytes
     finally:
         tracemalloc.stop()
