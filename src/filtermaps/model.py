@@ -28,6 +28,9 @@ class MapHandle:
     ``fn`` maps an (m, dim_in) batch to (m, dim_out). ``sup_bound`` is an
     analytic bound on |f(x)|_2 (None when unbounded), ``lipschitz`` a bound on
     the Lipschitz constant, and ``matrix`` the matrix of a linear map.
+    ``componentwise`` certifies that dim_out == dim_in and that component a of
+    f(x) reads x_a alone, so a Markov kernel with a diagonal noise covariance
+    is a product of one factor per axis.
     """
 
     family: str
@@ -37,6 +40,7 @@ class MapHandle:
     sup_bound: float | None
     lipschitz: float | None
     matrix: Array | None = None
+    componentwise: bool = False
 
 
 def _componentwise(family, dim_in, dim_out, scalar_fn, bound_per_comp, lipschitz):
@@ -47,6 +51,7 @@ def _componentwise(family, dim_in, dim_out, scalar_fn, bound_per_comp, lipschitz
         family, fn, dim_in, dim_out,
         sup_bound=bound_per_comp * np.sqrt(dim_out),
         lipschitz=lipschitz,
+        componentwise=True,
     )
 
 
@@ -60,6 +65,7 @@ def _build_linear(dim_in, dim_out, *, matrix):
         sup_bound=0.0 if zero else None,
         lipschitz=float(np.linalg.norm(A, 2)),
         matrix=A,
+        componentwise=dim_out == dim_in and np.array_equal(A, np.diag(np.diag(A))),
     )
 
 

@@ -41,8 +41,9 @@ from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at, lo
 from .model import ModelSpec, fingerprint
 
 #: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
-#: the per-axis factors (sum(state_shape) * m entries for m state points) are
-#: cached when they fit; otherwise kernel rows are streamed in chunks of this size.
+#: the per-axis factors are cached when their entries fit: sum(n_a^2) for a
+#: componentwise Psi, sum(n_a) * m for m state points otherwise; else kernel
+#: rows are streamed in chunks of this size.
 KERNEL_CACHE_MAX = 2**24
 
 #: Fraction of mass that may leave the state box in ``transport`` before it is an error.
@@ -92,19 +93,25 @@ class OperatorWorkspace:
     more joint-sized temporaries. With a diagonal Sigma the kernel factors
     exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
-    Those factors, one (state_shape[a], m) matrix per axis, are cached when
-    they fit ``KERNEL_CACHE_MAX`` entries in total, and built in place: through
-    ``log_density_at`` their full-size temporaries raise the peak memory of a
-    1024-point 1-D run by about 9%. A non-diagonal Sigma or larger factors
-    stream the full kernel in row chunks instead.
+    When Psi is componentwise (``MapHandle.componentwise``), Psi_a(v_j) reads
+    v_a,j_a alone and so does the weight factor w_a,j_a, so the kernel is a
+    tensor product of one (n_a, n_a) matrix per axis,
+    F_a[i, j] = N(u_a,i; Psi_a(v_a,j), Sigma_aa) w_a,j, and a 2-D prediction
+    is F_0 T F_1^T on the value tensor T. Any other Psi keeps one (n_a, m)
+    factor per axis against all m source points, with w_j on the first. The
+    factors are cached when they fit ``KERNEL_CACHE_MAX`` entries in total,
+    and built in place: through ``log_density_at`` their full-size temporaries
+    raise the peak memory of a 1024-point 1-D run by about 9%. A non-diagonal
+    Sigma or larger factors stream the full kernel in row chunks instead.
 
     Matrix-vector products over grid points (the 1-D factor, the streamed
-    rows) contract with ``np.einsum``, which does not call BLAS. A threaded
-    BLAS matrix-vector product is about twice as fast in a lone process, but
-    after each call its helper threads spin on the cores that the sweep's
-    other worker processes need, which halves the sweep's speed.
-    The 2-D per-axis product is a compute-bound matrix-matrix product and
-    stays on BLAS, where it is about ten times faster than ``einsum`` at 96^2.
+    rows) and the 2-D tensor-product factors contract with ``np.einsum``,
+    which does not call BLAS. A threaded BLAS product is faster in a lone
+    process, but after each call its helper threads spin on the cores that
+    other worker processes need: with one core busy elsewhere, a 96^2
+    tensor-product prediction takes 16 ms through BLAS and 0.7 ms through
+    ``einsum``. The (n_a, m) factors' product is compute-bound and stays on
+    BLAS, where it is about ten times faster than ``einsum`` at 96^2.
     """
 
     def __init__(self, model: ModelSpec, state_lo, state_hi, state_shape,
@@ -143,23 +150,33 @@ class OperatorWorkspace:
         self._sigma_noise = GaussianMeasure(np.zeros(self.d), model.Sigma)
         sigma = model.Sigma
         self._factors = None
-        if (np.array_equal(sigma, np.diag(np.diag(sigma)))
-                and sum(self.state_shape) * self._mesh.shape[0] <= KERNEL_CACHE_MAX):
-            self._factors = [self._axis_factor(a, sigma[a, a]) for a in range(self.d)]
-            # the first factor also carries the source weights w_j
-            self._factors[0] *= self._state_w
+        self._tensor = model.psi_handle.componentwise
+        if self._tensor:
+            # Psi_a reads v_a alone: its values along axis a through the first grid point
+            psi_grid = self._psi_mesh.reshape(self.state_shape + (self.d,))
+            sources = [psi_grid[(0,) * a + (slice(None),) + (0,) * (self.d - 1 - a) + (a,)]
+                       for a in range(self.d)]
+            weights = quad_weights(self.state_lo, self.state_hi, self.state_shape)
+        else:
+            sources = [self._psi_mesh[:, a] for a in range(self.d)]
+            weights = [self._state_w]  # the first factor carries the source weights w_j
+        entries = sum(n * psi_a.size for n, psi_a in zip(self.state_shape, sources))
+        if np.array_equal(sigma, np.diag(np.diag(sigma))) and entries <= KERNEL_CACHE_MAX:
+            self._factors = [self._axis_factor(a, sigma[a, a], sources[a]) for a in range(self.d)]
+            for factor, w in zip(self._factors, weights):
+                factor *= w
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
         self._likelihood = self._likelihood_values(gamma_noise, h_mesh).reshape(self.joint_shape)
 
-    def _axis_factor(self, a: int, var: float) -> Array:
-        """N(u_a,i; Psi_a(v_j), var) over output points i, source points j.
+    def _axis_factor(self, a: int, var: float, psi_a: Array) -> Array:
+        """N(u_a,i; psi_a[j], var) over output points i and source values psi_a[j].
 
         Built in place in one buffer: chained full-size temporaries fragment the
         heap when many workspaces are built in one process.
         """
-        f = np.subtract.outer(self.state_axes[a], self._psi_mesh[:, a])
+        f = np.subtract.outer(self.state_axes[a], psi_a)
         f *= f
         f *= -0.5 / var
         np.exp(f, out=f)
@@ -214,6 +231,9 @@ class OperatorWorkspace:
                 out[rows] = np.einsum("ij,j->i", self._kernel_rows(rows), weighted)
         elif self.d == 1:
             out = np.einsum("ij,j->i", self._factors[0], flat)
+        elif self._tensor:
+            out = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", self._factors[0], state_values),
+                            self._factors[1])
         else:
             out = (self._factors[0] * flat) @ self._factors[1].T
         return out.reshape(self.state_shape)
@@ -314,12 +334,6 @@ def kalman_gain(joint: GridDensity) -> Array:
     return joint.blocks.gain(moments(joint).cov)
 
 
-def _slices(start: Array, stop: Array):
-    """Per column j, the tuple of slices start[a, j]:stop[a, j] over the rows a."""
-    return zip(*(map(slice, a.tolist(), b.tolist())
-                 for a, b in zip(start.astype(int), stop.astype(int))))
-
-
 def transport(joint: GridDensity, y_dagger) -> GridDensity:
     """Kalman transport map: push the joint through (u, y) -> u + A (y_dagger - y).
 
@@ -353,7 +367,6 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     size = np.array(n)[:, None]
     first, stop = np.clip(k, 0, size), np.clip(k + size, 0, size)
     live = np.all(first < stop, axis=0).tolist()
-    dst, src = list(_slices(first, stop)), list(_slices(first - k, stop - k))
     out = np.zeros(n)
     blocks = _blocks(ya.size, math.prod(n))
     # z keeps the joint's layout: a data-axis-first block would make every
@@ -377,9 +390,15 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
                 del lower  # before the next chunk takes its own
             source = z
         z *= wy[cols]
-        for j in range(cols.start, cols.stop):
-            if live[j]:
-                out[dst[j]] += z[src[j] + (j - cols.start,)]
+        # this block's slices, made as the adds take them: output first:stop
+        # reads input first - k:stop - k; no list of every plane's slices is held
+        on, off, k_j = first[:, cols], stop[:, cols], k[:, cols]
+        slices = [zip(*(map(slice, a.tolist(), b.tolist())
+                        for a, b in zip(start.astype(int), end.astype(int))))
+                  for start, end in ((on, off), (on - k_j, off - k_j))]
+        for p, (dst, src, ok) in enumerate(zip(*slices, live[cols])):
+            if ok:
+                out[dst] += z[src + (p,)]
     mass = integrate(out, lo, hi)
     if mass < TRANSPORT_COVERAGE_MIN:
         raise CoverageError(

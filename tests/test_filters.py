@@ -31,10 +31,10 @@ from filtermaps.operators import (OutOfDomainError, WorkspaceMismatchError, baye
 SMALL = FilterConfig(state_shape=(256,), y_points=128)
 
 
-def _linear_model_2d():
+def _linear_model_2d(psi_matrix=((0.8, 0.1), (0.0, 0.7))):
     return ModelSpec(
         d=2, K=1,
-        psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
+        psi=MapSpec("linear", {"matrix": [list(row) for row in psi_matrix]}),
         h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
         Sigma=(0.25 * np.eye(2)).tolist(), Gamma=[[0.25]],
         m0=[0.0, 0.0], S0=np.eye(2).tolist(),
@@ -134,18 +134,25 @@ def test_grid_true_filter_tracks_kalman():
         assert_allclose(run.diagnostics["cov"][j], oracle[j].cov, atol=5e-4)
 
 
-def test_grid_filters_track_kalman_in_2d():
-    model = _linear_model_2d()
+@pytest.mark.parametrize("psi_matrix, y_points", [
+    (((0.8, 0.1), (0.0, 0.7)), 48),
+    (((0.8, 0.0), (0.0, 0.7)), 96),
+], ids=["coupled", "diagonal"])
+def test_grid_filters_track_kalman_in_2d(psi_matrix, y_points):
+    # a diagonal Psi predicts through the tensor-product kernel F_0 T F_1^T,
+    # a coupled one through one (48, 48^2) factor per axis
+    model = _linear_model_2d(psi_matrix)
     traj = generate_data(model, J=3, seed=2)
     oracle = kalman_analytic(model, traj)
     results = run_filter(["true", "enkf_mf", "gpf_bg", "gpf_gt"], model, traj,
-                         config=FilterConfig(state_shape=(48, 48), y_points=48))
+                         config=FilterConfig(state_shape=(48, 48), y_points=y_points))
     # Tolerances are grid error on a 48^2 state grid (cell about 0.28 against a
-    # prior stdev of 1) with 48 data points (cell about 0.34); measured errors are
-    # at most half of each bound:
+    # prior stdev of 1); measured errors are at most 3/4 of each bound:
+    # - true slices the joint at the datum by linear interpolation between data
+    #   nodes. The diagonal model's data fall where 48 nodes (cell about 0.34)
+    #   err by 3.9e-3 in its mean, with either kernel path, so it takes 96;
     # - gpf_bg conditions the quadrature moments of a lifted Gaussian, which the
     #   trapezoid rule integrates to near rounding level;
-    # - true slices the joint at the datum by linear interpolation between data nodes;
     # - enkf_mf and gpf_gt transport by linear interpolation on the state grid,
     #   which smooths by about cell^2 / 6 of variance per step.
     tolerances = {"gpf_bg": (1e-9, 1e-8), "true": (3e-3, 3e-2),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from filtermaps import model, verify
 from filtermaps.model import (
     MapSpec,
     ModelSpec,
@@ -155,3 +156,72 @@ def test_sweep_family_shape():
     dev0 = np.abs(spec0.psi_apply(u)[:, 0] - 0.9 * u[:, 0]).max()
     dev3 = np.abs(spec3.psi_apply(u)[:, 0] - 0.9 * u[:, 0]).max()
     assert dev3 > 10 * dev0
+
+
+# Parameters of every registered family, as a function of the dimension d.
+_FAMILY_PARAMS = {
+    "linear": lambda d: {"matrix": np.diag([0.8, 0.7][:d]).tolist()},
+    "constant": lambda d: {"value": [1.5, -0.5][:d]},
+    "tanh": lambda d: {"scale": 0.9, "radius": 2.0},
+    "tanh_sin": lambda d: {"scale": 0.9, "delta": 0.2, "radius": 2.0},
+    "tanh_rational": lambda d: {"delta": 0.3, "radius": 2.0},
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("family", sorted(_FAMILY_PARAMS))
+def test_componentwise_certificate_holds(family, d):
+    # a certified map's component a does not move, bit for bit, when another coordinate does
+    assert set(_FAMILY_PARAMS) == set(model._FAMILIES)
+    handle = make_map(family, _FAMILY_PARAMS[family](d), d, d)
+    assert handle.componentwise == (family in ("linear", "tanh", "tanh_sin", "tanh_rational"))
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-6.0, 6.0, size=(500, d))
+    base = handle.fn(x)
+    for a in range(d):
+        for b in set(range(d)) - {a}:
+            moved = x.copy()
+            moved[:, b] = rng.uniform(-6.0, 6.0, size=500)
+            assert np.array_equal(handle.fn(moved)[:, a], base[:, a])
+
+
+@pytest.mark.parametrize("matrix, componentwise", [
+    ([[0.9]], True),
+    ([[0.8, 0.0], [0.0, 0.7]], True),
+    ([[0.8, 0.1], [0.0, 0.7]], False),
+    ([[0.8, 0.0], [0.1, 0.7]], False),
+    ([[1.0, 0.5]], False),
+    ([[1.0], [0.5]], False),
+])
+def test_linear_map_is_componentwise_exactly_when_diagonal(matrix, componentwise):
+    A = np.array(matrix)
+    handle = make_map("linear", {"matrix": matrix}, A.shape[1], A.shape[0])
+    assert handle.componentwise is componentwise
+    if A.shape == (2, 2):
+        # an off-diagonal entry makes a component read the other coordinate
+        x = np.array([[1.0, 2.0]])
+        reads_other = []
+        for a in range(2):
+            moved = x.copy()
+            moved[0, 1 - a] += 3.0
+            reads_other.append(not np.array_equal(handle.fn(moved)[:, a], handle.fn(x)[:, a]))
+        assert any(reads_other) is not componentwise
+
+
+def test_componentwise_certificate_is_not_config():
+    # the certificate is derived from the family and its parameters, so the
+    # config, its round-trip and the fingerprint stay what they were
+    tanh_sin_2d = ModelSpec(d=2, K=1, psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": 32.0,
+                                                               "delta": 0.2}),
+                            h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+                            Sigma=0.25 * np.eye(2), Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
+    diagonal_2d = ModelSpec(d=2, K=1, psi=MapSpec("linear", {"matrix": [[0.8, 0.0], [0.0, 0.7]]}),
+                            h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+                            Sigma=0.25 * np.eye(2), Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
+    for spec, expected in ((sweep_model(0.1), "34ae133a4dfa1f36"),
+                           (tanh_sin_2d, "f98e5eff44af2e4e"),
+                           (diagonal_2d, "d7e37291030e585a")):
+        assert spec.psi_handle.componentwise
+        assert "componentwise" not in json.dumps(to_config(spec))
+        assert fingerprint(spec) == expected
+    assert verify.check_config_roundtrip().passed

@@ -416,11 +416,27 @@ def _linear_model_2d(sigma):
     )
 
 
+def _tanh_sin_model_2d():
+    return ModelSpec(
+        d=2, K=1,
+        psi=MapSpec("tanh_sin", {"scale": 0.9, "radius": 2.0, "delta": 0.2}),
+        h=MapSpec("linear", {"matrix": [[1.0, 0.5]]}),
+        Sigma=[[0.25, 0.0], [0.0, 0.3]], Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2).tolist(),
+    )
+
+
 _KERNEL_CASES = {
     "1d": (bounded_model_1d(), [-7.0], [7.0], (256,), GaussianMeasure([0.4], [[0.8]])),
     "2d": (_linear_model_2d((0.25 * np.eye(2)).tolist()), [-7.0, -7.0], [7.0, 7.0], (24, 24),
            GaussianMeasure([0.4, -0.3], [[0.8, 0.2], [0.2, 0.6]])),
+    "2d_tanh_sin": (_tanh_sin_model_2d(), [-7.0, -6.0], [7.0, 6.0], (24, 24),
+                    GaussianMeasure([0.4, -0.3], [[0.8, 0.2], [0.2, 0.6]])),
 }
+
+#: Entries of the cached kernel factors: a componentwise Psi (1d, 2d_tanh_sin)
+#: gives one (n_a, n_a) factor per axis, the 2-D linear Psi with an
+#: off-diagonal entry one (n_a, m) factor per axis against all m = 24^2 points.
+_FACTOR_ENTRIES = {"1d": 256 * 256, "2d": 2 * 24 * 576, "2d_tanh_sin": 2 * 24 * 24}
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
@@ -430,6 +446,7 @@ def test_chunked_kernel_matches_cached(monkeypatch, case):
     mu = from_gaussian(prior, box_lo=lo, box_hi=hi, shape=shape)
     ws_cached = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
     assert ws_cached._factors is not None and len(ws_cached._factors) == model.d
+    assert sum(f.size for f in ws_cached._factors) == _FACTOR_ENTRIES[case]
     reference = predict(mu, ws_cached)
 
     monkeypatch.setattr(ops, "KERNEL_CACHE_MAX", 1024)
@@ -477,6 +494,21 @@ def test_cached_1d_kernel_factor_matches_brute_force():
     raw = kernel @ (w * mu.values)
     expected = raw / np.sum(raw * w)
     assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_componentwise_workspace_holds_its_likelihood_and_axis_factors():
+    # a 96^2 tanh_sin workspace caches two 96 x 96 kernel factors; with one
+    # (96, 96^2) factor per axis it held about three likelihoods
+    lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (96, 96)
+    tracemalloc.start()
+    try:
+        ws = default_workspace(_tanh_sin_model_2d(), lo, hi, shape, y_lo=-8.0, y_hi=8.0,
+                               y_points=96)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [f.shape for f in ws._factors] == [(96, 96), (96, 96)]
+    assert held < ws._likelihood.nbytes + 1e6
 
 
 def test_covariances_are_factored_once_when_validated(monkeypatch):
