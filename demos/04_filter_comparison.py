@@ -24,7 +24,7 @@ def main():
     model = linear_model_1d()
     traj = generate_data(model, J=10, seed=0)
     ws = plan_workspace(model, traj, config)
-    runs = run_filter(list(KINDS), model, traj, config=config, ws=ws)
+    runs = run_filter(list(KINDS), model, traj, config=config, ws=ws, eps_kinds=())
     oracle = [ws.state_grid(g) for g in kalman_analytic(model, traj)]
     print("linear model: max_j d_g to the analytic Kalman posterior")
     for kind in KINDS:
@@ -35,7 +35,7 @@ def main():
 
     model = sweep_model(0.2)
     traj = generate_data(model, J=8, seed=1)
-    runs = run_filter(list(KINDS), model, traj, config=config)
+    runs = run_filter(list(KINDS), model, traj, config=config, eps_kinds=("true",))
     print("\nnonlinear model (delta = 0.2): per-step d_g to the exact filter")
     header = "  step " + "".join(f"{k:>10}" for k in KINDS[1:]) + "       eps"
     print(header)

@@ -18,7 +18,8 @@ unknown map-family parameter is a configuration error, and so is a number
 that is not finite (NaN, Infinity, or a literal such as 1e999 that overflows).
 
 Exit codes: 0 success, 1 property or step failure, 2 configuration or
-environment error. Data CSVs are byte-identical across repeated runs with the
+environment error. A step failure, in ``run`` or in a sweep point, writes
+error.json with its step and kind, and a sweep point's delta. Data CSVs are byte-identical across repeated runs with the
 same config and seed; timestamps and timings live only in metadata.json.
 
 Config file schema (JSON), all keys optional unless noted::
@@ -221,8 +222,9 @@ def _write_metadata(out_dir: str, config: dict | None, spec, timings: dict,
         fh.write("\n")
 
 
-def _write_error(out_dir: str, exc: Exception) -> None:
-    record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+def _write_error(out_dir: str, exc: Exception, **context) -> None:
+    """error.json: the exception's type and message, a step's index and kind, and ``context``."""
+    record = {"error": {"type": type(exc).__name__, "message": str(exc), **context}}
     if isinstance(exc, filters.FilterStepError):
         record["error"]["step"] = exc.step
         record["error"]["kind"] = exc.kind
@@ -361,11 +363,22 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     t0 = time.perf_counter()
+    rows = []  # in delta order, so a failing point is args[len(rows)]
     try:
-        with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
-            rows = list(pool.map(_sweep_point, *zip(*args)))
-    except (OSError, BrokenProcessPool):
-        rows = [_sweep_point(*a) for a in args]
+        try:
+            with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
+                for row in pool.map(_sweep_point, *zip(*args)):
+                    rows.append(row)
+        except (OSError, BrokenProcessPool):
+            rows = []
+            for a in args:
+                rows.append(_sweep_point(*a))
+    except filters.FilterStepError as exc:
+        delta = args[len(rows)][0]
+        _write_error(out_dir, exc, delta=delta)
+        print(f"sweep point delta={delta} failed at step {exc.step} ({exc.kind}); "
+              "error.json written", file=sys.stderr)
+        return EXIT_FAILURE
     sweep_seconds = time.perf_counter() - t0
 
     columns = ("delta", "eps_measured", "err_enkf", "err_gpf")

@@ -18,16 +18,18 @@ ensemble) and the names of its analysis stages after P and Q;
 ``FILTER_KINDS`` are its keys. ``run_filter`` takes a list of kinds and
 drives them over one data realization (a ``FilterTrajectory``) on a shared
 workspace: its loop is the one place that applies P and Q, measures the
-near-Gaussianity defect eps_j of the lifted joint, applies the named stages in
+near-Gaussianity defect eps_j of the lifted joint for the kinds in
+``eps_kinds`` (every grid kind by default), applies the named stages in
 order and puts the result on the state grid, once, for the next step and the
 pairwise distances; a measure that leaves the state box fails its own step,
 for a lone kind and at the last step too. Each map is applied once per step
 and distinct input: kinds that enter a step with the same state density (at
 step 1, every grid kind) share its P, Q and eps, and their common leading
-stages, such as the T of ``enkf_mf`` and ``gpf_gt``. It returns a dict of one
-``FilterRun`` per kind: its per-step measures, their moments, eps_j, and
-weighted-TV distances to the other kinds. ``kalman_analytic`` is the
-closed-form oracle for linear models.
+stages, such as the T of ``enkf_mf`` and ``gpf_gt``; a group none of whose
+kinds is in ``eps_kinds`` measures no eps. It returns a dict of one
+``FilterRun`` per kind: its per-step measures, their moments, eps_j (None
+outside ``eps_kinds``), and weighted-TV distances to the other kinds.
+``kalman_analytic`` is the closed-form oracle for linear models.
 """
 
 from __future__ import annotations
@@ -59,12 +61,20 @@ _PARTICLE_STREAM = 202
 
 
 class FilterStepError(RuntimeError):
-    """A filter step failed; carries the step index and filter kind."""
+    """A filter step failed; carries the step index and filter kind.
 
-    def __init__(self, step: int, kind: str, cause: Exception):
+    It pickles with its step, kind and message (not its cause), so it can
+    leave a process-pool worker.
+    """
+
+    def __init__(self, step: int, kind: str, cause: Exception | str):
         super().__init__(f"step {step} ({kind}) failed: {cause}")
         self.step = step
         self.kind = kind
+        self._cause_text = str(cause)
+
+    def __reduce__(self):
+        return type(self), (self.step, self.kind, self._cause_text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +143,9 @@ class FilterRun:
 
     ``measures`` has J + 1 entries (step 0 is the initial law). Each entry of
     ``diagnostics`` is a per-step list: ``mean``, ``cov``, ``eps`` of the lifted
-    prediction analysed (None at step 0 and for ``enkf_N``) and, when several
-    kinds run, ``dg_vs_<other>`` to each kind with a state grid.
+    prediction analysed (None at step 0, for ``enkf_N`` and for a kind outside
+    the run's ``eps_kinds``) and, when several kinds run, ``dg_vs_<other>`` to
+    each kind with a state grid.
     """
 
     kind: str
@@ -343,9 +354,27 @@ def validate_kinds(kinds: Sequence[str], model: ModelSpec) -> None:
         raise ValueError("grid filter kinds require d in {1, 2} and K = 1")
 
 
+def _eps_kinds(eps_kinds: Sequence[str] | None, kinds: list[str]) -> set[str]:
+    """The kinds whose eps ``run_filter`` measures; ``None`` means every grid kind in ``kinds``."""
+    if eps_kinds is None:
+        return {k for k in kinds if k in _GRID_KINDS}
+    if isinstance(eps_kinds, str):
+        raise ValueError(f"eps_kinds must be a list of filter kinds, e.g. [{eps_kinds!r}], "
+                         "not a string")
+    for k in eps_kinds:
+        if k not in FILTER_KINDS:
+            raise ValueError(f"unknown filter kind '{k}' in eps_kinds; known: {FILTER_KINDS}")
+        if k not in kinds:
+            raise ValueError(f"eps_kinds names '{k}', which is not among the kinds run {kinds}")
+        if k not in _GRID_KINDS:
+            raise ValueError(f"eps_kinds names '{k}', which has no lifted joint to measure")
+    return set(eps_kinds)
+
+
 def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTrajectory,
                config: FilterConfig | None = None,
-               ws: OperatorWorkspace | None = None) -> dict[str, FilterRun]:
+               ws: OperatorWorkspace | None = None, *,
+               eps_kinds: Sequence[str] | None = None) -> dict[str, FilterRun]:
     """Drive filter kinds over a shared data realization, one record per kind.
 
     Parameters
@@ -358,20 +387,27 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
         Each datum needs K = ``model.K`` components.
     ws : OperatorWorkspace, optional
         Reuse an existing workspace; it must have been built for ``model``.
+    eps_kinds : sequence of str, optional
+        The kinds whose eps_j is measured; the others record None. The
+        default, None, is every grid kind in ``kinds``. Each named kind must
+        be a grid kind in ``kinds``. A group of kinds sharing a lifted joint
+        measures its eps at most once, and not at all when none is named.
 
     Returns
     -------
     dict[str, FilterRun]
-        One :class:`FilterRun` per kind, in the order given. Invalid kinds,
-        data of the wrong width, a workspace built for another model or a
-        state box that does not cover the initial law raise ``ValueError``
-        (``WorkspaceMismatchError`` for the workspace, ``CoverageError`` for
-        the box) before any step. A failing step, including a grid kind's
-        step whose measure cannot be put on the state grid, aborts with
-        :class:`FilterStepError` carrying the step index and the kind.
+        One :class:`FilterRun` per kind, in the order given. Invalid kinds
+        or ``eps_kinds``, data of the wrong width, a workspace built for
+        another model or a state box that does not cover the initial law
+        raise ``ValueError`` (``WorkspaceMismatchError`` for the workspace,
+        ``CoverageError`` for the box) before any step. A failing step,
+        including a grid kind's step whose measure cannot be put on the state
+        grid, aborts with :class:`FilterStepError` carrying the step index and
+        the kind.
     """
     validate_kinds(kinds, model)
     kinds = list(kinds)
+    eps_kinds = _eps_kinds(eps_kinds, kinds)
     config = config or FilterConfig()
     if trajectory.data.shape[1] != model.K:
         raise ValueError(f"data have {trajectory.data.shape[1]} components per step, "
@@ -398,7 +434,8 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
     # share its P, Q and eps, and each leading stage prefix: `done` maps a prefix
     # of stage names to its output, () to the lifted joint. The group holds `mu`,
     # so the identity test cannot match a freed object. The work is done for the
-    # first kind that needs it, so a failure names the kind that fails first.
+    # first kind that needs it, so a failure names the kind that fails first;
+    # eps, for the first kind in `eps_kinds`, before that kind's stages.
     for j in range(trajectory.J):
         yd, mu = trajectory.data[j], None  # the stages read this step's datum
         for k, run in runs.items():
@@ -412,13 +449,15 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                         # it before the next lift keeps a run at one joint, and glibc
                         # then reuses its pages instead of faulting in fresh ones
                         mu, done = state, None
-                        done = {(): lift(predict(state, ws), ws)}
+                        done, eps_j = {(): lift(predict(state, ws), ws)}, None
+                    if k in eps_kinds and eps_j is None:
                         eps_j = lifted_epsilon(done[()])
+                    eps = eps_j if k in eps_kinds else None
                     stages = _KINDS[k][1]
                     for i in range(1, len(stages) + 1):
                         if stages[:i] not in done:
                             done[stages[:i]] = _STAGES[stages[i - 1]](done[stages[:i - 1]], yd, ws)
-                    nxt, eps = done[stages], eps_j
+                    nxt = done[stages]
                     grids[k].append(ws.state_grid(nxt))
                 else:
                     nxt, eps = step_enkf_particles(run.measures[-1], model, yd, rng), None

@@ -225,6 +225,34 @@ def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypat
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
+def test_failing_sweep_point_writes_error_json_from_the_pool(tmp_path, monkeypatch):
+    # the step failure crosses back from its worker, so the pool stays whole and
+    # no point reruns in-process; each call logs its process and delta
+    log = tmp_path / "calls.log"
+    real = verify.measure_sweep
+
+    def failing_at_0_1(deltas, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {deltas[0]}\n")
+        if deltas[0] == 0.1:
+            raise FilterStepError(2, "enkf_mf", ValueError("synthetic failure"))
+        return real(deltas=deltas, **kwargs)
+
+    monkeypatch.setattr(verify, "measure_sweep", failing_at_0_1)
+    cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.1],
+                        J=2, state_points=128, y_points=64)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    record = json.loads((out / "error.json").read_text())["error"]
+    assert (record["type"], record["step"], record["kind"], record["delta"]) == \
+        ("FilterStepError", 2, "enkf_mf", 0.1)
+    assert "synthetic failure" in record["message"]
+    assert not (out / "sweep.csv").exists()
+    calls = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(delta for _, delta in calls) == ["0.0", "0.1"]
+    assert all(int(pid) != os.getpid() for pid, _ in calls)
+
+
 def test_sweep_metadata_checks_agree_with_verify(tmp_path):
     # the CLI summary and the verify checks read one helper with one tolerance
     cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.2],

@@ -1,5 +1,6 @@
 """Filter drivers: data generation, per-step maps, multi-kind runs."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -348,7 +349,7 @@ def test_run_filter_makes_one_moment_pass_per_lifted_joint(monkeypatch):
 def test_run_filter_applies_each_map_once_per_distinct_input(monkeypatch):
     # every kind enters step 1 with the gridded initial law, so P, Q and eps run
     # once there, and enkf_mf's T is the T that gpf_gt projects; from step 2 on
-    # each kind has its own state density
+    # each kind has its own state density, and eps runs for the kinds in eps_kinds
     calls = []
     for name in ("predict", "lift", "lifted_epsilon", "transport"):
         real = getattr(filters, name)
@@ -358,15 +359,52 @@ def test_run_filter_applies_each_map_once_per_distinct_input(monkeypatch):
     traj = generate_data(model, J=2, seed=3)
     ws = plan_workspace(model, traj, SMALL)
     kinds = ["true", "enkf_mf", "gpf_bg", "gpf_gt"]
-    counts = []
-    for steps in (traj.data[:1], traj.data):  # step 1 alone, then steps 1 and 2
-        calls.clear()
-        run_filter(kinds, model, FilterTrajectory(data=steps), SMALL, ws)
-        counts.append({name: calls.count(name) for name in set(calls)})
-    step_1, both = counts
-    assert step_1 == {"predict": 1, "lift": 1, "lifted_epsilon": 1, "transport": 1}
-    assert {name: both[name] - step_1[name] for name in both} == \
-        {"predict": 4, "lift": 4, "lifted_epsilon": 4, "transport": 2}
+    for eps_kinds, eps_step_2 in ((None, 4), (("true",), 1)):
+        counts = []
+        for steps in (traj.data[:1], traj.data):  # step 1 alone, then steps 1 and 2
+            calls.clear()
+            run_filter(kinds, model, FilterTrajectory(data=steps), SMALL, ws, eps_kinds=eps_kinds)
+            counts.append({name: calls.count(name) for name in set(calls)})
+        step_1, both = counts
+        assert step_1 == {"predict": 1, "lift": 1, "lifted_epsilon": 1, "transport": 1}
+        assert {name: both[name] - step_1[name] for name in both} == \
+            {"predict": 4, "lift": 4, "lifted_epsilon": eps_step_2, "transport": 2}
+
+
+@pytest.mark.parametrize("eps_kinds", [("true",), ("enkf_mf",)])
+def test_eps_kinds_measures_only_the_named_kinds(eps_kinds, all_kinds_run, monkeypatch):
+    # the option removes work, not results: every record but the unnamed kinds'
+    # eps is the default run's, and step 1's shared group measures eps once, also
+    # when the named kind (enkf_mf) reaches it after a kind that is not named
+    model, traj, ws, default = all_kinds_run
+    calls = []
+    real = filters.lifted_epsilon
+    monkeypatch.setattr(filters, "lifted_epsilon", lambda mu: calls.append(mu) or real(mu))
+    runs = run_filter(list(filters.FILTER_KINDS), model, traj, SMALL, ws, eps_kinds=eps_kinds)
+    assert len(calls) == traj.J  # one group per step holds the named kind
+    for kind, run in runs.items():
+        ref = default[kind].diagnostics
+        assert all(_same_measure(a, b) for a, b in zip(run.measures, default[kind].measures))
+        assert set(run.diagnostics) == set(ref)
+        for key in run.diagnostics:
+            if key != "eps":
+                assert all(np.array_equal(a, b) for a, b in zip(run.diagnostics[key], ref[key]))
+        expected = ref["eps"] if kind in eps_kinds else [None] * (traj.J + 1)
+        assert run.diagnostics["eps"] == expected
+
+
+@pytest.mark.parametrize("kinds, eps_kinds, match", [
+    (["true"], "true", r"list of filter kinds.*\['true'\]"),
+    (["true"], ["particle_flow"], "unknown filter kind"),
+    (["true", "enkf_mf"], ["gpf_gt"], "not among the kinds run"),
+    (["true", "enkf_N"], ["enkf_N"], "no lifted joint"),
+])
+def test_run_filter_rejects_bad_eps_kinds_before_any_step(monkeypatch, kinds, eps_kinds, match):
+    model = bounded_model_1d()
+    traj = generate_data(model, J=1, seed=0)
+    _forbid(monkeypatch, "predict", "plan_workspace", "step_enkf_particles")
+    with pytest.raises(ValueError, match=match):
+        run_filter(kinds, model, traj, SMALL, eps_kinds=eps_kinds)
 
 
 def test_pairwise_distances_are_measured_once_per_pair(monkeypatch):
@@ -492,6 +530,14 @@ def test_filter_step_error_carries_location():
     assert err.value.kind == "true"
     assert "step 1" in str(err.value)
     assert isinstance(err.value.__cause__, OutOfDomainError)
+
+
+def test_filter_step_error_survives_a_pickle_round_trip():
+    # a sweep point's failure crosses from a pool worker to the parent this way
+    err = FilterStepError(3, "gpf_bg", ValueError("synthetic failure"))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is FilterStepError
+    assert (back.step, back.kind, str(back)) == (3, "gpf_bg", str(err))
 
 
 @pytest.mark.parametrize("kinds", [["true"], ["gpf_bg", "gpf_gt"]])
