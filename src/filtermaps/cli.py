@@ -34,14 +34,13 @@ Config file schema (JSON), all keys optional unless noted::
       "state_points": 1024,      # grid points per state axis
       "y_points": 512,           # grid points on the data axis
       "n_particles": 1000,       # ensemble size for enkf_N (run only)
-      "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],   # sweep subcommand only
+      "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],   # sweep only; strictly ascending
       "save_densities": false,   # write per-step grid densities as .npz (run only)
       "out": "results"           # output directory (--out overrides)
     }
 
-Sweep points run on min(#deltas, usable CPUs) worker processes when the
-platform allows it and fall back to in-process execution otherwise; either
-path writes identical CSV bytes.
+Sweep points run through ``verify.sweep_rows``, on min(#deltas, usable CPUs)
+worker processes or in-process; either path writes identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -341,40 +338,26 @@ def _write_summary(results: dict, path: str) -> None:
     _write_csv(path, ("quantity", "kind", "value"), rows)
 
 
-def _sweep_point(delta: float, J: int, seed: int, config: filters.FilterConfig) -> dict:
-    """One sweep point; top-level so process pools can pickle it."""
-    return verify.measure_sweep(deltas=[delta], J=J, seed=seed, config=config)[0]
-
-
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Sweep the scenario family over the configured deltas and write sweep.csv to ``cfg.out``."""
     out_dir = cfg.out
     if not cfg.deltas:
         raise ConfigError("sweep needs a nonempty 'deltas' list")
-    if list(cfg.deltas) != sorted(cfg.deltas):
-        raise ConfigError("'deltas' must be sorted ascending")
+    if any(b <= a for a, b in zip(cfg.deltas, cfg.deltas[1:])):
+        raise ConfigError("'deltas' must be strictly ascending")
     if cfg.J < 1:
         raise ConfigError("sweep needs config key 'J' >= 1: each point measures the drift over the data")
     _ensure_writable(out_dir)
     spec0 = model.sweep_model(cfg.deltas[0])
     fcfg = cfg.filter_config(spec0)
-    args = [(float(d), cfg.J, cfg.seed, fcfg) for d in cfg.deltas]
-    # the CPUs this process may run on: cpu_count ignores affinity and cpusets
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    points = [(d, cfg.seed) for d in cfg.deltas]
     t0 = time.perf_counter()
-    rows = []  # in delta order, so a failing point is args[len(rows)]
+    rows = []  # in delta order, so a failing point is points[len(rows)]
     try:
-        try:
-            with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
-                for row in pool.map(_sweep_point, *zip(*args)):
-                    rows.append(row)
-        except (OSError, BrokenProcessPool):
-            rows = []
-            for a in args:
-                rows.append(_sweep_point(*a))
+        for row in verify.sweep_rows(points, cfg.J, fcfg):
+            rows.append(row)
     except filters.FilterStepError as exc:
-        delta = args[len(rows)][0]
+        delta = points[len(rows)][0]
         _write_error(out_dir, exc, delta=delta)
         print(f"sweep point delta={delta} failed at step {exc.step} ({exc.kind}); "
               "error.json written", file=sys.stderr)

@@ -110,7 +110,8 @@ def test_criterion_08_eps_scaling_sweep():
     results = check_eps_scaling(seed=0)
     elapsed = time.perf_counter() - start
     for suffix, result in zip(("a small-eps origin", "b error monotone in eps",
-                               "c error/eps ratio finite"), results):
+                               "c error/eps ratio finite", "d error monotone in eps on 8 seeds"),
+                              results, strict=True):
         _gate(f"08{suffix}", result, elapsed)
     assert elapsed <= 600.0
 

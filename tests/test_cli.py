@@ -173,12 +173,18 @@ def test_sweep_scenario_defaults_to_sweep(tmp_path):
     assert meta["config"]["scenario"] == "sweep"
 
 
-def test_sweep_rejects_bad_delta_lists(tmp_path):
+def test_sweep_rejects_bad_delta_lists(tmp_path, capsys):
     out = tmp_path / "out"
     unsorted_cfg = _write_config(tmp_path / "u.json", scenario="sweep", deltas=[0.2, 0.1])
     assert cli.main(["sweep", "--config", unsorted_cfg, "--out", str(out)]) == 2
     empty_cfg = _write_config(tmp_path / "e.json", scenario="sweep", deltas=[])
     assert cli.main(["sweep", "--config", empty_cfg, "--out", str(out)]) == 2
+    # a repeated delta would measure one point twice and count its 0 increment as monotone
+    repeated_cfg = _write_config(tmp_path / "r.json", scenario="sweep", deltas=[0.1, 0.1, 0.2])
+    capsys.readouterr()
+    assert cli.main(["sweep", "--config", repeated_cfg, "--out", str(out)]) == 2
+    assert "'deltas'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_zero_steps_before_the_pool(tmp_path, monkeypatch, capsys):
@@ -186,7 +192,7 @@ def test_sweep_rejects_zero_steps_before_the_pool(tmp_path, monkeypatch, capsys)
     def no_pool(max_workers):
         raise AssertionError("the pool must not start")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     cfg = _write_config(tmp_path / "j0.json", scenario="sweep", J=0, deltas=[0.0, 0.2])
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "'J'" in capsys.readouterr().err
@@ -201,17 +207,22 @@ def test_sweep_pool_is_sized_by_the_usable_cpus(tmp_path, monkeypatch):
         workers.append(max_workers)
         raise OSError("no process pool")
 
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "_sweep_point", lambda delta, *rest: dict(
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify, "_sweep_row", lambda delta, *rest: dict(
         delta=delta, eps_measured=0.1 + delta, err_enkf=delta, err_gpf=delta))
     cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.1, 0.2])
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert workers == [1]
+    for cpus, started in (({0}, []), ({0, 1}, [2])):
+        monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        workers.clear()
+        out = tmp_path / f"out{len(cpus)}"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert workers == started  # one usable CPU runs the points in-process, with no pool
+        assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.2],
                         J=2, state_points=128, y_points=64)
     pooled, serial = tmp_path / "pooled", tmp_path / "serial"
@@ -220,25 +231,27 @@ def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypat
     def no_pool(max_workers):
         raise OSError("no process pool")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
 def test_failing_sweep_point_writes_error_json_from_the_pool(tmp_path, monkeypatch):
     # the step failure crosses back from its worker, so the pool stays whole and
-    # no point reruns in-process; each call logs its process and delta
+    # no point reruns in-process; each point logs its process and delta
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     log = tmp_path / "calls.log"
-    real = verify.measure_sweep
+    real = filters.run_filter
 
-    def failing_at_0_1(deltas, **kwargs):
+    def failing_at_0_1(kinds, spec, traj, config, **kwargs):
+        delta = spec.psi.params["delta"]
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {deltas[0]}\n")
-        if deltas[0] == 0.1:
+            fh.write(f"{os.getpid()} {delta}\n")
+        if delta == 0.1:
             raise FilterStepError(2, "enkf_mf", ValueError("synthetic failure"))
-        return real(deltas=deltas, **kwargs)
+        return real(kinds, spec, traj, config, **kwargs)
 
-    monkeypatch.setattr(verify, "measure_sweep", failing_at_0_1)
+    monkeypatch.setattr(filters, "run_filter", failing_at_0_1)
     cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.1],
                         J=2, state_points=128, y_points=64)
     out = tmp_path / "out"
@@ -484,6 +497,19 @@ def test_only_cli_writes_files():
             if name in _FILE_WRITERS:
                 calls.append(f"{path.name}:{node.lineno} {'.'.join(name)}")
     assert calls == []
+
+
+def test_only_verify_starts_processes():
+    # one engine runs every table of sweep points: the pool lives in verify.sweep_rows
+    named = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            names += [alias.name for alias in getattr(node, "names", [])
+                      if isinstance(alias, ast.alias)]
+            if "ProcessPoolExecutor" in names:
+                named.add(path.name)
+    assert named == {"verify.py"}
 
 
 def test_verify_fails_under_mutation(monkeypatch):

@@ -1,12 +1,16 @@
 """Property-check harness: suites run, failures surface, reports serialize."""
 
 import math
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import filtermaps.filters
 import filtermaps.gaussian
+import filtermaps.verify as verify
+from filtermaps.filters import FilterConfig
 from filtermaps.model import MapSpec, ModelSpec, bounded_model_1d, linear_model_1d, sweep_model
 from filtermaps.operators import OperatorWorkspace
 from filtermaps.verify import (
@@ -14,6 +18,7 @@ from filtermaps.verify import (
     SUITE_NAMES,
     SUITES,
     check_conditioning_matches_bayes,
+    check_eps_scaling,
     check_data_inside_axis,
     run_suites,
     validate_assumptions,
@@ -150,3 +155,92 @@ def test_probe_reproducibility():
     for c1, c2 in zip(r1, r2):
         assert c1.passed == c2.passed
         assert c1.measured == c2.measured
+
+
+# -- the sweep table engine -----------------------------------------------------
+
+#: A tiny sweep grid: a point runs in a few milliseconds.
+_TINY = FilterConfig(seed=1, state_shape=(128,), y_points=64)
+
+
+def _log_point_pids(monkeypatch, log):
+    """Make each sweep point append its process id and delta to the file ``log``."""
+    real = filtermaps.filters.run_filter
+
+    def logged(kinds, spec, traj, config, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {spec.psi.params['delta']}\n")
+        return real(kinds, spec, traj, config, **kwargs)
+
+    monkeypatch.setattr(filtermaps.filters, "run_filter", logged)
+    return lambda: [line.split() for line in log.read_text().splitlines()]
+
+
+def test_one_point_and_one_cpu_tables_run_in_the_calling_process(tmp_path, monkeypatch):
+    calls = _log_point_pids(monkeypatch, tmp_path / "calls.log")
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    list(verify.sweep_rows([(0.1, 1)], J=1, config=_TINY))
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    list(verify.sweep_rows([(0.0, 1), (0.2, 1)], J=1, config=_TINY))
+    assert calls() == [[str(os.getpid()), d] for d in ("0.1", "0.0", "0.2")]
+
+
+def test_two_point_table_runs_in_workers_with_the_serial_rows(tmp_path, monkeypatch):
+    calls = _log_point_pids(monkeypatch, tmp_path / "calls.log")
+    points = [(0.2, 1), (0.0, 2)]  # not sorted: rows follow the points
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = list(verify.sweep_rows(points, J=1, config=_TINY))
+    assert sorted(delta for _, delta in calls()) == ["0.0", "0.2"]
+    assert all(int(pid) != os.getpid() for pid, _ in calls())
+    serial = [verify._sweep_row(delta, 1, seed, _TINY) for delta, seed in points]
+    assert pooled == serial
+    assert [row["delta"] for row in pooled] == [0.2, 0.0]
+
+
+def test_a_broken_pool_runs_only_the_remaining_points_in_process(monkeypatch):
+    ran = []
+
+    def fake_row(delta, J, seed, config):
+        ran.append(delta)
+        return {"delta": delta}
+
+    class BreaksAfterTwo:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for k, args in enumerate(zip(*iterables)):
+                if k == 2:
+                    raise BrokenProcessPool("a worker died")
+                yield fn(*args)
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", BreaksAfterTwo)
+    monkeypatch.setattr(verify, "_sweep_row", fake_row)
+    points = [(d, 0) for d in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    rows = list(verify.sweep_rows(points, J=1))
+    assert [row["delta"] for row in rows] == [0.0, 0.1, 0.2, 0.3, 0.4]
+    assert ran == [0.0, 0.1, 0.2, 0.3, 0.4]  # each point once: none reruns
+
+
+def test_eps_scaling_reports_its_seed_then_all_eight_seeds(monkeypatch):
+    # one 40-point table: the first three results read the sweep at `seed`,
+    # the last reads all 8 seeds; only seed 9 is not monotone in err_gpf
+    def fake_row(delta, J, seed, config=None):
+        gpf = delta if seed != 9 else -delta
+        return {"delta": delta, "eps_measured": 0.01 + delta, "err_enkf": delta, "err_gpf": gpf}
+
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(verify, "_sweep_row", fake_row)
+    results = check_eps_scaling(seed=3)
+    assert [r.name for r in results] == ["eps_scaling_origin", "eps_scaling_monotone",
+                                         "eps_error_ratio", "sweep_monotone_seeds"]
+    assert [r.passed for r in results] == [True, True, True, False]
+    assert results[3].measured == pytest.approx(-0.1)
+    assert "3-10" in results[3].detail
