@@ -28,7 +28,7 @@ Config file schema (JSON), all keys optional unless noted::
       "scenario": "linear_1d" | "bounded_1d" | "sweep",   # or "model": {...}; sweep defaults to "sweep"
       "delta": 0.2,              # nonlinearity (run, "sweep" scenario only)
       "model": { ... },          # inline model config, exclusive with scenario (run only)
-      "J": 10,                   # number of assimilation steps (run: >= 0, sweep: >= 1)
+      "J": 10,                   # assimilation steps (run: >= 0, sweep: >= 1; at most MAX_J)
       "seed": 0,                 # >= 0
       "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct (sweep: a subset)
       "state_points": 1024,      # grid points per state axis
@@ -62,6 +62,11 @@ EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
 _SCENARIOS = ("linear_1d", "bounded_1d", "sweep")
+
+#: Most assimilation steps a config may ask for. A run keeps every grid kind's
+#: state density at every step, about 40 KB a step on the default 1-D grid with
+#: 5 kinds, so this many steps hold about 0.4 GB.
+MAX_J = 10_000
 
 
 class ConfigError(ValueError):
@@ -139,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario '{self.scenario}'; known: {_SCENARIOS}")
         if self.J < 0:
             raise ConfigError("J must be >= 0")
+        if self.J > MAX_J:
+            raise ConfigError(f"config key 'J' must be at most {MAX_J}, got {self.J}")
         if self.seed < 0:
             raise ConfigError("config key 'seed' must be >= 0")
         if self.state_points is not None and self.state_points < density.MIN_POINTS:

@@ -14,12 +14,18 @@ these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), and d_g.
 A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
 and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
-``_BLOCK_ENTRIES`` entries and holds one block buffer at a time, besides
-temporaries of a fraction of a block; each entry gets the same arithmetic and
-each row is contracted on its own, so no result depends on the block size or
-on the order of the blocks.
+``_BLOCK_ENTRIES`` entries and holds at most two block buffers, allocated
+once per call, besides temporaries of a fraction of a block; each entry gets
+the same arithmetic and each row is contracted on its own, so no result
+depends on the block size or on the order of the blocks.
 A measure map hands its fresh output to a density that normalizes it in
 place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
+A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
+state-grid array q = mu / M and the workspace's likelihood l, shared and never
+copied, so no joint-sized array is made for it. The kernels read a joint only
+through :func:`_block`, which writes q l of one block into a buffer of the
+kernel's; its moments come from q and three per-state-point sums of l; and its
+``values`` are built on request and not kept.
 A density is stored as its three arrays (``np.savez`` of ``box_lo``,
 ``box_hi`` and ``values``); passing them back to ``GridDensity`` validates it.
 
@@ -129,7 +135,7 @@ class GridDensity:
 
     @property
     def ndim(self) -> int:
-        return self.values.ndim
+        return len(self.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -151,6 +157,72 @@ class GridDensity:
             and np.array_equal(self.box_lo, other.box_lo)
             and np.array_equal(self.box_hi, other.box_hi)
         )
+
+
+class _LiftedJoint(GridDensity):
+    """A joint kept as its factors (see :func:`_lifted`): values[..., k] = q * likelihood[..., k]."""
+
+    @property
+    def values(self) -> Array:
+        """The tensor, built on each request and not kept."""
+        out = self._q[..., None] * self._likelihood
+        out.setflags(write=False)
+        return out
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._likelihood.shape
+
+
+def _lifted(mu: GridDensity, likelihood: Array, sums: tuple[Array, Array, Array],
+            box_lo: Array, box_hi: Array, blocks: BlockStructure) -> GridDensity:
+    """The joint mu(u) likelihood(u, y), normalized and kept as q = mu / M and the likelihood.
+
+    The likelihood is shared, not copied. ``sums`` are R0, R1, R2, its
+    data-axis trapezoid sums against w_y, w_y y and w_y y^2, which give the
+    mass M = sum_i w_i mu_i R0_i and the moments; a drift of M from 1 warns
+    as in :func:`normalized`.
+    """
+    mass = integrate(mu.values * sums[0], mu.box_lo, mu.box_hi)
+    if mass <= 0.0 or not np.isfinite(mass):
+        raise ValueError(f"cannot normalize a grid density: mass is {mass}")
+    lo, hi, q = np.array(box_lo, dtype=float), np.array(box_hi, dtype=float), mu.values / mass
+    for a in (lo, hi, q):
+        a.setflags(write=False)
+    joint = _LiftedJoint.__new__(_LiftedJoint)
+    for name, value in (("box_lo", lo), ("box_hi", hi), ("blocks", blocks), ("_moments", None),
+                        ("_raw_mass", mass), ("_q", q), ("_likelihood", likelihood),
+                        ("_sums", sums)):
+        object.__setattr__(joint, name, value)
+    return _checked_drift(joint, True, "lift")
+
+
+def _block(mu: GridDensity, s: slice, out: Array | None = None, axis: int = 0) -> Array:
+    """The values of ``mu`` on the rows ``s`` of its first axis, or the planes ``s`` of its last.
+
+    ``axis`` is 0 for rows, -1 for planes. This is how the kernels read a
+    joint: a stored tensor gives a view and ``out`` is not used; a lifted joint
+    writes q l of the block into the leading rows (planes) of ``out``, a buffer
+    with room for the block, and returns them (a fresh array without ``out``).
+    """
+    index = (s,) if axis == 0 else (..., s)
+    if not isinstance(mu, _LiftedJoint):
+        return mu.values[index]
+    like = mu._likelihood[index]
+    q = (mu._q[s] if axis == 0 else mu._q)[..., None]
+    if out is not None:
+        out = out[: like.shape[0]] if axis == 0 else out[..., : like.shape[-1]]
+    return np.multiply(q, like, out=out)
+
+
+def _row_buffers(shape: tuple[int, ...]) -> Array:
+    """Two buffers, each with room for the largest block of rows of a grid of ``shape``.
+
+    They are one allocation: two block-sized arrays freed together exceed
+    glibc's default trim threshold, so the heap would hand their pages back to
+    the OS and fault them in again at every call.
+    """
+    return np.empty((2, _blocks(shape[0], math.prod(shape[1:]))[0].stop) + shape[1:])
 
 
 def quad_weights(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
@@ -334,30 +406,35 @@ def _quadrature_moments(mu: GridDensity) -> GaussianMeasure:
     and entries that weight it alike share that pass: w_y for the entries of
     the other axes, w_y (y - m_y) for those pairing y with another axis. With
     the mean and variance of y that is four full passes for any number of axes.
+    A lifted joint makes none: its values are q l, so each of these sums is q
+    times the likelihood's sums R0, R1, R2 against w_y, w_y y and w_y y^2.
     """
     w = quad_weights(mu.box_lo, mu.box_hi, mu.shape)
     axes = mu.axes()
     n = mu.ndim
     *lead, last = range(n)
 
-    def tail(factor: Array | None = None) -> Array:
-        return np.einsum("...i,i->...", mu.values, w[last] if factor is None else w[last] * factor)
+    def tail(power: int = 0, shift: float = 0.0) -> Array:
+        """The last axis contracted against w_y (y - shift)^power."""
+        if isinstance(mu, _LiftedJoint):
+            r0, r1, r2 = mu._sums
+            return mu._q * (r0, r1 - shift * r0, r2 - 2.0 * shift * r1 + shift * shift * r0)[power]
+        return np.einsum("...i,i->...", mu.values, w[last] * (axes[last] - shift) ** power)
 
     def weighted(partial: Array, factors: dict[int, Array]) -> float:
         return _contract(partial, [w[a] * factors[a] if a in factors else w[a] for a in lead])
 
     plain = tail() if lead else None
-    mean = np.array([weighted(plain, {a: axes[a]}) for a in lead]
-                    + [weighted(tail(axes[last]), {})])
+    mean = np.array([weighted(plain, {a: axes[a]}) for a in lead] + [weighted(tail(1), {})])
     centered = [axes[a] - mean[a] for a in range(n)]
-    cross = tail(centered[last]) if lead else None
+    cross = tail(1, mean[last]) if lead else None
     cov = np.empty((n, n))
     for i in lead:
         cov[i, i] = weighted(plain, {i: centered[i] ** 2})
         for j in lead[i + 1:]:
             cov[i, j] = cov[j, i] = weighted(plain, {i: centered[i], j: centered[j]})
         cov[i, last] = cov[last, i] = weighted(cross, {i: centered[i]})
-    cov[last, last] = weighted(tail(centered[last] ** 2), {})
+    cov[last, last] = weighted(tail(2, mean[last]), {})
     return GaussianMeasure(mean, cov)
 
 
@@ -376,9 +453,10 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     block of rows at a time, so no array of the grid's size is made.
     """
     _require_same_grid(mu1, mu2)
+    buffers = _row_buffers(mu1.shape)
 
     def deviation(s: slice) -> Array:
-        diff = np.subtract(mu1.values[s], mu2.values[s])
+        diff = np.subtract(*(_block(mu, s, buf) for mu, buf in zip((mu1, mu2), buffers)))
         return np.abs(diff, out=diff)
 
     return _integrate_g(deviation, mu1.box_lo, mu1.box_hi, mu1.shape)
@@ -437,21 +515,23 @@ def lifted_epsilon(joint: GridDensity) -> float:
     of rows of the first axis, twice. The first pass contracts each block of
     the projection's values over the trailing axes, which gives their mass;
     the second starts with the block the first pass evaluated last and
-    evaluates each other block again, and its normalized values, their
-    difference to the joint and its absolute value share one block buffer.
+    evaluates each other block again. Every block of the projection, with its
+    normalized values, their difference to the joint and its absolute value,
+    is written into one block buffer, and a lifted joint's block into a second.
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
     projection = gaussian_projection(joint)
     w = quad_weights(joint.box_lo, joint.box_hi, joint.shape)
     x = joint.axes()
+    *head, last = _blocks(joint.shape[0], math.prod(joint.shape[1:]))
+    buffer, joint_buffer = _row_buffers(joint.shape)
 
     def projected(s: slice) -> Array:
-        values = log_density_at(projection, np.ix_(x[0][s], *x[1:]))
+        values = log_density_at(projection, np.ix_(x[0][s], *x[1:]), buffer[: s.stop - s.start])
         return np.exp(values, out=values)
 
     row_mass = np.empty(joint.shape[0])
-    *head, last = _blocks(joint.shape[0], joint.values[0].size)
     for s in head:
         row_mass[s] = _contract_trailing(projected(s), w[1:])
     kept = projected(last)  # the block that pass 2 takes first
@@ -461,13 +541,9 @@ def lifted_epsilon(joint: GridDensity) -> float:
         raise ValueError(f"cannot normalize lifted_epsilon: mass is {mass}")
 
     def deviation(s: slice) -> Array:
-        nonlocal kept
-        if s == last:
-            diff, kept = kept, None
-        else:
-            diff = projected(s)
+        diff = kept if s == last else projected(s)
         diff /= mass
-        np.subtract(joint.values[s], diff, out=diff)
+        np.subtract(_block(joint, s, joint_buffer), diff, out=diff)
         return np.abs(diff, out=diff)
 
     return _integrate_g(deviation, joint.box_lo, joint.box_hi, joint.shape)

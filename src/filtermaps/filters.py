@@ -443,13 +443,10 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                 if k in _GRID_KINDS:
                     state = grids[k][-1]
                     if state is not mu:
-                        # the joint is the one joint-sized array of a step: eps and
-                        # transport stream it in blocks. Group members are consecutive
-                        # kinds, so the previous group's joint is dead here; dropping
-                        # it before the next lift keeps a run at one joint, and glibc
-                        # then reuses its pages instead of faulting in fresh ones
-                        mu, done = state, None
-                        done, eps_j = {(): lift(predict(state, ws), ws)}, None
+                        # lift keeps the joint as its state factor and the workspace's
+                        # likelihood, so a step makes no joint-sized array: eps,
+                        # transport and bayes read it a block or a plane at a time
+                        mu, done, eps_j = state, {(): lift(predict(state, ws), ws)}, None
                     if k in eps_kinds and eps_j is None:
                         eps_j = lifted_epsilon(done[()])
                     eps = eps_j if k in eps_kinds else None
@@ -469,7 +466,6 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
             run.diagnostics["cov"].append(cov)
             run.diagnostics["eps"].append(eps)
 
-    done = None  # the last joint, before the pairwise pass
     if len(kinds) > 1:
         # d_g is symmetric and zero on the diagonal: one pass per unordered pair
         names = list(grids)

@@ -135,7 +135,7 @@ class BlockStructure:
         return np.linalg.solve(L_yy.T, np.linalg.solve(L_yy, self.cov_uy(cov).T)).T
 
 
-def log_density_at(g: GaussianMeasure, x) -> Array | float:
+def log_density_at(g: GaussianMeasure, x, out: Array | None = None) -> Array | float:
     """Log density of ``g`` at coordinates given coordinate first.
 
     ``x[i]`` is the i-th coordinate; the n arrays broadcast against each other
@@ -144,16 +144,19 @@ def log_density_at(g: GaussianMeasure, x) -> Array | float:
     tensor grid as its open mesh ``np.ix_(*axes)``, so no point list is built.
     The quadratic form is sum_i (sum_{j<=i} (L^-1)_ij (x_j - m_j))^2 with L the
     kept Cholesky factor ``g.chol``: L^-1 is n x n, so the points meet only
-    scalar multiply-adds and no BLAS call.
+    scalar multiply-adds and no BLAS call. The last row's term spans every
+    axis, and the result is built in it: in ``out``, of the broadcast shape,
+    when it is given.
     """
     if len(x) != g.dim:
         raise ValueError(f"dimension mismatch: {len(x)} coordinates, measure has {g.dim}")
     centered = [np.asarray(xi, dtype=float) - mi for xi, mi in zip(x, g.mean)]
     L_inv = np.linalg.inv(g.chol)
     for i in range(g.dim):
-        z = L_inv[i, 0] * centered[0]
+        row_out = out if i == g.dim - 1 else None
+        z = np.multiply(L_inv[i, 0], centered[0], out=row_out)
         for j in range(1, i + 1):
-            z = z + L_inv[i, j] * centered[j]
+            z = np.add(z, L_inv[i, j] * centered[j], out=row_out)
         z *= z
         if i == 0:
             quad = z

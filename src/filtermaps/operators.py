@@ -5,7 +5,9 @@ that pins the state grid, the data axis, and the quadrature kernels for a
 specific model; the maps read the model only through it:
 
 - ``predict`` convolves with the Markov kernel of the stochastic dynamics,
-- ``lift`` extends a state density to the joint state x data space,
+- ``lift`` extends a state density to the joint state x data space, kept
+  as its factors: the state density over its mass and the workspace's
+  likelihood, so no joint-sized array is made,
 - ``bayes`` conditions a joint on an observed datum (slice + renormalize),
 - ``transport`` pushes a joint through the affine Kalman map
   u + C_uy C_yy^-1 (y_dagger - y) by linear interpolation: every data-axis
@@ -28,7 +30,9 @@ from .density import (
     GridDensity,
     GridMismatchError,
     MIN_POINTS,
+    _block,
     _blocks,
+    _lifted,
     _normalized_in_place,
     from_gaussian,
     grid_points,
@@ -90,7 +94,11 @@ class OperatorWorkspace:
     N(0, Sigma), N(0, Gamma), whose covariances are factored once, when they
     are validated. The likelihood, a joint-sized array, is built in place in
     its one buffer with the steps of ``log_density_at``, which would make two
-    more joint-sized temporaries. With a diagonal Sigma the kernel factors
+    more joint-sized temporaries. It is read-only: every lifted joint shares
+    it as its data factor (``lift``). Beside it the workspace keeps R0, R1 and
+    R2, its data-axis trapezoid sums against w_y, w_y y and w_y y^2, one value
+    per state point, from which a lifted joint's mass and moments follow.
+    With a diagonal Sigma the kernel factors
     exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
     When Psi is componentwise (``MapHandle.componentwise``), Psi_a(v_j) reads
@@ -169,6 +177,11 @@ class OperatorWorkspace:
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
         self._likelihood = self._likelihood_values(gamma_noise, h_mesh).reshape(self.joint_shape)
+        w_y = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], self.joint_shape[-1:])[0]
+        self._likelihood_sums = tuple(
+            np.einsum("...i,i->...", self._likelihood, w_y * self.y_axis**p) for p in range(3))
+        for a in (self._likelihood,) + self._likelihood_sums:
+            a.setflags(write=False)
 
     def _axis_factor(self, a: int, var: float, psi_a: Array) -> Array:
         """N(u_a,i; psi_a[j], var) over output points i and source values psi_a[j].
@@ -278,12 +291,14 @@ def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """Lifting map: extend a state density to the joint state x data space.
 
     Computes (Q mu)(u, y) = N(y; H(u), Gamma) mu(u) on the workspace's joint
-    grid; the result carries a BlockStructure with the trailing data axis.
+    grid; the result carries a BlockStructure with the trailing data axis. It
+    is kept as its factors, mu / M on the state grid and the workspace's
+    likelihood, with the mass M = sum_i w_i mu_i R0_i, so the call costs
+    O(state points) and makes no joint-sized array.
     """
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
-    joint = mu.values[..., None] * ws._likelihood
-    return _normalized_in_place(ws.joint_lo, ws.joint_hi, joint, blocks=ws.blocks, context="lift")
+    return _lifted(mu, ws._likelihood, ws._likelihood_sums, ws.joint_lo, ws.joint_hi, ws.blocks)
 
 
 def _scalar_datum(joint: GridDensity, y_dagger, analysis: str) -> float:
@@ -309,7 +324,8 @@ def _slice_at_datum(pi: GridDensity, y_dagger) -> Array:
     t = min(int(np.searchsorted(ya, y)) - 1, ya.size - 2)
     t = max(t, 0)
     theta = (y - ya[t]) / (ya[t + 1] - ya[t])
-    return (1.0 - theta) * pi.values[..., t] + theta * pi.values[..., t + 1]
+    planes = _block(pi, slice(t, t + 2), axis=-1)
+    return (1.0 - theta) * planes[..., 0] + theta * planes[..., 1]
 
 
 def bayes(joint: GridDensity, y_dagger) -> GridDensity:
@@ -344,7 +360,8 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     of consecutive j: each block is blended at once, axis by axis, in one block
     buffer, z[i] <- (1 - f_j) z[i] + f_j z[i-1], the products f_j z[i-1] taken
     an eighth of a block at a time; then each of its planes is added into the
-    output k_j cells on, in order of j. So the call holds one block buffer and
+    output k_j cells on, in order of j. A lifted joint's planes are written
+    into that buffer and blended there. So the call holds one block buffer and
     the adds read planes that are still in cache; one code path serves
     d in {1, 2}. Points off the grid read zero, and entry 0 keeps its value
     only where f_j = 0, so nothing is interpolated between the edge and the
@@ -373,13 +390,13 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     # later pass contiguous, but its transposing copy made a 1-D run slower
     buf = np.empty(n + (blocks[0].stop,))
     for cols in blocks:
-        source = joint.values[..., cols]
         z = buf[..., : cols.stop - cols.start]
+        source = _block(joint, cols, buf, axis=-1)  # z itself for a lifted joint
         for a in range(d):
             fa, keep = f[a, cols], 1.0 - f[a, cols]
             sa, za = source.swapaxes(0, a), z.swapaxes(0, a)
-            # chunks of rows from the last: where the source is z itself (a >= 1),
-            # each chunk reads its rows i - 1 before any of them is overwritten
+            # chunks of rows from the last: where the source is z itself (a >= 1, or
+            # a lifted joint), each chunk reads its rows i - 1 before any is overwritten
             for r in reversed(_blocks(n[a], 8 * za[0].size)):
                 below = max(r.start, 1)
                 lower = fa * sa[below - 1 : r.stop - 1]

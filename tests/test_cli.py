@@ -187,6 +187,21 @@ def test_sweep_rejects_bad_delta_lists(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, J", [("run", 10**30), ("sweep", 10**30),
+                                        ("run", cli.MAX_J + 1)])
+def test_config_rejects_too_many_steps_before_any_data(tmp_path, monkeypatch, capsys,
+                                                       command, J):
+    def no_data(*args):
+        raise AssertionError("no data may be simulated")
+
+    monkeypatch.setattr(filters, "generate_data", no_data)
+    cfg = _write_config(tmp_path / "cfg.json", scenario="sweep", J=J, kinds=["true"],
+                        **({"deltas": [0.0, 0.2]} if command == "sweep" else {}))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"'J' must be at most {cli.MAX_J}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_zero_steps_before_the_pool(tmp_path, monkeypatch, capsys):
     # run accepts J = 0 (test_run_zero_steps); a sweep point has no drift to measure
     def no_pool(max_workers):

@@ -659,8 +659,8 @@ def test_plan_workspace_margins_and_determinism():
 @pytest.mark.parametrize("d", [1, 2])
 def test_a_filter_run_holds_one_joint(d):
     # true and enkf_mf enter every step after the first with different states, so
-    # each step lifts two joints; a group's joint is released before the next lift
-    # and the last one before the pairwise pass, so the run peaks below two joints
+    # each step lifts two joints; lift keeps each as its state factor beside the
+    # workspace's likelihood, so the run peaks below two joints
     if d == 1:
         model, config, J = sweep_model(0.2), FilterConfig(), 3
     else:

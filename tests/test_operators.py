@@ -571,10 +571,45 @@ def test_block_size_cannot_change_a_result(monkeypatch, case):
             assert np.array_equal(got, expected)
 
 
+_TRUNCATED = {
+    # H(u) = u reaches 7 at the state box's edges, where the data axis [-8, 8]
+    # cuts N(y; H(u), 0.25) one standard deviation on: R0 is 0.975 there
+    "truncated_1d": lambda: _lifted_joint(linear_model_1d(), [-7.0], [7.0], (128,), 64,
+                                          GaussianMeasure([0.4], [[0.8]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JOINTS) + sorted(_TRUNCATED))
+def test_lifted_joint_moments_match_its_tensor(case):
+    # the closed-form data-axis sums q R0, q R1, ... give the moments that
+    # the four passes over the materialized tensor give, also where the data
+    # axis cuts the likelihood off (3_axis and truncated_1d, at the box edges)
+    joint = {**_JOINTS, **_TRUNCATED}[case]()
+    r0 = joint._sums[0]
+    assert (max(r0[(0,) * r0.ndim], r0[(-1,) * r0.ndim]) < 0.98) == (case != "lifted_1d")
+    stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values, joint.blocks)
+    got, expected = moments(joint), density._quadrature_moments(stored)
+    assert_allclose(got.mean, expected.mean, rtol=1e-12)
+    assert_allclose(got.cov, expected.cov, rtol=1e-12)
+
+
+def test_lifted_joint_values_are_built_from_its_factors():
+    # the joint keeps q = mu / M and shares the workspace's likelihood; its
+    # values are built on request, read-only and not kept
+    model, lo, hi, shape, prior = _KERNEL_CASES["2d"]
+    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=24)
+    joint = lift(from_gaussian(prior, lo, hi, shape), ws)
+    assert joint._likelihood is ws._likelihood and joint._q.shape == ws.state_shape
+    values = joint.values
+    assert np.array_equal(values, joint._q[..., None] * ws._likelihood)
+    assert not values.flags.writeable
+    assert values is not joint.values
+
+
 def test_streamed_kernels_hold_no_second_joint():
     # a 3-axis joint of 8 MB: the kernels that stream a grid in blocks stay
-    # far below its size, lift makes the joint alone, and building the
-    # workspace makes its likelihood in place
+    # far below its size, lift makes no joint-sized array (nor one the size
+    # of a block buffer), and building the workspace makes its likelihood in place
     model = _linear_model_2d((0.25 * np.eye(2)).tolist())
     lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (64, 64)
     tracemalloc.start()
@@ -593,16 +628,16 @@ def test_streamed_kernels_hold_no_second_joint():
             return tracemalloc.get_traced_memory()[1] - before, result
 
         lift_peak, joint = peak_of(lambda: lift(mu, ws))
-        nbytes = joint.values.nbytes
+        nbytes = 8 * np.prod(ws.joint_shape)
         assert nbytes >= 8e6
-        assert lift_peak < 1.1 * nbytes
+        assert lift_peak < 8 * density._BLOCK_ENTRIES
         moments(joint)  # kept on the joint, outside the peaks below
         assert peak_of(lambda: lifted_epsilon(joint))[0] < 0.5 * nbytes
         transport_peak = peak_of(lambda: transport(joint, 0.3))[0]
         assert transport_peak < 0.5 * nbytes
         # one block buffer of data-axis planes, a fraction of one more, and the output
-        plane = joint.values[..., 0].nbytes
-        buffer = density._blocks(joint.shape[-1], joint.values[..., 0].size)[0].stop * plane
+        plane = 8 * np.prod(ws.state_shape)
+        buffer = density._blocks(joint.shape[-1], np.prod(ws.state_shape))[0].stop * plane
         assert transport_peak < 1.5 * buffer + plane
         assert peak_of(lambda: dg_distance(joint, other))[0] < 0.5 * nbytes
     finally:
