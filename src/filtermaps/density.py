@@ -14,18 +14,19 @@ these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), and d_g.
 A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
 and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
-``_BLOCK_ENTRIES`` entries and holds at most two block buffers, allocated
-once per call, besides temporaries of a fraction of a block; each entry gets
-the same arithmetic and each row is contracted on its own, so no result
-depends on the block size or on the order of the blocks.
+``_BLOCK_ENTRIES`` entries and holds one block buffer (:func:`dg_distance`
+two), allocated once per call, besides temporaries of a fraction of a block;
+each entry gets the same arithmetic and each row is contracted on its own, so
+no result depends on the block size or on the order of the blocks.
 A measure map hands its fresh output to a density that normalizes it in
 place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
 A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
 state-grid array q = mu / M and the workspace's likelihood l, shared and never
 copied, so no joint-sized array is made for it. The kernels read a joint only
 through :func:`_block`, which writes q l of one block into a buffer of the
-kernel's; its moments come from q and three per-state-point sums of l; and its
-``values`` are built on request and not kept.
+kernel's, or of a fraction of a block into a temporary; its moments come from
+q and three per-state-point sums of l; and its ``values`` are built on
+request and not kept.
 A density is stored as its three arrays (``np.savez`` of ``box_lo``,
 ``box_hi`` and ``values``); passing them back to ``GridDensity`` validates it.
 
@@ -218,9 +219,10 @@ def _block(mu: GridDensity, s: slice, out: Array | None = None, axis: int = 0) -
 def _row_buffers(shape: tuple[int, ...]) -> Array:
     """Two buffers, each with room for the largest block of rows of a grid of ``shape``.
 
-    They are one allocation: two block-sized arrays freed together exceed
-    glibc's default trim threshold, so the heap would hand their pages back to
-    the OS and fault them in again at every call.
+    :func:`dg_distance` reads its two densities into them. They are one
+    allocation: two block-sized arrays freed together exceed glibc's default
+    trim threshold, so the heap would hand their pages back to the OS and fault
+    them in again at every call.
     """
     return np.empty((2, _blocks(shape[0], math.prod(shape[1:]))[0].stop) + shape[1:])
 
@@ -517,15 +519,19 @@ def lifted_epsilon(joint: GridDensity) -> float:
     the second starts with the block the first pass evaluated last and
     evaluates each other block again. Every block of the projection, with its
     normalized values, their difference to the joint and its absolute value,
-    is written into one block buffer, and a lifted joint's block into a second.
+    is written into the call's one block buffer. The joint is subtracted an
+    eighth of a block of rows at a time: views of a stored tensor, or q l
+    temporaries of that size of a lifted joint.
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")
     projection = gaussian_projection(joint)
     w = quad_weights(joint.box_lo, joint.box_hi, joint.shape)
     x = joint.axes()
-    *head, last = _blocks(joint.shape[0], math.prod(joint.shape[1:]))
-    buffer, joint_buffer = _row_buffers(joint.shape)
+    row = math.prod(joint.shape[1:])
+    blocks = _blocks(joint.shape[0], row)
+    *head, last = blocks
+    buffer = np.empty((blocks[0].stop,) + joint.shape[1:])
 
     def projected(s: slice) -> Array:
         values = log_density_at(projection, np.ix_(x[0][s], *x[1:]), buffer[: s.stop - s.start])
@@ -543,7 +549,9 @@ def lifted_epsilon(joint: GridDensity) -> float:
     def deviation(s: slice) -> Array:
         diff = kept if s == last else projected(s)
         diff /= mass
-        np.subtract(_block(joint, s, joint_buffer), diff, out=diff)
+        for t in _blocks(s.stop - s.start, 8 * row):
+            rows = diff[t]
+            np.subtract(_block(joint, slice(s.start + t.start, s.start + t.stop)), rows, out=rows)
         return np.abs(diff, out=diff)
 
     return _integrate_g(deviation, joint.box_lo, joint.box_hi, joint.shape)

@@ -11,6 +11,7 @@ keeps, or that of C_yy for the Kalman gain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,9 @@ class GaussianMeasure:
     cov : ndarray, shape (n, n)
         Symmetric (to 1e-12 relative tolerance) positive definite. Validation
         keeps its lower Cholesky factor read-only as ``chol`` (see :func:`chol_spd`).
+
+    ``chol_inv`` and ``log_normalizer``, which every :func:`log_density_at`
+    call reads, are computed when first needed and kept, the inverse read-only.
     """
 
     mean: Array
@@ -97,6 +101,18 @@ class GaussianMeasure:
     @property
     def dim(self) -> int:
         return self.mean.size
+
+    @cached_property
+    def chol_inv(self) -> Array:
+        """L^-1 of the kept factor ``chol``, read-only."""
+        inv = np.linalg.inv(self.chol)
+        inv.setflags(write=False)
+        return inv
+
+    @cached_property
+    def log_normalizer(self) -> float:
+        """n log(2 pi) + log det(cov), which :func:`log_density_at` adds before scaling by -1/2."""
+        return self.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(self.chol)))
 
 
 @dataclass(frozen=True)
@@ -143,20 +159,25 @@ def log_density_at(g: GaussianMeasure, x, out: Array | None = None) -> Array | f
     float, a list of m points is passed transposed (shape (n, m)), and a
     tensor grid as its open mesh ``np.ix_(*axes)``, so no point list is built.
     The quadratic form is sum_i (sum_{j<=i} (L^-1)_ij (x_j - m_j))^2 with L the
-    kept Cholesky factor ``g.chol``: L^-1 is n x n, so the points meet only
-    scalar multiply-adds and no BLAS call. The last row's term spans every
-    axis, and the result is built in it: in ``out``, of the broadcast shape,
-    when it is given.
+    kept Cholesky factor ``g.chol``: L^-1 (``g.chol_inv``) is n x n, so the
+    points meet only scalar multiply-adds and no BLAS call. Each row sums its
+    terms from the left, those before the diagonal on their own broadcast
+    shape, so on an open mesh only the add of the last row's diagonal term
+    spans every axis. The result is built in that row's term: in ``out``, of
+    the broadcast shape, when it is given. A mesh and its point list give the
+    same numbers bit for bit.
     """
     if len(x) != g.dim:
         raise ValueError(f"dimension mismatch: {len(x)} coordinates, measure has {g.dim}")
     centered = [np.asarray(xi, dtype=float) - mi for xi, mi in zip(x, g.mean)]
-    L_inv = np.linalg.inv(g.chol)
+    L_inv = g.chol_inv
     for i in range(g.dim):
         row_out = out if i == g.dim - 1 else None
-        z = np.multiply(L_inv[i, 0], centered[0], out=row_out)
-        for j in range(1, i + 1):
-            z = np.add(z, L_inv[i, j] * centered[j], out=row_out)
+        z = np.multiply(L_inv[i, 0], centered[0], out=None if i else row_out)
+        for j in range(1, i):
+            z = z + L_inv[i, j] * centered[j]
+        if i:
+            z = np.add(z, L_inv[i, i] * centered[i], out=row_out)
         z *= z
         if i == 0:
             quad = z
@@ -165,14 +186,9 @@ def log_density_at(g: GaussianMeasure, x, out: Array | None = None) -> Array | f
             quad = np.add(quad, z, out=z)
         else:
             quad = quad + z
-    quad += log_normalizer(g)
+    quad += g.log_normalizer
     quad *= -0.5
     return float(quad) if np.ndim(quad) == 0 else quad
-
-
-def log_normalizer(g: GaussianMeasure) -> float:
-    """n log(2 pi) + log det(cov), which :func:`log_density_at` adds before scaling by -1/2."""
-    return g.dim * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diag(g.chol)))
 
 
 def condition(joint: GaussianMeasure, blocks: BlockStructure, y_dagger: Array) -> GaussianMeasure:

@@ -41,7 +41,7 @@ from .density import (
     quad_weights,
     weight_tensor,
 )
-from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at, log_normalizer
+from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
 from .model import ModelSpec, fingerprint
 
 #: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
@@ -205,9 +205,9 @@ class OperatorWorkspace:
         """
         like = np.subtract(self.y_axis[None, :], h_mesh[:, None])
         like -= noise.mean[0]
-        like *= np.linalg.inv(noise.chol)[0, 0]
+        like *= noise.chol_inv[0, 0]
         like *= like
-        like += log_normalizer(noise)
+        like += noise.log_normalizer
         like *= -0.5
         return np.exp(like, out=like)
 
@@ -324,8 +324,9 @@ def _slice_at_datum(pi: GridDensity, y_dagger) -> Array:
     t = min(int(np.searchsorted(ya, y)) - 1, ya.size - 2)
     t = max(t, 0)
     theta = (y - ya[t]) / (ya[t + 1] - ya[t])
-    planes = _block(pi, slice(t, t + 2), axis=-1)
-    return (1.0 - theta) * planes[..., 0] + theta * planes[..., 1]
+    # each plane on its own, so a lifted joint's q l is a contiguous state-grid array
+    below, above = (_block(pi, slice(j, j + 1), axis=-1)[..., 0] for j in (t, t + 1))
+    return (1.0 - theta) * below + theta * above
 
 
 def bayes(joint: GridDensity, y_dagger) -> GridDensity:
@@ -359,15 +360,16 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     cells per state axis (k_j integer, 0 <= f_j < 1). The planes go in blocks
     of consecutive j: each block is blended at once, axis by axis, in one block
     buffer, z[i] <- (1 - f_j) z[i] + f_j z[i-1], the products f_j z[i-1] taken
-    an eighth of a block at a time; then each of its planes is added into the
-    output k_j cells on, in order of j. A lifted joint's planes are written
-    into that buffer and blended there. So the call holds one block buffer and
-    the adds read planes that are still in cache; one code path serves
-    d in {1, 2}. Points off the grid read zero, and entry 0 keeps its value
-    only where f_j = 0, so nothing is interpolated between the edge and the
-    outside. More than 10% of the mass leaving the state box raises
-    :class:`CoverageError`; the output mean equals M_u + A (y_dagger - M_y) up
-    to grid error.
+    an eighth of a block at a time: axis 0 in chunks of its rows taken from
+    the last, a later axis within contiguous slabs of axis-0 rows. Then each
+    of its planes is added into the output k_j cells on, in order of j. A
+    lifted joint's planes are written into that buffer and blended there. So
+    the call holds one block buffer and the adds read planes that are still
+    in cache; one code path serves d in {1, 2}. Points off the grid read
+    zero, and entry 0 keeps its value only where f_j = 0, so nothing is
+    interpolated between the edge and the outside. More than 10% of the mass
+    leaving the state box raises :class:`CoverageError`; the output mean
+    equals M_u + A (y_dagger - M_y) up to grid error.
     """
     y = _scalar_datum(joint, y_dagger, "transport")
     gain = kalman_gain(joint)[:, 0]
@@ -394,18 +396,17 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
         source = _block(joint, cols, buf, axis=-1)  # z itself for a lifted joint
         for a in range(d):
             fa, keep = f[a, cols], 1.0 - f[a, cols]
-            sa, za = source.swapaxes(0, a), z.swapaxes(0, a)
-            # chunks of rows from the last: where the source is z itself (a >= 1, or
-            # a lifted joint), each chunk reads its rows i - 1 before any is overwritten
-            for r in reversed(_blocks(n[a], 8 * za[0].size)):
-                below = max(r.start, 1)
-                lower = fa * sa[below - 1 : r.stop - 1]
-                np.multiply(sa[r], keep, out=za[r])
-                if r.start == 0:
-                    za[0][..., fa > 0.0] = 0.0  # entry 0 has no neighbour i - 1 on the grid
-                za[below : r.stop] += lower
-                del lower  # before the next chunk takes its own
-            source = z
+            chunks = _blocks(n[0], 8 * z[0].size)
+            if a == 0:
+                # chunks of rows from the last: where the source is z itself (a
+                # lifted joint), each reads its rows i - 1 before any is overwritten
+                for r in reversed(chunks):
+                    _blend(source, z, r, fa, keep)
+            else:
+                # a later axis is blended within contiguous slabs of axis-0 rows
+                for r in chunks:
+                    slab = z[r].swapaxes(0, a)
+                    _blend(slab, slab, slice(0, n[a]), fa, keep)
         z *= wy[cols]
         # this block's slices, made as the adds take them: output first:stop
         # reads input first - k:stop - k; no list of every plane's slices is held
@@ -422,6 +423,22 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
             f"transport image escapes the state box: only {mass:.4f} of the mass remains"
         )
     return _normalized_in_place(lo, hi, out, context="transport")
+
+
+def _blend(source: Array, z: Array, r: slice, f: Array, keep: Array) -> None:
+    """z[i] <- keep source[i] + f source[i - 1] for the rows i in ``r`` of the first axis.
+
+    ``f`` and ``keep`` = 1 - f hold one value per plane of the last axis. Row 0
+    has no neighbour i - 1 on the grid: it reads zero, and keeps its value only
+    where f = 0. ``source`` may be ``z`` itself: every row i - 1 is read
+    before a row is written.
+    """
+    below = max(r.start, 1)
+    lower = f * source[below - 1 : r.stop - 1]
+    np.multiply(source[r], keep, out=z[r])
+    if r.start == 0:
+        z[0][..., f > 0.0] = 0.0
+    z[below : r.stop] += lower
 
 
 def _bounded_constants(model: ModelSpec) -> tuple[float, float]:

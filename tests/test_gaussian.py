@@ -1,5 +1,7 @@
 """Closed-form Gaussian algebra against quadrature and hand-computed oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +66,49 @@ def test_log_density_on_open_mesh_matches_scipy(n):
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     expect = multivariate_normal(g.mean, g.cov).logpdf(pts).reshape(got.shape)
     assert_allclose(got, expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_log_density_on_open_mesh_equals_its_point_list(n):
+    # a row's leading terms are summed on their own broadcast shape and only its
+    # last add spans the grid, yet every entry gets the point list's arithmetic
+    rng = np.random.default_rng(10 + n)
+    A = rng.normal(size=(n, n))
+    g = GaussianMeasure(rng.normal(size=n), A @ A.T + 0.5 * np.eye(n))
+    axes = [np.linspace(-3.0, 3.0, s) for s in (9, 7, 5)[:n]]
+    shape = tuple(a.size for a in axes)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n).T
+    expect = log_density_at(g, pts)
+    flat = np.empty(expect.size)
+    assert log_density_at(g, pts, flat) is flat
+    assert np.array_equal(flat, expect)
+    assert np.array_equal(log_density_at(g, np.ix_(*axes)), expect.reshape(shape))
+    out = np.empty(shape)
+    assert log_density_at(g, np.ix_(*axes), out) is out
+    assert np.array_equal(out, expect.reshape(shape))
+
+
+def test_gaussian_measure_keeps_its_inverse_factor_and_normalizer(monkeypatch):
+    # L^-1 and the log-normalizer are computed once per measure, on first use
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+    g = GaussianMeasure([0.3, -0.2], [[1.5, 0.4], [0.4, 0.8]])
+    mesh = np.ix_(np.linspace(-2.0, 2.0, 5), np.linspace(-1.0, 1.0, 4))
+    first = log_density_at(g, mesh)
+    for _ in range(3):
+        assert np.array_equal(log_density_at(g, mesh), first)
+    assert len(inverted) == 1
+    log_density_at(GaussianMeasure([0.0, 0.0], np.eye(2)), mesh)
+    assert len(inverted) == 2
+    assert_allclose(g.chol_inv @ g.chol, np.eye(2), atol=1e-15)
+    assert_allclose(g.log_normalizer, np.log(np.linalg.det(2.0 * np.pi * g.cov)), rtol=1e-14)
+    with pytest.raises(ValueError):
+        g.chol_inv[0, 0] = 5.0
+    for name in ("chol_inv", "log_normalizer"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, None)
+    assert len(inverted) == 2
 
 
 def test_log_density_single_point_gives_float():
