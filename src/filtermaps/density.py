@@ -14,10 +14,10 @@ these the module builds moments, kept on the density as its moment-matched
 Gaussian (which is also its Gaussian projection), and d_g.
 A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
 and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
-``_BLOCK_ENTRIES`` entries and holds one block buffer (:func:`dg_distance`
-two), allocated once per call, besides temporaries of a fraction of a block;
-each entry gets the same arithmetic and each row is contracted on its own, so
-no result depends on the block size or on the order of the blocks.
+``_BLOCK_ENTRIES`` entries; each of them holds one block buffer, allocated
+once per call, besides temporaries of an eighth of a block; each entry gets
+the same arithmetic and each row is contracted on its own, so no result
+depends on the block size or on the order of the blocks.
 A measure map hands its fresh output to a density that normalizes it in
 place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
 A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
@@ -214,17 +214,6 @@ def _block(mu: GridDensity, s: slice, out: Array | None = None, axis: int = 0) -
     if out is not None:
         out = out[: like.shape[0]] if axis == 0 else out[..., : like.shape[-1]]
     return np.multiply(q, like, out=out)
-
-
-def _row_buffers(shape: tuple[int, ...]) -> Array:
-    """Two buffers, each with room for the largest block of rows of a grid of ``shape``.
-
-    :func:`dg_distance` reads its two densities into them. They are one
-    allocation: two block-sized arrays freed together exceed glibc's default
-    trim threshold, so the heap would hand their pages back to the OS and fault
-    them in again at every call.
-    """
-    return np.empty((2, _blocks(shape[0], math.prod(shape[1:]))[0].stop) + shape[1:])
 
 
 def quad_weights(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
@@ -452,13 +441,23 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     """Weighted total-variation metric d_g = integral of (1 + |v|^2) |rho1 - rho2| dv.
 
     Both densities must live on the identical grid. The difference is taken a
-    block of rows at a time, so no array of the grid's size is made.
+    block of rows at a time in the call's one block buffer, so no array of the
+    grid's size is made. It is filled an eighth of a block of rows at a time:
+    ``mu1``'s rows are views of a stored tensor, or q l of a lifted joint
+    written into the buffer, and ``mu2``'s rows, views or q l temporaries of
+    an eighth of a block, are subtracted from them there. |rho1 - rho2| is
+    |rho2 - rho1| entry by entry, so ``dg_distance(mu1, mu2)`` equals
+    ``dg_distance(mu2, mu1)`` bit for bit.
     """
     _require_same_grid(mu1, mu2)
-    buffers = _row_buffers(mu1.shape)
+    row = math.prod(mu1.shape[1:])
+    buffer = np.empty((_blocks(mu1.shape[0], row)[0].stop,) + mu1.shape[1:])
 
     def deviation(s: slice) -> Array:
-        diff = np.subtract(*(_block(mu, s, buf) for mu, buf in zip((mu1, mu2), buffers)))
+        diff = buffer[: s.stop - s.start]
+        for t in _blocks(s.stop - s.start, 8 * row):
+            rows, r = diff[t], slice(s.start + t.start, s.start + t.stop)
+            np.subtract(_block(mu1, r, rows), _block(mu2, r), out=rows)
         return np.abs(diff, out=diff)
 
     return _integrate_g(deviation, mu1.box_lo, mu1.box_hi, mu1.shape)

@@ -306,16 +306,27 @@ def _bounded_workspace() -> tuple[model.ModelSpec, operators.OperatorWorkspace]:
     return spec, operators.default_workspace(spec, [-7.0], [7.0], (512,))
 
 
-def _row_blocks(mu: density.GridDensity):
-    """The values of ``mu`` a block of rows at a time; a lifted joint builds no tensor."""
-    for s in density._blocks(mu.shape[0], math.prod(mu.shape[1:])):
-        yield density._block(mu, s)
+def _eighth_buffers(count: int, shape) -> np.ndarray:
+    """``count`` buffers in one allocation, each for an eighth of a block of rows of ``shape``."""
+    rows = density._blocks(shape[0], 8 * math.prod(shape[1:]))[0].stop
+    return np.empty((count, rows) + tuple(shape[1:]))
 
 
-def _mass(mu: density.GridDensity) -> float:
-    """``density.integrate`` of the values of ``mu``, its rows contracted a block at a time."""
+def _row_blocks(mu: density.GridDensity, buffer: np.ndarray):
+    """The values of ``mu`` an eighth of a block of rows at a time.
+
+    A stored tensor gives views; a lifted joint writes q l of each slice of rows
+    into ``buffer`` (from :func:`_eighth_buffers`), so no tensor is built and
+    every slice of rows reuses the same memory.
+    """
+    for s in density._blocks(mu.shape[0], 8 * math.prod(mu.shape[1:])):
+        yield density._block(mu, s, buffer)
+
+
+def _mass(mu: density.GridDensity, buffer: np.ndarray) -> float:
+    """``density.integrate`` of the values of ``mu``, read through ``buffer`` by :func:`_row_blocks`."""
     w = density.quad_weights(mu.box_lo, mu.box_hi, mu.shape)
-    rows = np.concatenate([density._contract_trailing(v, w[1:]) for v in _row_blocks(mu)])
+    rows = np.concatenate([density._contract_trailing(v, w[1:]) for v in _row_blocks(mu, buffer)])
     return density._contract(rows, w[:1])
 
 
@@ -344,7 +355,12 @@ def check_q_lipschitz(seed: int = 2) -> PropertyResult:
 
 
 def check_pq_linear(seed: int = 2) -> PropertyResult:
-    """P and Q commute with convex combinations on the raw tensors."""
+    """P and Q commute with convex combinations on the raw tensors.
+
+    The outputs are compared an eighth of a block of rows at a time, in three
+    buffers of one allocation per map: alpha a + (1 - alpha) b, the difference
+    to the combination's image and its absolute value are formed in place.
+    """
     _, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 3])
     worst = 0.0
@@ -355,10 +371,15 @@ def check_pq_linear(seed: int = 2) -> PropertyResult:
         combo = density.normalized(mu.box_lo, mu.box_hi,
                                    alpha * mu.values + (1 - alpha) * nu.values)
         for op in (operators.predict, operators.lift):
+            images = [op(m, ws) for m in (combo, mu, nu)]
+            buffers = _eighth_buffers(3, images[0].shape)
             error = peak = 0.0
-            for mixed, a, b in zip(*(_row_blocks(op(m, ws)) for m in (combo, mu, nu))):
-                split = alpha * a + (1 - alpha) * b
-                error = max(error, float(np.abs(mixed - split).max()))
+            for mixed, a, b in zip(*map(_row_blocks, images, buffers)):
+                split, diff = buffers[1][: len(a)], buffers[2][: len(b)]
+                np.multiply(alpha, a, out=split)
+                np.add(split, np.multiply(1 - alpha, b, out=diff), out=split)
+                np.abs(np.subtract(mixed, split, out=diff), out=diff)
+                error = max(error, float(diff.max()))
                 peak = max(peak, float(split.max()))
             worst = max(worst, error / peak)
     return PropertyResult("operators", "pq_linear", worst, 1e-9,
@@ -384,6 +405,7 @@ def check_mass_conservation(seed: int = 2) -> PropertyResult:
     """Every operator output integrates to one within 1e-8."""
     _, ws = _bounded_workspace()
     rng = np.random.default_rng([seed, 5])
+    buffer = _eighth_buffers(1, ws.joint_shape)[0]
     worst = 0.0
     for _ in range(10):
         mu = _random_mixture(rng, ws.state_lo, ws.state_hi, ws.state_shape)
@@ -391,7 +413,7 @@ def check_mass_conservation(seed: int = 2) -> PropertyResult:
         joint = operators.lift(pred, ws)
         yd = rng.uniform(-1.0, 1.0, 1)
         for out in (pred, joint, operators.bayes(joint, yd), operators.transport(joint, yd)):
-            worst = max(worst, abs(_mass(out) - 1.0))
+            worst = max(worst, abs(_mass(out, buffer) - 1.0))
     return PropertyResult("operators", "mass_conservation", worst, 1e-8,
                           detail="10 chains of P, Q, B, T")
 

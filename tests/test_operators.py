@@ -544,9 +544,10 @@ def _lifted_joint(model, lo, hi, shape, y_points, prior):
 
 
 _JOINTS = {
-    "lifted_1d": lambda: _lifted_joint(bounded_model_1d(), [-7.0], [7.0], (128,), 64,
-                                       GaussianMeasure([0.4], [[0.8]])),
-    "3_axis": lambda: _lifted_joint(*_KERNEL_CASES["2d"][:4], 24, _KERNEL_CASES["2d"][4]),
+    "lifted_1d": lambda prior=GaussianMeasure([0.4], [[0.8]]): _lifted_joint(
+        bounded_model_1d(), [-7.0], [7.0], (128,), 64, prior),
+    "3_axis": lambda prior=_KERNEL_CASES["2d"][4]: _lifted_joint(
+        *_KERNEL_CASES["2d"][:4], 24, prior),
 }
 
 
@@ -560,8 +561,16 @@ def test_block_size_cannot_change_a_result(monkeypatch, case):
         joint = _JOINTS[case]()  # a fresh joint, so its moments are computed again
         moved = transport(joint, 0.3)
         kept, image = moments(joint), moments(moved)
+        # d_g of two lifted joints, and of a lifted joint against its stored tensor;
+        # each equals d_g with its arguments swapped bit for bit, which
+        # metric_axioms relies on
+        stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values, joint.blocks)
+        other = _JOINTS[case](GaussianMeasure(np.zeros(moved.ndim), np.eye(moved.ndim)))
+        pairs = [(joint, other), (joint, stored), (stored, other)]
+        dg = [dg_distance(a, b) for a, b in pairs]
+        assert dg == [dg_distance(b, a) for a, b in pairs]
         return [lifted_epsilon(joint), moved.values, kept.mean, kept.cov, image.mean, image.cov,
-                dg_distance(moved, bayes(joint, 0.3))]
+                dg_distance(moved, bayes(joint, 0.3)), *dg]
 
     default = results()
     plane = default[1].size
@@ -642,6 +651,8 @@ def test_streamed_kernels_hold_no_second_joint():
         plane = 8 * np.prod(ws.state_shape)
         buffer = density._blocks(joint.shape[-1], np.prod(ws.state_shape))[0].stop * plane
         assert transport_peak < 1.5 * buffer + plane
-        assert peak_of(lambda: dg_distance(joint, other))[0] < 0.5 * nbytes
+        # one block buffer of rows, into which the first joint's rows are written,
+        # and the second joint's rows an eighth of a block at a time
+        assert peak_of(lambda: dg_distance(joint, other))[0] < 1.25 * rows
     finally:
         tracemalloc.stop()

@@ -2,11 +2,13 @@
 
 import math
 import os
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import filtermaps.density as density
 import filtermaps.filters
 import filtermaps.gaussian
 import filtermaps.verify as verify
@@ -244,3 +246,54 @@ def test_eps_scaling_reports_its_seed_then_all_eight_seeds(monkeypatch):
     assert [r.passed for r in results] == [True, True, True, False]
     assert results[3].measured == pytest.approx(-0.1)
     assert "3-10" in results[3].detail
+
+
+# the 15 measured values of the gaussian, density and operators suites at
+# seeds 0 and 1; they pin the arithmetic, so a change to how the checks hold
+# their memory must leave every one of them bit for bit
+_MEASURED_AT_SEEDS_0_1 = {
+    "gaussian.kl_zero_and_nonnegative": (-4.440892098500626e-16, -2.220446049250313e-16),
+    "gaussian.pinsker": (0.4665098705252129, 0.4673335996206718),
+    "gaussian.dg_bound_dominates": (0.5577340041320432, 0.543993252145447),
+    "gaussian.conditioning_matches_bayes": (0.00042387552910161386, 0.00031969655499808347),
+    "gaussian.conditioning_spd": (0.37309015702585135, 0.3058102075522093),
+    "density.moment_difference_bounds": (-0.1764887014447858, -0.19829524417809719),
+    "density.metric_axioms": (0.0, 0.0),
+    "density.projection_idempotent": (2.0528542687969775e-07, 1.7893317671990872e-07),
+    "density.kl_minimizer": (1.1820882496900269e-05, 5.149059996434335e-05),
+    "operators.p_lipschitz": (-2.239616364305295, -2.3892643696178846),
+    "operators.q_lipschitz": (-0.929654375836206, -1.2065869457594542),
+    "operators.pq_linear": (1.7536791912064335e-15, 1.6042618976542061e-15),
+    "operators.transport_equals_bayes": (0.0009726336592892391, 0.0012069724656703364),
+    "operators.mass_conservation": (6.661338147750939e-16, 4.440892098500626e-16),
+    "operators.moment_envelopes": (-0.0009928141585696104, -0.008777833145585223),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_small_suites_measure_the_pinned_values(seed):
+    results = run_suites(["gaussian", "density", "operators"], seed=seed)
+    got = {f"{r.suite}.{r.name}": r.measured for r in results}
+    assert got == {name: pair[seed] for name, pair in _MEASURED_AT_SEEDS_0_1.items()}
+
+
+@pytest.mark.parametrize("check", [verify.check_pq_linear, verify.check_mass_conservation,
+                                   verify.check_q_lipschitz])
+def test_operator_checks_hold_their_workspace_and_under_two_block_buffers(check):
+    # each check builds the 512-point workspace and reads 512 x 512 joints; it
+    # reads them an eighth of a block of rows at a time and measures d_g in one
+    # block buffer, so it never holds a second joint's worth of temporaries
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        workspace = verify._bounded_workspace()
+        held = tracemalloc.get_traced_memory()[0] - before
+        del workspace
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        check()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    block = 8 * density._blocks(512, 512)[0].stop * 512
+    assert peak < held + 1.75 * block
