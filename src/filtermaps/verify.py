@@ -12,7 +12,9 @@ monkeypatched (or broken) implementation is what actually gets measured.
 
 Tables of sweep points, (delta, seed) -> (eps, err_enkf, err_gpf), run through
 one engine, :func:`sweep_rows`, on a process pool; ``filtermaps sweep`` and the
-filters suite's eps scaling check use it.
+filters suite's eps scaling check use it. The pool's modules
+(``concurrent.futures``, ``multiprocessing``) load when a pool first starts, so
+a process that runs on one CPU or sweeps one point never loads them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -534,7 +534,8 @@ def sweep_rows(points, J: int, config: filters.FilterConfig | None = None):
     """Yield the row of each (delta, seed) point, in point order.
 
     The points run on min(#points, usable CPUs) worker processes; with one,
-    they run in the calling process and no pool starts. If the pool cannot
+    they run in the calling process: no pool starts, and the pool's modules,
+    imported here when a pool first starts, never load. If the pool cannot
     start or breaks (``OSError``, ``BrokenProcessPool``), the points not yet
     yielded run in the calling process. A point's own exception, such as a
     ``FilterStepError``, propagates unchanged.
@@ -546,6 +547,9 @@ def sweep_rows(points, J: int, config: filters.FilterConfig | None = None):
     workers = min(len(points), cpus)
     done = 0
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 deltas, seeds = zip(*points)

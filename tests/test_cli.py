@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import ast
+import concurrent.futures
 import csv
 import json
 import math
@@ -207,7 +208,7 @@ def test_sweep_rejects_zero_steps_before_the_pool(tmp_path, monkeypatch, capsys)
     def no_pool(max_workers):
         raise AssertionError("the pool must not start")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = _write_config(tmp_path / "j0.json", scenario="sweep", J=0, deltas=[0.0, 0.2])
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "'J'" in capsys.readouterr().err
@@ -223,7 +224,7 @@ def test_sweep_pool_is_sized_by_the_usable_cpus(tmp_path, monkeypatch):
         raise OSError("no process pool")
 
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(verify, "_sweep_row", lambda delta, *rest: dict(
         delta=delta, eps_measured=0.1 + delta, err_enkf=delta, err_gpf=delta))
     cfg = _write_config(tmp_path / "sweep.json", scenario="sweep", deltas=[0.0, 0.1, 0.2])
@@ -246,7 +247,7 @@ def test_sweep_pool_and_serial_fallback_write_the_same_bytes(tmp_path, monkeypat
     def no_pool(max_workers):
         raise OSError("no process pool")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
     assert (pooled / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
@@ -559,3 +560,17 @@ def test_package_imports_without_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_a_process_that_starts_no_pool_loads_no_pool_modules():
+    # verify imports the process pool inside sweep_rows, where it starts one;
+    # a one-point sweep runs in-process, so multiprocessing never loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, filtermaps.cli, filtermaps.verify as verify\n"
+            "from filtermaps.filters import FilterConfig\n"
+            "verify.measure_sweep([0.2], J=1, config=FilterConfig(seed=0, state_shape=(64,), y_points=32))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

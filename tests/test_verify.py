@@ -1,5 +1,6 @@
 """Property-check harness: suites run, failures surface, reports serialize."""
 
+import concurrent.futures
 import math
 import os
 import tracemalloc
@@ -223,7 +224,7 @@ def test_a_broken_pool_runs_only_the_remaining_points_in_process(monkeypatch):
                 yield fn(*args)
 
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", BreaksAfterTwo)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BreaksAfterTwo)
     monkeypatch.setattr(verify, "_sweep_row", fake_row)
     points = [(d, 0) for d in (0.0, 0.1, 0.2, 0.3, 0.4)]
     rows = list(verify.sweep_rows(points, J=1))
