@@ -6,18 +6,20 @@ one home of grid quadrature and coordinates. Everything of product form is
 evaluated from per-axis factors: :func:`integrate` is the only integration
 rule (per-axis trapezoidal weights contracted one axis at a time), moments and
 the weighted total-variation metric d_g (weight g(v) = 1 + |v|^2) are the same
-contractions with per-axis coordinate factors in the weights, and Gaussians
-are evaluated on the open mesh (``np.ix_`` of the grid axes), whose
-coordinates broadcast against a value tensor. :func:`grid_points`, the only
-flat point list, serves model maps that are evaluated point by point. On
-these the module builds moments, kept on the density as its moment-matched
-Gaussian (which is also its Gaussian projection), and d_g.
-A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`
-and :func:`lifted_epsilon` here, ``operators.transport``) runs over blocks of
-``_BLOCK_ENTRIES`` entries; each of them holds one block buffer, allocated
-once per call, besides temporaries of an eighth of a block; each entry gets
-the same arithmetic and each row is contracted on its own, so no result
-depends on the block size or on the order of the blocks.
+contractions with per-axis coordinate factors in the weights, and plain total
+variation is the first term of d_g's. Every Gaussian density value, here and
+in the workspace's kernels, is :func:`_gaussian_at`; a grid is evaluated on
+its open mesh (``np.ix_`` of the grid axes), whose coordinates broadcast
+against a value tensor. :func:`grid_points`, the only flat point list, serves
+model maps that are evaluated point by point. On these the module builds
+moments, kept on the density as its moment-matched Gaussian (which is also
+its Gaussian projection), and d_g.
+A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`,
+:func:`tv_distance` and :func:`lifted_epsilon` here, ``operators.transport``)
+runs over blocks of ``_BLOCK_ENTRIES`` entries; each of them holds one block
+buffer, allocated once per call, besides temporaries of an eighth of a block;
+each entry gets the same arithmetic and each row is contracted on its own, so
+no result depends on the block size or on the order of the blocks.
 A measure map hands its fresh output to a density that normalizes it in
 place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
 A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
@@ -327,9 +329,9 @@ def grid_points(lo: Array, hi: Array, shape: Sequence[int]) -> Array:
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
 
-def _gaussian_values(g: GaussianMeasure, lo: Array, hi: Array, shape: Sequence[int]) -> Array:
-    """Unnormalized density values of ``g`` on a grid, evaluated on its open mesh."""
-    values = log_density_at(g, np.ix_(*_grid_axes(lo, hi, shape)))
+def _gaussian_at(g: GaussianMeasure, x, out: Array | None = None) -> Array:
+    """Density of ``g`` at coordinates ``x``: ``log_density_at(g, x, out)`` exponentiated in place."""
+    values = log_density_at(g, x, out)
     return np.exp(values, out=values)
 
 
@@ -356,7 +358,7 @@ def from_gaussian(
         raise CoverageError(
             f"box [{box_lo}, {box_hi}] does not cover mean +- 6 stdev ([{needed_lo}, {needed_hi}])"
         )
-    values = _gaussian_values(g, box_lo, box_hi, shape)
+    values = _gaussian_at(g, np.ix_(*_grid_axes(box_lo, box_hi, shape)))
     return normalized(box_lo, box_hi, values, blocks, context="from_gaussian")
 
 
@@ -449,6 +451,16 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     |rho2 - rho1| entry by entry, so ``dg_distance(mu1, mu2)`` equals
     ``dg_distance(mu2, mu1)`` bit for bit.
     """
+    return sum(_dg_terms(mu1, mu2))
+
+
+def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
+    """Plain total variation: integral of |rho1 - rho2| dv, the first term of d_g's one pass."""
+    return _dg_terms(mu1, mu2)[0]
+
+
+def _dg_terms(mu1: GridDensity, mu2: GridDensity) -> list[float]:
+    """The terms of :func:`dg_distance` that :func:`_integrate_g` returns."""
     _require_same_grid(mu1, mu2)
     row = math.prod(mu1.shape[1:])
     buffer = np.empty((_blocks(mu1.shape[0], row)[0].stop,) + mu1.shape[1:])
@@ -464,13 +476,14 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
 
 
 def _integrate_g(block: Callable[[slice], Array], lo: Array, hi: Array,
-                 shape: Sequence[int]) -> float:
-    """Integral of (1 + |v|^2) f(v) over the box, as per-axis contractions.
+                 shape: Sequence[int]) -> list[float]:
+    """The terms of the integral of (1 + |v|^2) f(v) over the box, as per-axis contractions.
 
     ``block(s)`` gives f on the rows ``s`` of the first axis, one block of
     :func:`_blocks` at a time, from the last block to the first. Each block is
     contracted over the trailing axes, and the first axis is contracted last,
     over the per-row results, so the order of the blocks changes no result.
+    The terms, integrals of f, x_0^2 f, x_1^2 f, ..., add up to it in order.
     """
     w = quad_weights(lo, hi, shape)
     x = _grid_axes(lo, hi, shape)
@@ -486,14 +499,8 @@ def _integrate_g(block: Callable[[slice], Array], lo: Array, hi: Array,
             rows[a, s] = _contract_trailing(partial, w[1:a] + [w[a] * x[a] * x[a]])
             partial = np.einsum("...i,i->...", partial, w[a])
         rows[0, s] = partial
-    terms = [_contract(rows[0], [w[0] * x[0] * x[0]])] + [_contract(r, w[:1]) for r in rows[1:]]
-    return sum(terms, _contract(rows[0], w[:1]))
-
-
-def tv_distance(mu1: GridDensity, mu2: GridDensity) -> float:
-    """Plain total variation: integral of |rho1 - rho2| dv on the shared grid."""
-    _require_same_grid(mu1, mu2)
-    return integrate(np.abs(mu1.values - mu2.values), mu1.box_lo, mu1.box_hi)
+    return ([_contract(rows[0], w[:1]), _contract(rows[0], [w[0] * x[0] * x[0]])]
+            + [_contract(r, w[:1]) for r in rows[1:]])
 
 
 def gaussian_projection(mu: GridDensity) -> GaussianMeasure:
@@ -533,8 +540,7 @@ def lifted_epsilon(joint: GridDensity) -> float:
     buffer = np.empty((blocks[0].stop,) + joint.shape[1:])
 
     def projected(s: slice) -> Array:
-        values = log_density_at(projection, np.ix_(x[0][s], *x[1:]), buffer[: s.stop - s.start])
-        return np.exp(values, out=values)
+        return _gaussian_at(projection, np.ix_(x[0][s], *x[1:]), buffer[: s.stop - s.start])
 
     row_mass = np.empty(joint.shape[0])
     for s in head:
@@ -553,5 +559,5 @@ def lifted_epsilon(joint: GridDensity) -> float:
             np.subtract(_block(joint, slice(s.start + t.start, s.start + t.stop)), rows, out=rows)
         return np.abs(diff, out=diff)
 
-    return _integrate_g(deviation, joint.box_lo, joint.box_hi, joint.shape)
+    return sum(_integrate_g(deviation, joint.box_lo, joint.box_hi, joint.shape))
 

@@ -164,12 +164,17 @@ def log_density_at(g: GaussianMeasure, x, out: Array | None = None) -> Array | f
     terms from the left, those before the diagonal on their own broadcast
     shape, so on an open mesh only the add of the last row's diagonal term
     spans every axis. The result is built in that row's term: in ``out``, of
-    the broadcast shape, when it is given. A mesh and its point list give the
-    same numbers bit for bit.
+    the broadcast shape, when it is given. Only that row reads the last
+    coordinate, so one of ``out``'s shape is centred into ``out`` itself, which
+    may be that coordinate: a full-size table then needs no second buffer. A
+    mesh and its point list give the same numbers bit for bit.
     """
     if len(x) != g.dim:
         raise ValueError(f"dimension mismatch: {len(x)} coordinates, measure has {g.dim}")
-    centered = [np.asarray(xi, dtype=float) - mi for xi, mi in zip(x, g.mean)]
+    *lead, last = (np.asarray(xi, dtype=float) for xi in x)
+    centered = [xi - mi for xi, mi in zip(lead, g.mean)]
+    in_out = out is not None and out.shape == last.shape
+    centered.append(np.subtract(last, g.mean[-1], out=out if in_out else None))
     L_inv = g.chol_inv
     for i in range(g.dim):
         row_out = out if i == g.dim - 1 else None

@@ -32,6 +32,7 @@ from .density import (
     MIN_POINTS,
     _block,
     _blocks,
+    _gaussian_at,
     _lifted,
     _normalized_in_place,
     from_gaussian,
@@ -41,7 +42,7 @@ from .density import (
     quad_weights,
     weight_tensor,
 )
-from .gaussian import Array, BlockStructure, GaussianMeasure, log_density_at
+from .gaussian import Array, BlockStructure, GaussianMeasure
 from .model import ModelSpec, fingerprint
 
 #: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
@@ -90,15 +91,14 @@ class OperatorWorkspace:
     the field.
 
     The prediction kernel N(u_i; Psi(v_j), Sigma) w_j and the always cached
-    likelihood N(y; H(u), Gamma) are ``log_density_at`` of the noise Gaussians
-    N(0, Sigma), N(0, Gamma), whose covariances are factored once, when they
-    are validated. The likelihood, a joint-sized array, is built in place in
-    its one buffer with the steps of ``log_density_at``, which would make two
-    more joint-sized temporaries. It is read-only: every lifted joint shares
-    it as its data factor (``lift``). Beside it the workspace keeps R0, R1 and
-    R2, its data-axis trapezoid sums against w_y, w_y y and w_y y^2, one value
-    per state point, from which a lifted joint's mass and moments follow.
-    With a diagonal Sigma the kernel factors
+    likelihood N(y; H(u), Gamma) are ``density._gaussian_at`` of the noise
+    Gaussians, whose covariances are factored once, when they are validated.
+    The likelihood is N(H(u_i) - y_k; 0, Gamma), a joint-sized table that
+    :func:`_gaussian_table` builds in its one buffer. It is read-only: every
+    lifted joint shares it as its data factor (``lift``). Beside it the
+    workspace keeps R0, R1 and R2, its data-axis trapezoid sums against w_y,
+    w_y y and w_y y^2, one value per state point, from which a lifted joint's
+    mass and moments follow. With a diagonal Sigma the kernel factors
     exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
     When Psi is componentwise (``MapHandle.componentwise``), Psi_a(v_j) reads
@@ -107,10 +107,10 @@ class OperatorWorkspace:
     F_a[i, j] = N(u_a,i; Psi_a(v_a,j), Sigma_aa) w_a,j, and a 2-D prediction
     is F_0 T F_1^T on the value tensor T. Any other Psi keeps one (n_a, m)
     factor per axis against all m source points, with w_j on the first. The
-    factors are cached when they fit ``KERNEL_CACHE_MAX`` entries in total,
-    and built in place: through ``log_density_at`` their full-size temporaries
-    raise the peak memory of a 1024-point 1-D run by about 9%. A non-diagonal
-    Sigma or larger factors stream the full kernel in row chunks instead.
+    factors are tables of N(0, Sigma_aa) at u_a,i - Psi_a(v_j), each built in
+    one buffer by :func:`_gaussian_table`, and cached when they fit
+    ``KERNEL_CACHE_MAX`` entries in total. A non-diagonal Sigma or larger
+    factors stream the full kernel in row chunks instead.
 
     Matrix-vector products over grid points (the 1-D factor, the streamed
     rows) and the 2-D tensor-product factors contract with ``np.einsum``,
@@ -170,51 +170,24 @@ class OperatorWorkspace:
             weights = [self._state_w]  # the first factor carries the source weights w_j
         entries = sum(n * psi_a.size for n, psi_a in zip(self.state_shape, sources))
         if np.array_equal(sigma, np.diag(np.diag(sigma))) and entries <= KERNEL_CACHE_MAX:
-            self._factors = [self._axis_factor(a, sigma[a, a], sources[a]) for a in range(self.d)]
+            self._factors = [_gaussian_table(GaussianMeasure(np.zeros(1), [[sigma[a, a]]]),
+                                             self.state_axes[a], sources[a]) for a in range(self.d)]
             for factor, w in zip(self._factors, weights):
                 factor *= w
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
-        self._likelihood = self._likelihood_values(gamma_noise, h_mesh).reshape(self.joint_shape)
+        self._likelihood = _gaussian_table(gamma_noise, h_mesh, self.y_axis).reshape(self.joint_shape)
         w_y = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], self.joint_shape[-1:])[0]
         self._likelihood_sums = tuple(
             np.einsum("...i,i->...", self._likelihood, w_y * self.y_axis**p) for p in range(3))
         for a in (self._likelihood,) + self._likelihood_sums:
             a.setflags(write=False)
 
-    def _axis_factor(self, a: int, var: float, psi_a: Array) -> Array:
-        """N(u_a,i; psi_a[j], var) over output points i and source values psi_a[j].
-
-        Built in place in one buffer: chained full-size temporaries fragment the
-        heap when many workspaces are built in one process.
-        """
-        f = np.subtract.outer(self.state_axes[a], psi_a)
-        f *= f
-        f *= -0.5 / var
-        np.exp(f, out=f)
-        f *= 1.0 / math.sqrt(2.0 * math.pi * var)
-        return f
-
-    def _likelihood_values(self, noise: GaussianMeasure, h_mesh: Array) -> Array:
-        """N(y_k; H(u_i), Gamma) over state points i and data points k, in one buffer.
-
-        Each step is the one ``log_density_at(noise, [y - H(u)])`` takes, in
-        place: centre, scale by L^-1, square, add the constant, scale by -1/2,
-        then exponentiate.
-        """
-        like = np.subtract(self.y_axis[None, :], h_mesh[:, None])
-        like -= noise.mean[0]
-        like *= noise.chol_inv[0, 0]
-        like *= like
-        like += noise.log_normalizer
-        like *= -0.5
-        return np.exp(like, out=like)
-
     def _kernel_rows(self, rows: Array) -> Array:
         """Markov-kernel rows N(u_i; Psi(v_j), Sigma) for the output points ``rows``."""
         diff = [self._mesh[rows, a][:, None] - self._psi_mesh[None, :, a] for a in range(self.d)]
-        return np.exp(log_density_at(self._sigma_noise, diff))
+        return _gaussian_at(self._sigma_noise, diff, out=diff[-1])
 
     def state_matches(self, mu: GridDensity) -> bool:
         return (
@@ -250,6 +223,12 @@ class OperatorWorkspace:
         else:
             out = (self._factors[0] * flat) @ self._factors[1].T
         return out.reshape(self.state_shape)
+
+
+def _gaussian_table(noise: GaussianMeasure, points: Array, centres: Array) -> Array:
+    """N(points_i - centres_j; noise) over every pair (i, j) of a 1-D noise, in one buffer."""
+    t = np.subtract.outer(points, centres)
+    return _gaussian_at(noise, [t], out=t)
 
 
 def default_workspace(model: ModelSpec, state_lo, state_hi, state_shape=None,

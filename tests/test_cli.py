@@ -16,7 +16,7 @@ import pytest
 import filtermaps.cli as cli
 import filtermaps.gaussian
 from filtermaps import filters, model, verify
-from filtermaps.density import GridDensity
+from filtermaps.density import MIN_POINTS, GridDensity
 from filtermaps.filters import FilterStepError
 from filtermaps.verify import PropertyResult
 
@@ -55,6 +55,14 @@ def test_run_writes_artifacts_and_is_deterministic(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    # the linear scenario runs as well, here on a small grid
+    linear = _write_config(tmp_path / "linear.json", scenario="linear_1d", J=2, state_points=64,
+                           y_points=32)
+    assert cli.main(["run", "--config", linear, "--out", str(tmp_path / "linear")]) == 0
+    meta = json.loads((tmp_path / "linear" / "metadata.json").read_text())
+    assert meta["config"]["scenario"] == "linear_1d"
+    assert meta["model_fingerprint"] == model.fingerprint(model.linear_model_1d())
 
 
 def test_run_zero_steps(tmp_path):
@@ -379,11 +387,18 @@ def test_config_validation_exit_codes(tmp_path, capsys):
 
     # malformed values are config errors naming the key, not tracebacks or
     # silent coercions (a kinds string used to be split into characters)
+    # and so are values of the right type that a rule rejects
     for key, value in (("J", "ten"), ("state_points", "64"), ("kinds", "true"), ("out", None),
-                       ("seed", -1)):
+                       ("seed", -1), ("scenario", "nope"), ("J", -1),
+                       ("state_points", MIN_POINTS - 1), ("y_points", MIN_POINTS - 1),
+                       ("n_particles", 1)):
         bad = _write_config(tmp_path / f"{key}.json", **{key: value})
         assert cli.main(["run", "--config", bad]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[]")
+    assert cli.main(["run", "--config", str(not_object)]) == 2
+    assert "config root" in capsys.readouterr().err
 
     # a misspelt key of an inline model, or a map parameter its family does
     # not take, is named instead of silently falling back to a default

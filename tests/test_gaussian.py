@@ -1,6 +1,7 @@
 """Closed-form Gaussian algebra against quadrature and hand-computed oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,8 +85,24 @@ def test_log_density_on_open_mesh_equals_its_point_list(n):
     assert np.array_equal(flat, expect)
     assert np.array_equal(log_density_at(g, np.ix_(*axes)), expect.reshape(shape))
     out = np.empty(shape)
-    assert log_density_at(g, np.ix_(*axes), out) is out
+    mesh = np.ix_(*axes)
+    kept = [m.copy() for m in mesh]
+    assert log_density_at(g, mesh, out) is out
     assert np.array_equal(out, expect.reshape(shape))
+    # a last coordinate of another shape than out is centred apart from it
+    assert all(np.array_equal(m, k) for m, k in zip(mesh, kept))
+    if n == 1:
+        # a full-size difference table is centred into itself when it is out
+        table = np.subtract.outer(np.linspace(-3.0, 3.0, 300), np.linspace(-2.0, 2.0, 200))
+        fresh = log_density_at(g, [table])
+        tracemalloc.start()
+        try:
+            assert log_density_at(g, [table], table) is table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, fresh)
+        assert peak < 0.1 * table.nbytes
 
 
 def test_gaussian_measure_keeps_its_inverse_factor_and_normalizer(monkeypatch):

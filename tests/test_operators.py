@@ -17,10 +17,12 @@ from filtermaps.density import (
     ResolutionWarning,
     dg_distance,
     from_gaussian,
+    integrate,
     lifted_epsilon,
     moments,
     normalized,
     quad_weights,
+    tv_distance,
     weight_tensor,
 )
 from filtermaps.gaussian import BlockStructure, GaussianMeasure
@@ -654,5 +656,9 @@ def test_streamed_kernels_hold_no_second_joint():
         # one block buffer of rows, into which the first joint's rows are written,
         # and the second joint's rows an eighth of a block at a time
         assert peak_of(lambda: dg_distance(joint, other))[0] < 1.25 * rows
+        # plain TV is the first term of the same pass
+        tv_peak, tv = peak_of(lambda: tv_distance(joint, other))
+        assert tv_peak < 1.25 * rows
     finally:
         tracemalloc.stop()
+    assert tv == integrate(np.abs(joint.values - other.values), joint.box_lo, joint.box_hi)

@@ -262,12 +262,12 @@ _MEASURED_AT_SEEDS_0_1 = {
     "density.metric_axioms": (0.0, 0.0),
     "density.projection_idempotent": (2.0528542687969775e-07, 1.7893317671990872e-07),
     "density.kl_minimizer": (1.1820882496900269e-05, 5.149059996434335e-05),
-    "operators.p_lipschitz": (-2.239616364305295, -2.3892643696178846),
+    "operators.p_lipschitz": (-2.239616364305295, -2.389264369617884),
     "operators.q_lipschitz": (-0.929654375836206, -1.2065869457594542),
-    "operators.pq_linear": (1.7536791912064335e-15, 1.6042618976542061e-15),
+    "operators.pq_linear": (1.6140482801879262e-15, 1.6042618976542061e-15),
     "operators.transport_equals_bayes": (0.0009726336592892391, 0.0012069724656703364),
-    "operators.mass_conservation": (6.661338147750939e-16, 4.440892098500626e-16),
-    "operators.moment_envelopes": (-0.0009928141585696104, -0.008777833145585223),
+    "operators.mass_conservation": (6.661338147750939e-16, 8.881784197001252e-16),
+    "operators.moment_envelopes": (-0.000992814158569555, -0.008777833145585223),
 }
 
 
