@@ -20,8 +20,9 @@ runs over blocks of ``_BLOCK_ENTRIES`` entries; each of them holds one block
 buffer, allocated once per call, besides temporaries of an eighth of a block;
 each entry gets the same arithmetic and each row is contracted on its own, so
 no result depends on the block size or on the order of the blocks.
-A measure map hands its fresh output to a density that normalizes it in
-place (``_normalized_in_place``); ``GridDensity`` and :func:`normalized` copy.
+``GridDensity`` (and :func:`normalized`, through which ``predict``, ``bayes``
+and ``transport`` return) copies the values it is given once and normalizes
+the copy; :func:`from_gaussian` normalizes the table it evaluated in place.
 A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
 state-grid array q = mu / M and the workspace's likelihood l, shared and never
 copied, so no joint-sized array is made for it. The kernels read a joint only
@@ -80,8 +81,8 @@ class GridDensity:
     The constructor's validator is the only code that checks and normalizes
     density values: it clips tiny negatives (interpolation noise), rejects a
     substantial negative or a mass that is not positive and finite, and
-    stores a read-only values / mass that never aliases the values passed in
-    (only ``_normalized_in_place`` hands it an array to divide in place).
+    stores a read-only values / mass: a copy of the values passed in, which
+    it divides in place.
 
     Parameters
     ----------
@@ -101,13 +102,14 @@ class GridDensity:
     _raw_mass: float = field(init=False, repr=False)  # mass of the values as given
 
     def __post_init__(self) -> None:
-        self._validate(in_place=False)
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
+        self._validate()
 
-    def _validate(self, in_place: bool) -> None:
-        """The one check and normalization of the fields; a copy unless ``in_place``."""
+    def _validate(self) -> None:
+        """The one check and normalization of the fields; the values are clipped and divided in place."""
         lo = np.array(self.box_lo, dtype=float).reshape(-1)
         hi = np.array(self.box_hi, dtype=float).reshape(-1)
-        vals = np.asarray(self.values, dtype=float)
+        vals = self.values
         if vals.ndim != lo.size or lo.size != hi.size:
             raise ValueError(
                 f"dimension mismatch: values have {vals.ndim} axes, box corners have {lo.size}/{hi.size}"
@@ -124,16 +126,15 @@ class GridDensity:
             floor = -1e-12 * max(vals.max(), np.finfo(float).tiny)
             if vals.min() < floor:
                 raise ValueError(f"density values have a substantial negative entry ({vals.min():.3e})")
-            vals = np.clip(vals, 0.0, None, out=vals if in_place else None)
+            np.clip(vals, 0.0, None, out=vals)
         mass = integrate(vals, lo, hi)
         if mass <= 0.0 or not np.isfinite(mass):
             raise ValueError(f"cannot normalize a grid density: mass is {mass}")
-        vals = np.divide(vals, mass, out=vals if in_place else None)
+        vals /= mass
         for a in (lo, hi, vals):
             a.setflags(write=False)
         object.__setattr__(self, "box_lo", lo)
         object.__setattr__(self, "box_hi", hi)
-        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_raw_mass", mass)
 
     @property
@@ -192,12 +193,17 @@ def _lifted(mu: GridDensity, likelihood: Array, sums: tuple[Array, Array, Array]
     lo, hi, q = np.array(box_lo, dtype=float), np.array(box_hi, dtype=float), mu.values / mass
     for a in (lo, hi, q):
         a.setflags(write=False)
-    joint = _LiftedJoint.__new__(_LiftedJoint)
-    for name, value in (("box_lo", lo), ("box_hi", hi), ("blocks", blocks), ("_moments", None),
-                        ("_raw_mass", mass), ("_q", q), ("_likelihood", likelihood),
-                        ("_sums", sums)):
-        object.__setattr__(joint, name, value)
+    joint = _taken(_LiftedJoint, box_lo=lo, box_hi=hi, blocks=blocks, _raw_mass=mass, _q=q,
+                   _likelihood=likelihood, _sums=sums)
     return _checked_drift(joint, True, "lift")
+
+
+def _taken(cls: type, **fields) -> GridDensity:
+    """A ``cls`` with ``fields`` taken as given, neither copied nor checked (``from_gaussian``, ``_lifted``)."""
+    mu = cls.__new__(cls)
+    for name, value in dict(fields, _moments=None).items():
+        object.__setattr__(mu, name, value)
+    return mu
 
 
 def _block(mu: GridDensity, s: slice, out: Array | None = None, axis: int = 0) -> Array:
@@ -292,22 +298,6 @@ def normalized(
     return _checked_drift(GridDensity(box_lo, box_hi, values, blocks), expect_unit_mass, context)
 
 
-def _normalized_in_place(box_lo: Array, box_hi: Array, values: Array,
-                         blocks: BlockStructure | None = None, expect_unit_mass: bool = True,
-                         context: str = "grid density") -> GridDensity:
-    """:func:`normalized` of a map's fresh float array, which the density takes over.
-
-    The values are checked as the constructor checks them, but clipped and
-    divided in place, so no second array of their size is made.
-    """
-    mu = GridDensity.__new__(GridDensity)
-    for name, value in (("box_lo", box_lo), ("box_hi", box_hi), ("values", values),
-                        ("blocks", blocks), ("_moments", None)):
-        object.__setattr__(mu, name, value)
-    mu._validate(in_place=True)
-    return _checked_drift(mu, expect_unit_mass, context)
-
-
 def _checked_drift(mu: GridDensity, expect_unit_mass: bool, context: str) -> GridDensity:
     if expect_unit_mass and abs(mu._raw_mass - 1.0) > DRIFT_WARN:
         warnings.warn(
@@ -319,7 +309,10 @@ def _checked_drift(mu: GridDensity, expect_unit_mass: bool, context: str) -> Gri
 
 
 def _grid_axes(lo: Array, hi: Array, shape: Sequence[int]) -> list[Array]:
-    """Grid coordinates along each axis."""
+    """Grid coordinates along each axis; ``shape`` needs one entry per axis of the box."""
+    if not len(shape) == len(lo) == len(hi):
+        raise ValueError(f"dimension mismatch: grid shape {tuple(shape)} has {len(shape)} axes, "
+                         f"box [{lo}, {hi}] has {len(lo)}/{len(hi)}")
     return [np.linspace(lo[a], hi[a], shape[a]) for a in range(len(shape))]
 
 
@@ -342,7 +335,7 @@ def from_gaussian(
     shape: Sequence[int],
     blocks: BlockStructure | None = None,
 ) -> GridDensity:
-    """Evaluate a Gaussian on a grid and normalize.
+    """Evaluate a Gaussian on a grid and normalize the table in place.
 
     The box must cover mean +- 6 marginal stdev sqrt(C_aa) on every axis a,
     the rule planned workspace boxes are sized by (a smaller box raises
@@ -359,7 +352,9 @@ def from_gaussian(
             f"box [{box_lo}, {box_hi}] does not cover mean +- 6 stdev ([{needed_lo}, {needed_hi}])"
         )
     values = _gaussian_at(g, np.ix_(*_grid_axes(box_lo, box_hi, shape)))
-    return normalized(box_lo, box_hi, values, blocks, context="from_gaussian")
+    mu = _taken(GridDensity, box_lo=box_lo, box_hi=box_hi, values=values, blocks=blocks)
+    mu._validate()
+    return _checked_drift(mu, True, "from_gaussian")
 
 
 def from_function(

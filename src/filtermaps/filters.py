@@ -386,7 +386,8 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
     model, trajectory, config : problem definition, data realization, knobs
         Each datum needs K = ``model.K`` components.
     ws : OperatorWorkspace, optional
-        Reuse an existing workspace; it must have been built for ``model``.
+        Reuse an existing workspace; it must have been built for ``model``,
+        on the state shape and data points that ``config`` sets, if it sets them.
     eps_kinds : sequence of str, optional
         The kinds whose eps_j is measured; the others record None. The
         default, None, is every grid kind in ``kinds``. Each named kind must
@@ -398,9 +399,10 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
     dict[str, FilterRun]
         One :class:`FilterRun` per kind, in the order given. Invalid kinds
         or ``eps_kinds``, data of the wrong width, a workspace built for
-        another model or a state box that does not cover the initial law
-        raise ``ValueError`` (``WorkspaceMismatchError`` for the workspace,
-        ``CoverageError`` for the box) before any step. A failing step,
+        another model or on other grids than ``config`` sets, or a state box
+        that does not cover the initial law raise ``ValueError``
+        (``WorkspaceMismatchError`` for another model, ``CoverageError`` for
+        the box) before any step. A failing step,
         including a grid kind's step whose measure cannot be put on the state
         grid, aborts with :class:`FilterStepError` carrying the step index and
         the kind.
@@ -414,6 +416,11 @@ def run_filter(kinds: Sequence[str], model: ModelSpec, trajectory: FilterTraject
                          f"the model observes K = {model.K}")
     if ws is not None and ws.model_fingerprint != fingerprint(model):
         raise WorkspaceMismatchError("the workspace was built for a different model")
+    if ws is not None:
+        shape, points = tuple(config.state_shape or ws.state_shape), config.y_points or ws.joint_shape[-1]
+        if (shape, points) != (ws.state_shape, ws.joint_shape[-1]):
+            raise ValueError(f"the config sets a {shape} state grid with {points} data points, "
+                             f"the workspace has {ws.state_shape} with {ws.joint_shape[-1]}")
     if ws is None and any(k in _GRID_KINDS for k in kinds):
         ws = plan_workspace(model, trajectory, config)
 

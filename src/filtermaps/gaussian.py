@@ -25,12 +25,20 @@ class SingularCovarianceError(ValueError):
     """Covariance matrix is numerically singular or indefinite."""
 
 
+def _finite(cov: Array) -> Array:
+    """A float copy of ``cov``; a non-finite entry raises ``SingularCovarianceError``."""
+    cov = np.array(cov, dtype=float)
+    if not np.all(np.isfinite(cov)):
+        raise SingularCovarianceError("covariance has non-finite entries")
+    return cov
+
+
 def chol_spd(cov: Array) -> Array:
     """Lower Cholesky factor of an SPD matrix.
 
-    A reciprocal condition estimate (smallest over largest eigenvalue) below
-    ``RCOND_SINGULAR``, or a failed factorization, raises
-    ``SingularCovarianceError``.
+    A non-finite entry, a reciprocal condition estimate (smallest over
+    largest eigenvalue) below ``RCOND_SINGULAR``, or a failed factorization,
+    raises ``SingularCovarianceError``.
 
     Parameters
     ----------
@@ -42,7 +50,7 @@ def chol_spd(cov: Array) -> Array:
     ndarray, shape (n, n)
         Lower triangular factor L with ``L @ L.T = cov``.
     """
-    cov = np.asarray(cov, dtype=float)
+    cov = _finite(cov)
     eigs = np.linalg.eigvalsh(cov)
     if eigs[-1] <= 0.0 or eigs[0] / eigs[-1] < RCOND_SINGULAR:
         raise SingularCovarianceError(
@@ -55,8 +63,8 @@ def chol_spd(cov: Array) -> Array:
 
 
 def _validated_cov(cov: Array) -> tuple[Array, Array]:
-    """Check symmetry (1e-12 relative) and SPD-ness; return a symmetrized copy and its factor."""
-    cov = np.array(cov, dtype=float)
+    """Check finiteness, symmetry (1e-12 relative), SPD-ness; return a symmetrized copy, its factor."""
+    cov = _finite(cov)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got shape {cov.shape}")
     scale = max(1.0, float(np.abs(cov).max()))
@@ -89,6 +97,8 @@ class GaussianMeasure:
         mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.size < 1:
             raise ValueError("mean must have dimension >= 1")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError(f"mean has non-finite entries: {mean}")
         cov, chol = _validated_cov(self.cov)
         if cov.shape[0] != mean.size:
             raise ValueError(

@@ -187,6 +187,8 @@ class ModelSpec:
         m0 = np.array(self.m0, dtype=float).reshape(-1)
         if m0.size != self.d:
             raise ValueError(f"m0 has {m0.size} entries, d = {self.d}")
+        if not np.all(np.isfinite(m0)):
+            raise ValueError(f"m0 has non-finite entries: {m0}")
         m0.setflags(write=False)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "_psi_handle", make_map(self.psi.family, self.psi.params, self.d, self.d))

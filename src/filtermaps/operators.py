@@ -34,11 +34,11 @@ from .density import (
     _blocks,
     _gaussian_at,
     _lifted,
-    _normalized_in_place,
     from_gaussian,
     grid_points,
     integrate,
     moments,
+    normalized,
     quad_weights,
     weight_tensor,
 )
@@ -262,8 +262,7 @@ def predict(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
-    return _normalized_in_place(ws.state_lo, ws.state_hi, ws.apply_markov(mu.values),
-                                context="predict")
+    return normalized(ws.state_lo, ws.state_hi, ws.apply_markov(mu.values), context="predict")
 
 
 def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
@@ -320,7 +319,7 @@ def bayes(joint: GridDensity, y_dagger) -> GridDensity:
     mass = integrate(slc, lo, hi)
     if mass < 1e-300:
         raise DegenerateEvidenceError(f"joint density carries no mass at datum {y_dagger}")
-    return _normalized_in_place(lo, hi, slc, expect_unit_mass=False, context="bayes")
+    return normalized(lo, hi, slc, expect_unit_mass=False, context="bayes")
 
 
 def kalman_gain(joint: GridDensity) -> Array:
@@ -401,7 +400,7 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
         raise CoverageError(
             f"transport image escapes the state box: only {mass:.4f} of the mass remains"
         )
-    return _normalized_in_place(lo, hi, out, context="transport")
+    return normalized(lo, hi, out, context="transport")
 
 
 def _blend(source: Array, z: Array, r: slice, f: Array, keep: Array) -> None:

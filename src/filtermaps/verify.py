@@ -515,12 +515,15 @@ def _sweep_row(delta: float, J: int, seed: int, config: filters.FilterConfig | N
     per-step distance from the lifted prediction to its Gaussian projection
     along the true chain, the only chain whose eps is measured, and the
     errors are the largest per-step distances of each approximate filter to
-    the true one. Module-level, so a process pool can pickle it.
+    the true one. ``config`` sets the grids and the ensemble size; ``seed``,
+    not the config's, seeds the data and the workspace's pilot ensemble.
+    Module-level, so a process pool can pickle it.
     """
     spec = model.sweep_model(float(delta))
     traj = filters.generate_data(spec, J=J, seed=seed)
     runs = filters.run_filter(list(SWEEP_KINDS), spec, traj,
-                              config or filters.FilterConfig(seed=seed), eps_kinds=("true",))
+                              replace(config or filters.FilterConfig(), seed=seed),
+                              eps_kinds=("true",))
     eps = max(e for e in runs["true"].diagnostics["eps"] if e is not None)
     return {
         "delta": float(delta),

@@ -543,6 +543,28 @@ def test_only_verify_starts_processes():
     assert named == {"verify.py"}
 
 
+def test_only_density_builds_densities_without_their_constructor():
+    # GridDensity(...) copies and validates; the no-copy builds stay in density,
+    # and the maps normalize through the public `normalized`
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.name != "density.py":
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+                names += [alias.name for alias in getattr(node, "names", [])
+                          if isinstance(alias, ast.alias)]
+                if "_LiftedJoint" in names:
+                    found.append(f"{path.name}:{node.lineno} names _LiftedJoint")
+                if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                        and ast.unparse(node.value).split(".")[-1] in ("GridDensity", "_LiftedJoint")):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if (path.name == "operators.py" and isinstance(node, ast.ImportFrom)
+                    and node.module == "density"):
+                found += [f"operators.py:{node.lineno} imports {alias.name}" for alias in node.names
+                          if alias.name.startswith("_normalized")]
+    assert found == []
+
+
 def test_verify_fails_under_mutation(monkeypatch):
     real = filtermaps.gaussian.condition
 

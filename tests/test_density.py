@@ -165,6 +165,10 @@ def test_grid_density_validation():
         GridDensity(np.array([0.0]), np.array([10.0]), np.full(8, 0.1), None)  # too coarse
     with pytest.raises(ValueError, match="blocks cover 2 axes"):
         GridDensity(np.array([0.0]), np.array([10.0]), ok, BlockStructure(1, 1))
+    with pytest.raises(ValueError, match="values have 2 axes, box corners have 1/1"):
+        GridDensity([0.0], [10.0], np.ones((32, 32)))
+    with pytest.raises(ValueError, match="grids support 1 to 3 axes"):
+        GridDensity([0.0] * 4, [1.0] * 4, np.ones((16,) * 4))
     negative = ok.copy()
     negative[5] = -1e-3
     with pytest.raises(ValueError, match="substantial negative"):
@@ -172,6 +176,15 @@ def test_grid_density_validation():
     for bad_mass in (np.zeros(32), np.full(32, np.nan)):
         with pytest.raises(ValueError, match="cannot normalize"):
             GridDensity(np.array([0.0]), np.array([10.0]), bad_mass)
+    # a lifted joint's mass is checked by the same rule: a data axis far from H
+    # leaves a likelihood that is zero wherever the state density is positive
+    from filtermaps.model import bounded_model_1d
+    from filtermaps.operators import default_workspace, lift
+
+    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (64,), y_lo=200.0, y_hi=210.0,
+                           y_points=32)
+    with pytest.raises(ValueError, match="cannot normalize a grid density: mass is 0.0"):
+        lift(from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,)), ws)
     # values of any positive mass are normalized, not rejected
     tripled = GridDensity(np.array([0.0]), np.array([10.0]), ok * 3.0, None)
     assert_allclose(integrate(tripled.values, tripled.box_lo, tripled.box_hi), 1.0, rtol=1e-15)
@@ -213,6 +226,13 @@ def test_from_gaussian_coverage():
     mom = moments(mu)
     assert_allclose(mom.mean, [0.0], atol=1e-12)
     assert_allclose(mom.cov, [[1.0]], atol=1e-8)
+    with pytest.raises(ValueError, match="box has 2 axes, measure has 1"):
+        from_gaussian(g, [-8.0, -8.0], [8.0, 8.0], (64, 64))
+    # a shape of another dimension than the box names both, for either builder
+    with pytest.raises(ValueError, match=r"grid shape \(64, 64\) has 2 axes, box .* has 1/1"):
+        from_gaussian(g, [-8.0], [8.0], (64, 64))
+    with pytest.raises(ValueError, match=r"grid shape \(32, 32\) has 2 axes, box .* has 1/1"):
+        from_function(lambda pts: np.ones(len(pts)), [-1.0], [1.0], (32, 32))
 
 
 def test_dg_distance_against_refined_quadrature():
@@ -376,6 +396,9 @@ def test_lifted_epsilon_rejects_a_projection_without_mass(monkeypatch):
     monkeypatch.setattr(density, "gaussian_projection", lambda _: far)
     with pytest.raises(ValueError, match="cannot normalize lifted_epsilon: mass is 0.0"):
         lifted_epsilon(_truncated_joint())
+    # a density without a data block has no lifted structure to measure
+    with pytest.raises(ValueError, match="requires a joint density with a BlockStructure"):
+        lifted_epsilon(_mixture_1d())
 
 
 def test_marginal_u_matches_conditional_algebra():

@@ -1,6 +1,7 @@
 """Filter drivers: data generation, per-step maps, multi-kind runs."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,8 @@ def test_trajectory_validation():
 def test_ensemble_validation_and_moments():
     with pytest.raises(ValueError):
         Ensemble(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="non-finite"):
+        Ensemble([[0.0], [np.nan]])
     ens = Ensemble([[0.0], [2.0]])
     assert ens.N == 2 and ens.d == 1
     m, c = ens.moments()
@@ -449,6 +452,8 @@ def test_run_filter_rejects_unknown_kind():
     traj = generate_data(model, J=1, seed=0)
     with pytest.raises(ValueError, match="unknown filter kind"):
         run_filter(["particle_flow"], model, traj)
+    with pytest.raises(ValueError, match="kinds must be nonempty"):
+        run_filter([], model, traj)
 
 
 def test_run_filter_rejects_a_bare_string():
@@ -484,6 +489,19 @@ def test_run_filter_rejects_another_models_workspace(monkeypatch):
     for kinds in (["true"], ["enkf_N"]):
         with pytest.raises(WorkspaceMismatchError, match="different model"):
             run_filter(kinds, model, traj, SMALL, ws)
+
+
+def test_run_filter_rejects_a_config_that_contradicts_its_workspace(monkeypatch):
+    # the workspace's grids are the ones that run, so a config that sets others
+    # is an error before any step, not silently ignored
+    model = sweep_model(0.2)
+    traj = generate_data(model, J=1, seed=0)
+    ws = plan_workspace(model, traj, SMALL)
+    _forbid(monkeypatch, "predict", "plan_workspace", "step_enkf_particles")
+    for shape, points in (((512,), 128), ((256,), 64)):
+        message = f"{shape} state grid with {points} data points, the workspace has (256,) with 128"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_filter(["true"], model, traj, FilterConfig(state_shape=shape, y_points=points), ws)
 
 
 @pytest.mark.parametrize("planned", [False, True])
@@ -639,8 +657,10 @@ def test_lipschitz_constant_values():
     model = bounded_model_1d()  # kappa_psi = 0.9, kappa_h = 1, traces 0.25
     assert lipschitz_p(model) == pytest.approx(1.0 + 0.81 + 0.25)
     assert lipschitz_q(model) == pytest.approx(1.0 + 1.0 + 0.25)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite sup bound on psi"):
         lipschitz_p(linear_model_1d())
+    with pytest.raises(ValueError, match="finite sup bound on h"):
+        lipschitz_q(linear_model_1d())
 
 
 def test_plan_workspace_margins_and_determinism():

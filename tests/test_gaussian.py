@@ -192,6 +192,10 @@ def test_condition_block_shapes():
     assert out.mean.shape == (2,)
     assert out.cov.shape == (2, 2)
     chol_spd(out.cov)  # posterior covariance stays SPD
+    with pytest.raises(ValueError, match="blocks cover 3, joint has 4"):
+        condition(joint, BlockStructure(2, 1), rng.normal(size=1))
+    with pytest.raises(ValueError, match="y_dagger has 3 entries, K = 2"):
+        condition(joint, BlockStructure(2, 2), rng.normal(size=3))
 
 
 @pytest.mark.parametrize("d, K", [(1, 1), (2, 1)])
@@ -290,13 +294,31 @@ def test_gaussian_measure_validation():
         GaussianMeasure([0.0], [[1.0, 0.0], [0.0, 1.0]])  # dim mismatch
     with pytest.raises(SingularCovarianceError):
         GaussianMeasure([0.0], [[0.0]])
+    with pytest.raises(ValueError, match="must be square"):
+        GaussianMeasure([0.0, 0.0], np.ones((2, 3)))
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        GaussianMeasure([], np.ones((0, 0)))
+    # non-finite parameters are rejected when the measure is built, not in a later use
+    for cov in ([[np.nan]], [[np.inf]], [[1.0, 0.0], [0.0, np.nan]]):
+        with pytest.raises(SingularCovarianceError, match="non-finite"):
+            GaussianMeasure(np.zeros(len(cov)), cov)
+    for mean in ([np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="mean has non-finite"):
+            GaussianMeasure(mean, [[1.0]])
     g = GaussianMeasure([1.0, 2.0], np.eye(2))
     assert g.dim == 2
     with pytest.raises(ValueError):
         g.cov[0, 0] = 5.0  # stored arrays are read-only
+    one = GaussianMeasure([0.0], [[1.0]])
+    for distance in (kl_divergence, dg_upper_bound):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 1"):
+            distance(g, one)
 
 
 def test_block_structure_accessors():
+    for d, K in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="d >= 1 and K >= 1"):
+            BlockStructure(d, K)
     b = BlockStructure(2, 1)
     assert b.n == 3
     mean = np.array([1.0, 2.0, 3.0])
@@ -317,3 +339,5 @@ def test_sample_deterministic_and_moments():
     big = sample(g, np.random.default_rng(0), 400_000)
     assert_allclose(big.mean(axis=0), g.mean, atol=0.01)
     assert_allclose(np.cov(big.T), g.cov, atol=0.02)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample(g, np.random.default_rng(0), 0)

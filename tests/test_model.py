@@ -34,6 +34,8 @@ def test_make_map_rejects_unknown_and_missing_parameters():
         make_map("tanh_rational", {"delta": 0.1, "freq": 3.0}, 1, 1)
     with pytest.raises(ValueError, match="scale"):
         make_map("tanh", {"radius": 2.0}, 1, 1)
+    with pytest.raises(ValueError, match="componentwise; needs dim_out == dim_in"):
+        make_map("tanh", {"scale": 0.9}, 2, 1)
 
 
 def test_from_config_rejects_unknown_keys():
@@ -64,6 +66,8 @@ def test_constant_map():
     assert_allclose(h.fn(np.array([[-3.0], [4.0]])), [[1.5], [1.5]])
     assert h.lipschitz == 0.0
     assert h.sup_bound == 1.5
+    with pytest.raises(ValueError, match="constant value has 2 entries, needs 1"):
+        make_map("constant", {"value": [1.5, 0.5]}, 1, 1)
 
 
 def test_tanh_map_saturation():
@@ -96,6 +100,16 @@ def test_model_spec_validation():
         ModelSpec(d=2, K=1, psi=MapSpec("linear", {"matrix": [[0.9]]}),  # 1x1 matrix, d=2
                   h=MapSpec("linear", {"matrix": [[1.0, 0.0]]}),
                   Sigma=np.eye(2), Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2))
+    good = dict(d=1, K=1, psi=MapSpec("linear", {"matrix": [[0.9]]}),
+                h=MapSpec("linear", {"matrix": [[1.0]]}),
+                Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]])
+    ModelSpec(**good)
+    for key, bad, match in (("Gamma", np.eye(2), r"Gamma must be 1x1, got \(2, 2\)"),
+                            ("m0", [0.0, 0.0], "m0 has 2 entries, d = 1"),
+                            ("Sigma", [[np.nan]], "non-finite"),
+                            ("m0", [np.nan], "m0 has non-finite")):
+        with pytest.raises(ValueError, match=match):
+            ModelSpec(**dict(good, **{key: bad}))
 
 
 def test_model_spec_keeps_noise_factors_and_rejects_asymmetric_covariances():

@@ -119,6 +119,9 @@ def test_envelope_hand_values():
     assert kappa_j == pytest.approx(np.sqrt(1.81))
     assert c_min == pytest.approx(0.25 * 0.25 / (2.0 + 0.25))
     assert_allclose(c_up, [[2 * 0.81 + 2 * 0.25, 0.0], [0.0, 2.0 + 0.25]])
+    for envelope in (prediction_envelope, lifted_envelope):
+        with pytest.raises(ValueError, match="finite sup bounds on psi and h"):
+            envelope(linear_model_1d())
 
 
 def test_lift_with_constant_observation_is_a_product():
@@ -197,6 +200,8 @@ def test_analyses_take_a_datum_of_exactly_one_value(analysis):
     for datum in ([0.3, 0.9], [[0.3], [0.3]], []):
         with pytest.raises(ValueError, match="datum of one value"):
             analysis(joint, datum)
+    with pytest.raises(ValueError, match="requires a joint with a scalar data axis"):
+        analysis(_state_mixture(ws, np.random.default_rng(1)), 0.3)
 
 
 def test_bayes_degenerate_evidence():
@@ -227,6 +232,9 @@ def test_kalman_gain_hand_value():
     g = GaussianMeasure([0.2, -0.1], [[2.0, 0.6], [0.6, 0.5]])
     joint = from_gaussian(g, [-9.0, -9.0], [9.0, 9.0], (512, 512), blocks=BlockStructure(1, 1))
     assert kalman_gain(joint)[0, 0] == pytest.approx(0.6 / 0.5, abs=1e-6)
+    state = from_gaussian(GaussianMeasure([0.2], [[2.0]]), [-9.0], [9.0], (512,))
+    with pytest.raises(ValueError, match="requires a joint density with a BlockStructure"):
+        kalman_gain(state)
 
 
 def test_transport_equals_bayes_on_gaussian_joints():
@@ -340,8 +348,9 @@ def test_grid_mismatch_rejected():
     ws = default_workspace(model, [-7.0], [7.0], (256,))
     off_grid = from_gaussian(GaussianMeasure([0.0], [[1.0]]),
                              box_lo=[-8.0], box_hi=[8.0], shape=(256,))
-    with pytest.raises(GridMismatchError):
-        predict(off_grid, ws)
+    for grid_map in (predict, lift):
+        with pytest.raises(GridMismatchError):
+            grid_map(off_grid, ws)
 
 
 def test_default_workspace_requires_bounded_h_or_explicit_axis():
@@ -659,6 +668,12 @@ def test_streamed_kernels_hold_no_second_joint():
         # plain TV is the first term of the same pass
         tv_peak, tv = peak_of(lambda: tv_distance(joint, other))
         assert tv_peak < 1.25 * rows
+        # a 512^2 Gaussian joint, as verify grids them: from_gaussian normalizes
+        # the table it evaluates in place and makes no copy of it
+        table_peak, table = peak_of(lambda: from_gaussian(
+            GaussianMeasure([0.2, -0.1], [[2.0, 0.6], [0.6, 0.5]]), [-9.0, -9.0], [9.0, 9.0],
+            (512, 512), blocks=BlockStructure(1, 1)))
+        assert table_peak < 1.25 * table.values.nbytes
     finally:
         tracemalloc.stop()
     assert tv == integrate(np.abs(joint.values - other.values), joint.box_lo, joint.box_hi)

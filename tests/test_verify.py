@@ -232,6 +232,14 @@ def test_a_broken_pool_runs_only_the_remaining_points_in_process(monkeypatch):
     assert ran == [0.0, 0.1, 0.2, 0.3, 0.4]  # each point once: none reruns
 
 
+def test_a_sweep_point_plans_its_grid_from_its_own_seed():
+    # a passed config sets the grids; the point's seed, not the config's, seeds the pilot
+    grid = dict(state_shape=(256,), y_points=128)
+    rows = [verify.measure_sweep(deltas=[0.2], J=3, seed=5, config=FilterConfig(**kw, **grid))
+            for kw in ({}, {"seed": 5})]
+    assert rows[0] == rows[1]
+
+
 def test_eps_scaling_reports_its_seed_then_all_eight_seeds(monkeypatch):
     # one 40-point table: the first three results read the sweep at `seed`,
     # the last reads all 8 seeds; only seed 9 is not monotone in err_gpf
