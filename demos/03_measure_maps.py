@@ -12,7 +12,7 @@ import numpy as np
 from filtermaps.density import dg_distance, from_gaussian, moments, normalized
 from filtermaps.gaussian import GaussianMeasure
 from filtermaps.model import sweep_model
-from filtermaps.operators import bayes, default_workspace, kalman_gain, lift, predict, transport
+from filtermaps.operators import OperatorWorkspace, bayes, kalman_gain, lift, predict, transport
 
 
 def describe(label, mu):
@@ -35,7 +35,7 @@ def one_step(mu, ws, y_dagger):
 
 def main():
     model = sweep_model(0.0)
-    ws = default_workspace(model, [-7.0], [7.0], (1024,), y_lo=-8.0, y_hi=8.0)
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (1024,), y_lo=-8.0, y_hi=8.0)
     y_dagger = 0.4
 
     print("Gaussian prior N(0.2, 0.4):")

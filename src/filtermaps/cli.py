@@ -32,8 +32,9 @@ Config file schema (JSON), all keys optional unless noted::
       "seed": 0,                 # >= 0
       "kinds": ["true", "enkf_mf", "gpf_bg", "gpf_gt", "enkf_N"],   # distinct (sweep: a subset)
       "state_points": 1024,      # grid points per state axis
-      "y_points": 512,           # grid points on the data axis
-      "n_particles": 1000,       # ensemble size for enkf_N (run only)
+      "y_points": 512,           # grid points on the data axis; with a grid kind,
+                                 # state_points^d * y_points <= MAX_GRID_ENTRIES
+      "n_particles": 1000,       # ensemble size for enkf_N (run only; <= MAX_PARTICLES)
       "deltas": [0.0, 0.05, 0.1, 0.2, 0.3],   # sweep only; strictly ascending
       "save_densities": false,   # write per-step grid densities as .npz (run only)
       "out": "results"           # output directory (--out overrides)
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import __version__, density, filters, model, verify
+from . import __version__, density, filters, model, operators, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -67,6 +68,17 @@ _SCENARIOS = ("linear_1d", "bounded_1d", "sweep")
 #: state density at every step, about 40 KB a step on the default 1-D grid with
 #: 5 kinds, so this many steps hold about 0.4 GB.
 MAX_J = 10_000
+
+#: Most grid entries, state_points^d x y_points, a config may ask for when a
+#: grid kind runs. The workspace holds its likelihood, one float per entry,
+#: and a run little else of that size: a 4-kind run traced at 2^22 entries
+#: peaks at about 10 bytes per entry, so this many hold about 0.7 GB.
+MAX_GRID_ENTRIES = 2**26
+
+#: Most particles a config may ask for. An ``enkf_N`` run on a 1-D model peaks
+#: at about 60 bytes per particle (traced at 10^6 particles), so this many hold
+#: about 0.6 GB; a model with more state or data dimensions holds more.
+MAX_PARTICLES = 10**7
 
 
 class ConfigError(ValueError):
@@ -155,11 +167,24 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'y_points' must be >= {density.MIN_POINTS}")
         if self.n_particles < 2:
             raise ConfigError("config key 'n_particles' must be >= 2")
+        if self.n_particles > MAX_PARTICLES:
+            raise ConfigError(f"config key 'n_particles' must be at most {MAX_PARTICLES}, "
+                              f"got {self.n_particles}")
         spec = self.build_model()  # referenced model must validate
         try:
             filters.validate_kinds(self.kinds, spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if any(k in filters._GRID_KINDS for k in self.kinds):
+            default_shape, default_points = operators.default_resolution(spec.d)
+            state_points = default_shape[0] if self.state_points is None else self.state_points
+            y_points = default_points if self.y_points is None else self.y_points
+            entries = state_points**spec.d * y_points
+            if entries > MAX_GRID_ENTRIES:
+                raise ConfigError(
+                    f"config keys 'state_points' and 'y_points' ask for a grid of "
+                    f"{state_points}^{spec.d} x {y_points} = {entries} entries, "
+                    f"more than {MAX_GRID_ENTRIES}")
 
     def build_model(self) -> model.ModelSpec:
         if self.model_cfg is not None:

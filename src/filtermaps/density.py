@@ -15,11 +15,13 @@ model maps that are evaluated point by point. On these the module builds
 moments, kept on the density as its moment-matched Gaussian (which is also
 its Gaussian projection), and d_g.
 A kernel that would otherwise make full-grid temporaries (:func:`dg_distance`,
-:func:`tv_distance` and :func:`lifted_epsilon` here, ``operators.transport``)
-runs over blocks of ``_BLOCK_ENTRIES`` entries; each of them holds one block
-buffer, allocated once per call, besides temporaries of an eighth of a block;
-each entry gets the same arithmetic and each row is contracted on its own, so
-no result depends on the block size or on the order of the blocks.
+:func:`tv_distance` and :func:`lifted_epsilon` here, ``operators.transport``
+and the workspace's streamed Markov-kernel rows) runs over blocks of
+``_BLOCK_ENTRIES`` entries; each of the first four holds one block buffer,
+allocated once per call, besides temporaries of an eighth of a block, and the
+kernel holds a few temporaries of one block's size; each entry gets the same
+arithmetic and each row is contracted on its own, so no result depends on the
+block size or on the order of the blocks.
 ``GridDensity`` (and :func:`normalized`, through which ``predict``, ``bayes``
 and ``transport`` return) copies the values it is given once and normalizes
 the copy; :func:`from_gaussian` normalizes the table it evaluated in place.
@@ -57,8 +59,9 @@ MIN_POINTS = 16
 DRIFT_WARN = 1e-3
 
 #: Entries in one block of a kernel that streams a computation over a grid
-#: (``dg_distance``, ``lifted_epsilon``, ``operators.transport``): its
-#: temporaries are this size.
+#: (``dg_distance``, ``lifted_epsilon``, ``operators.transport``, the rows of
+#: ``operators.OperatorWorkspace``'s streamed Markov kernel): its temporaries
+#: are this size.
 _BLOCK_ENTRIES = 2**17
 
 

@@ -45,10 +45,11 @@ from .density import (
 from .gaussian import Array, BlockStructure, GaussianMeasure
 from .model import ModelSpec, fingerprint
 
-#: Largest number of Markov-kernel entries held in memory. With a diagonal Sigma
-#: the per-axis factors are cached when their entries fit: sum(n_a^2) for a
-#: componentwise Psi, sum(n_a) * m for m state points otherwise; else kernel
-#: rows are streamed in chunks of this size.
+#: Largest number of Markov-kernel entries cached. With a diagonal Sigma the
+#: per-axis factors are cached when their entries fit: sum(n_a^2) for a
+#: componentwise Psi (every Psi when d = 1), sum(n_a) * m for m state points
+#: otherwise; else the kernel's rows are streamed in blocks of
+#: ``density._BLOCK_ENTRIES`` entries.
 KERNEL_CACHE_MAX = 2**24
 
 #: Fraction of mass that may leave the state box in ``transport`` before it is an error.
@@ -79,11 +80,14 @@ class OperatorWorkspace:
     ----------
     model : ModelSpec with K = 1 and d in {1, 2}
     state_lo, state_hi : ndarray, shape (d,)
-    state_shape : tuple of int
-    y_lo, y_hi : float
-        Data-axis bounds.
-    y_points : int
-        Points on the data axis.
+    state_shape : tuple of int, optional
+        Points per state axis; ``default_resolution(d)``'s when omitted.
+    y_lo, y_hi : float, optional
+        Data-axis bounds. When either is omitted the axis is
+        +-(kappa_H + 6 sqrt(2 kappa_H^2 + Gamma)), the a priori envelope of
+        the lifted law, and an unbounded observation map raises ``ValueError``.
+    y_points : int, optional
+        Points on the data axis; ``default_resolution(d)``'s when omitted.
 
     Each of ``state_lo``, ``state_hi`` and ``state_shape`` needs one entry per
     state axis, the boxes need lo < hi, and every axis needs at least
@@ -91,43 +95,56 @@ class OperatorWorkspace:
     the field.
 
     The prediction kernel N(u_i; Psi(v_j), Sigma) w_j and the always cached
-    likelihood N(y; H(u), Gamma) are ``density._gaussian_at`` of the noise
-    Gaussians, whose covariances are factored once, when they are validated.
-    The likelihood is N(H(u_i) - y_k; 0, Gamma), a joint-sized table that
-    :func:`_gaussian_table` builds in its one buffer. It is read-only: every
-    lifted joint shares it as its data factor (``lift``). Beside it the
-    workspace keeps R0, R1 and R2, its data-axis trapezoid sums against w_y,
-    w_y y and w_y y^2, one value per state point, from which a lifted joint's
-    mass and moments follow. With a diagonal Sigma the kernel factors
-    exactly per axis:
+    likelihood N(y; H(u), Gamma) are tables of the noise Gaussians, whose
+    covariances are factored once, when they are validated, and
+    :func:`_gaussian_table` builds every one of them. The likelihood is
+    N(H(u_i) - y_k; 0, Gamma), a joint-sized table built in its one buffer.
+    It is read-only: every lifted joint shares it as its data factor
+    (``lift``). Beside it the workspace keeps R0, R1 and R2, its data-axis
+    trapezoid sums against w_y, w_y y and w_y y^2, one value per state point,
+    from which a lifted joint's mass and moments follow. With a diagonal
+    Sigma the kernel factors exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
-    When Psi is componentwise (``MapHandle.componentwise``), Psi_a(v_j) reads
-    v_a,j_a alone and so does the weight factor w_a,j_a, so the kernel is a
-    tensor product of one (n_a, n_a) matrix per axis,
-    F_a[i, j] = N(u_a,i; Psi_a(v_a,j), Sigma_aa) w_a,j, and a 2-D prediction
-    is F_0 T F_1^T on the value tensor T. Any other Psi keeps one (n_a, m)
-    factor per axis against all m source points, with w_j on the first. The
-    factors are tables of N(0, Sigma_aa) at u_a,i - Psi_a(v_j), each built in
-    one buffer by :func:`_gaussian_table`, and cached when they fit
+    When Psi is componentwise (``MapHandle.componentwise``), as every Psi is
+    when d = 1, Psi_a(v_j) reads v_a,j_a alone and so does the weight factor
+    w_a,j_a, so the kernel is a tensor product of one (n_a, n_a) matrix per
+    axis, F_a[i, j] = N(u_a,i; Psi_a(v_a,j), Sigma_aa) w_a,j, contracted with
+    the value tensor T one axis at a time: F_0 T in 1-D, F_0 T F_1^T in 2-D.
+    Any other Psi keeps one (n_a, m) factor per axis against all m source
+    points, with w_j on the first. The factors are tables of N(0, Sigma_aa)
+    at u_a,i - Psi_a(v_j), each built in one buffer, and cached when they fit
     ``KERNEL_CACHE_MAX`` entries in total. A non-diagonal Sigma or larger
-    factors stream the full kernel in row chunks instead.
+    factors stream the kernel instead: its rows N(u_i - Psi(v_j); 0, Sigma)
+    are built over ``density._blocks`` of ``density._BLOCK_ENTRIES`` entries,
+    one block at a time, and each block is contracted with w_j T_j as soon
+    as it is built, so a prediction's temporaries are a few arrays of one
+    block's size, not the m^2 kernel.
 
-    Matrix-vector products over grid points (the 1-D factor, the streamed
-    rows) and the 2-D tensor-product factors contract with ``np.einsum``,
-    which does not call BLAS. A threaded BLAS product is faster in a lone
-    process, but after each call its helper threads spin on the cores that
-    other worker processes need: with one core busy elsewhere, a 96^2
-    tensor-product prediction takes 16 ms through BLAS and 0.7 ms through
-    ``einsum``. The (n_a, m) factors' product is compute-bound and stays on
-    BLAS, where it is about ten times faster than ``einsum`` at 96^2.
+    The tensor-product factors and the streamed rows contract with
+    ``np.einsum``, which does not call BLAS. A threaded BLAS product is
+    faster in a lone process, but after each call its helper threads spin on
+    the cores that other worker processes need: with one core busy elsewhere,
+    a 96^2 tensor-product prediction takes 16 ms through BLAS and 0.7 ms
+    through ``einsum``. The (n_a, m) factors' product is compute-bound and
+    stays on BLAS, where it is about ten times faster than ``einsum`` at 96^2.
     """
 
-    def __init__(self, model: ModelSpec, state_lo, state_hi, state_shape,
-                 y_lo: float, y_hi: float, y_points: int):
+    def __init__(self, model: ModelSpec, state_lo, state_hi, state_shape=None,
+                 y_lo: float | None = None, y_hi: float | None = None,
+                 y_points: int | None = None):
         if model.K != 1:
             raise ValueError("grid operators support K = 1 only")
         if model.d not in (1, 2):
             raise ValueError("grid operators support d in {1, 2} only")
+        default_shape, default_points = default_resolution(model.d)
+        state_shape = default_shape if state_shape is None else state_shape
+        y_points = default_points if y_points is None else y_points
+        if y_lo is None or y_hi is None:
+            kappa_h = model.h_bound()
+            if kappa_h is None:
+                raise ValueError("observation map is unbounded; pass explicit y_lo/y_hi")
+            half = kappa_h + 6.0 * np.sqrt(2.0 * kappa_h**2 + float(model.Gamma[0, 0]))
+            y_lo, y_hi = -half, half
         self.model_fingerprint = fingerprint(model)
         self.d = model.d
         self.blocks = BlockStructure(model.d, 1)
@@ -158,7 +175,7 @@ class OperatorWorkspace:
         self._sigma_noise = GaussianMeasure(np.zeros(self.d), model.Sigma)
         sigma = model.Sigma
         self._factors = None
-        self._tensor = model.psi_handle.componentwise
+        self._tensor = model.psi_handle.componentwise or self.d == 1
         if self._tensor:
             # Psi_a reads v_a alone: its values along axis a through the first grid point
             psi_grid = self._psi_mesh.reshape(self.state_shape + (self.d,))
@@ -171,23 +188,20 @@ class OperatorWorkspace:
         entries = sum(n * psi_a.size for n, psi_a in zip(self.state_shape, sources))
         if np.array_equal(sigma, np.diag(np.diag(sigma))) and entries <= KERNEL_CACHE_MAX:
             self._factors = [_gaussian_table(GaussianMeasure(np.zeros(1), [[sigma[a, a]]]),
-                                             self.state_axes[a], sources[a]) for a in range(self.d)]
+                                             [self.state_axes[a]], [sources[a]])
+                             for a in range(self.d)]
             for factor, w in zip(self._factors, weights):
                 factor *= w
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
         gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
-        self._likelihood = _gaussian_table(gamma_noise, h_mesh, self.y_axis).reshape(self.joint_shape)
+        self._likelihood = _gaussian_table(
+            gamma_noise, [h_mesh], [self.y_axis]).reshape(self.joint_shape)
         w_y = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], self.joint_shape[-1:])[0]
         self._likelihood_sums = tuple(
             np.einsum("...i,i->...", self._likelihood, w_y * self.y_axis**p) for p in range(3))
         for a in (self._likelihood,) + self._likelihood_sums:
             a.setflags(write=False)
-
-    def _kernel_rows(self, rows: Array) -> Array:
-        """Markov-kernel rows N(u_i; Psi(v_j), Sigma) for the output points ``rows``."""
-        diff = [self._mesh[rows, a][:, None] - self._psi_mesh[None, :, a] for a in range(self.d)]
-        return _gaussian_at(self._sigma_noise, diff, out=diff[-1])
 
     def state_matches(self, mu: GridDensity) -> bool:
         return (
@@ -206,51 +220,31 @@ class OperatorWorkspace:
 
     def apply_markov(self, state_values: Array) -> Array:
         """Quadrature image of the Markov kernel on a state-value tensor (unnormalized)."""
-        flat = state_values.reshape(-1)
         if self._factors is None:
-            weighted = self._state_w * flat
-            m = flat.size
-            chunk = max(1, KERNEL_CACHE_MAX // m)
+            weighted = self._state_w * state_values.reshape(-1)
+            m = weighted.size
             out = np.empty(m)
-            for start in range(0, m, chunk):
-                rows = np.arange(start, min(start + chunk, m))
-                out[rows] = np.einsum("ij,j->i", self._kernel_rows(rows), weighted)
-        elif self.d == 1:
-            out = np.einsum("ij,j->i", self._factors[0], flat)
+            for rows in _blocks(m, m):
+                kernel = _gaussian_table(self._sigma_noise, self._mesh[rows].T, self._psi_mesh.T)
+                out[rows] = np.einsum("ij,j->i", kernel, weighted)
         elif self._tensor:
-            out = np.einsum("ik,lk->il", np.einsum("ij,jk->ik", self._factors[0], state_values),
-                            self._factors[1])
+            # one axis at a time: F_0 T, then each later axis against its factor
+            out = np.einsum("ij,j...->i...", self._factors[0], state_values)
+            for factor in self._factors[1:]:
+                out = np.einsum("...k,lk->...l", out, factor)
         else:
-            out = (self._factors[0] * flat) @ self._factors[1].T
+            out = (self._factors[0] * state_values.reshape(-1)) @ self._factors[1].T
         return out.reshape(self.state_shape)
 
 
-def _gaussian_table(noise: GaussianMeasure, points: Array, centres: Array) -> Array:
-    """N(points_i - centres_j; noise) over every pair (i, j) of a 1-D noise, in one buffer."""
-    t = np.subtract.outer(points, centres)
-    return _gaussian_at(noise, [t], out=t)
+def _gaussian_table(noise: GaussianMeasure, points, centres) -> Array:
+    """N(p_i - c_j; noise) over every pair (i, j) of ``points`` and ``centres``.
 
-
-def default_workspace(model: ModelSpec, state_lo, state_hi, state_shape=None,
-                      y_lo=None, y_hi=None, y_points=None) -> OperatorWorkspace:
-    """Build a workspace with default resolutions and a data axis sized from model bounds.
-
-    The data axis defaults to half-width kappa_H + 6 sqrt(2 kappa_H^2 + Gamma)
-    around zero (the a priori envelope of the lifted law); bounded observation
-    maps are required unless explicit y bounds are passed.
+    Both are given coordinate first, as ``log_density_at`` takes them; the
+    table is built in the last coordinate's differences, one buffer each.
     """
-    default_shape, default_points = default_resolution(model.d)
-    if state_shape is None:
-        state_shape = default_shape
-    if y_points is None:
-        y_points = default_points
-    if y_lo is None or y_hi is None:
-        kappa_h = model.h_bound()
-        if kappa_h is None:
-            raise ValueError("observation map is unbounded; pass explicit y_lo/y_hi")
-        half = kappa_h + 6.0 * np.sqrt(2.0 * kappa_h**2 + float(model.Gamma[0, 0]))
-        y_lo, y_hi = -half, half
-    return OperatorWorkspace(model, state_lo, state_hi, state_shape, y_lo, y_hi, y_points)
+    t = [np.subtract.outer(p, c) for p, c in zip(points, centres)]
+    return _gaussian_at(noise, t, out=t[-1])
 
 
 def predict(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:

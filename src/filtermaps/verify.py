@@ -303,7 +303,7 @@ def check_kl_minimizer(seed: int = 1) -> PropertyResult:
 
 def _bounded_workspace() -> tuple[model.ModelSpec, operators.OperatorWorkspace]:
     spec = model.bounded_model_1d()
-    return spec, operators.default_workspace(spec, [-7.0], [7.0], (512,))
+    return spec, operators.OperatorWorkspace(spec, [-7.0], [7.0], (512,))
 
 
 def _eighth_buffers(count: int, shape) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_counters_bind_the_parameters_they_name():
     # a counter that binds a renamed parameter raises inside the traced call
     tracer = _load("tracer").Tracer()
     spec = model.bounded_model_1d()
-    ws = operators.default_workspace(spec, [-7.0], [7.0], (32,))
+    ws = operators.OperatorWorkspace(spec, [-7.0], [7.0], (32,))
     x = np.linspace(-7.0, 7.0, 32)
     drifted = (1.0 + 5e-4) * np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
     tracer.install()

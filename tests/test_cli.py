@@ -395,6 +395,23 @@ def test_config_validation_exit_codes(tmp_path, capsys):
         bad = _write_config(tmp_path / f"{key}.json", **{key: value})
         assert cli.main(["run", "--config", bad]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    # a grid or an ensemble too large to allocate is named before any array is
+    # made; each of these ended in numpy's allocation error, exit 1
+    oversized = (
+        ("sweep", "y_points", {"scenario": "sweep", "J": 2, "y_points": 10**12,
+                               "deltas": [0.0, 0.1]}),
+        ("run", "state_points", {"scenario": "bounded_1d", "J": 1, "state_points": 10**8,
+                                 "kinds": ["true"]}),
+        ("run", "n_particles", {"scenario": "linear_1d", "J": 1, "n_particles": 10**11,
+                                "kinds": ["enkf_N"]}),
+    )
+    for command, key, raw in oversized:
+        cfg = tmp_path / f"oversized_{key}.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "big")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
     not_object = tmp_path / "list.json"
     not_object.write_text("[]")
     assert cli.main(["run", "--config", str(not_object)]) == 2

@@ -179,9 +179,9 @@ def test_grid_density_validation():
     # a lifted joint's mass is checked by the same rule: a data axis far from H
     # leaves a likelihood that is zero wherever the state density is positive
     from filtermaps.model import bounded_model_1d
-    from filtermaps.operators import default_workspace, lift
+    from filtermaps.operators import OperatorWorkspace, lift
 
-    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (64,), y_lo=200.0, y_hi=210.0,
+    ws = OperatorWorkspace(bounded_model_1d(), [-7.0], [7.0], (64,), y_lo=200.0, y_hi=210.0,
                            y_points=32)
     with pytest.raises(ValueError, match="cannot normalize a grid density: mass is 0.0"):
         lift(from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,)), ws)
@@ -327,10 +327,10 @@ def test_lifted_epsilon_gaussian_vs_mixture():
 
 def _lifted_1d_joint():
     from filtermaps.model import bounded_model_1d
-    from filtermaps.operators import default_workspace, lift
+    from filtermaps.operators import OperatorWorkspace, lift
 
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (256,), y_points=128)
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (256,), y_points=128)
     x = ws.state_axes[0]
     bumps = np.exp(-0.5 * (x - 1.0) ** 2) + np.exp(-2.0 * (x + 1.5) ** 2)
     prior = normalized(ws.state_lo, ws.state_hi, bumps, expect_unit_mass=False)

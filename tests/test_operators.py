@@ -32,7 +32,6 @@ from filtermaps.operators import (
     OperatorWorkspace,
     OutOfDomainError,
     bayes,
-    default_workspace,
     kalman_gain,
     lift,
     lifted_envelope,
@@ -64,24 +63,26 @@ def _state_mixture(ws, rng):
 
 
 def test_predict_forgets_prior_when_dynamics_are_constant():
-    # Psi = 0 maps every prior to N(0, Sigma) exactly
-    model = ModelSpec(
-        d=1, K=1,
-        psi=MapSpec("linear", {"matrix": [[0.0]]}),
-        h=MapSpec("tanh", {"scale": 1.0}),
-        Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]],
-    )
-    ws = default_workspace(model, [-7.0], [7.0], (1024,))
+    # Psi = c maps every prior to N(c, Sigma) exactly: a zero linear map, which
+    # is certified componentwise, and the constant family, which is not
     rng = np.random.default_rng(0)
-    out = predict(_state_mixture(ws, rng), ws)
-    x = ws.state_axes[0]
-    expected = np.exp(-0.5 * x**2 / 0.25) / np.sqrt(2 * np.pi * 0.25)
-    assert_allclose(out.values, expected, rtol=1e-8, atol=1e-12)
+    for psi, c in ((MapSpec("linear", {"matrix": [[0.0]]}), 0.0),
+                   (MapSpec("constant", {"value": [1.5]}), 1.5)):
+        model = ModelSpec(
+            d=1, K=1, psi=psi,
+            h=MapSpec("tanh", {"scale": 1.0}),
+            Sigma=[[0.25]], Gamma=[[0.25]], m0=[0.0], S0=[[1.0]],
+        )
+        ws = OperatorWorkspace(model, [-7.0], [7.0], (1024,))
+        out = predict(_state_mixture(ws, rng), ws)
+        x = ws.state_axes[0]
+        expected = np.exp(-0.5 * (x - c) ** 2 / 0.25) / np.sqrt(2 * np.pi * 0.25)
+        assert_allclose(out.values, expected, rtol=1e-8, atol=1e-12)
 
 
 def test_predict_against_monte_carlo():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (1024,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (1024,))
     prior = GaussianMeasure([0.8], [[0.3]])
     mu = from_gaussian(prior, box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
     mom = moments(predict(mu, ws))
@@ -98,7 +99,7 @@ def test_predict_against_monte_carlo():
 
 def test_predict_moment_envelope_random_priors():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (512,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (512,))
     kappa, lower, upper = prediction_envelope(model)
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -126,7 +127,7 @@ def test_envelope_hand_values():
 
 def test_lift_with_constant_observation_is_a_product():
     model = _constant_h_model(0.7)
-    ws = default_workspace(model, [-7.0], [7.0], (512,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (512,))
     rng = np.random.default_rng(3)
     mu = _state_mixture(ws, rng)
     joint = lift(mu, ws)
@@ -141,7 +142,7 @@ def test_lift_with_constant_observation_is_a_product():
 def test_lift_odd_symmetry():
     # tanh is odd and the prior is even, so the lifted data marginal has zero mean
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (512,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (512,))
     mu = from_gaussian(GaussianMeasure([0.0], [[1.0]]),
                        box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
     mom = moments(lift(mu, ws))
@@ -152,7 +153,7 @@ def test_lift_odd_symmetry():
 
 def test_bayes_on_product_joint_returns_prior():
     model = _constant_h_model(0.7)
-    ws = default_workspace(model, [-7.0], [7.0], (512,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (512,))
     mu = _state_mixture(ws, np.random.default_rng(5))
     joint = lift(mu, ws)
     post = bayes(joint, 0.4)  # datum carries no information here
@@ -161,7 +162,7 @@ def test_bayes_on_product_joint_returns_prior():
 
 def test_bayes_against_fine_quadrature():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (1024,), y_points=4096)
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (1024,), y_points=4096)
     mu = from_gaussian(GaussianMeasure([0.3], [[0.4]]),
                        box_lo=ws.state_lo, box_hi=ws.state_hi, shape=ws.state_shape)
     post = bayes(lift(mu, ws), 0.35)
@@ -179,7 +180,7 @@ def test_bayes_against_fine_quadrature():
 
 def test_bayes_datum_domain_errors():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (256,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (256,))
     mu = _state_mixture(ws, np.random.default_rng(1))
     joint = lift(mu, ws)
     with pytest.raises(OutOfDomainError):
@@ -192,7 +193,7 @@ def test_bayes_datum_domain_errors():
 @pytest.mark.parametrize("analysis", [bayes, transport])
 def test_analyses_take_a_datum_of_exactly_one_value(analysis):
     # one value in any shape is the datum; more or fewer is an error, never dropped
-    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (256,))
+    ws = OperatorWorkspace(bounded_model_1d(), [-7.0], [7.0], (256,))
     joint = lift(_state_mixture(ws, np.random.default_rng(1)), ws)
     reference = analysis(joint, 0.3).values
     for datum in ([0.3], [[0.3]], np.array([0.3])):
@@ -218,7 +219,7 @@ def test_bayes_degenerate_evidence():
 
 def test_transport_with_zero_gain_returns_state_marginal():
     model = _constant_h_model(0.7)
-    ws = default_workspace(model, [-7.0], [7.0], (512,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (512,))
     mu = _state_mixture(ws, np.random.default_rng(9))
     joint = lift(mu, ws)
     assert abs(kalman_gain(joint)[0, 0]) < 1e-9
@@ -252,7 +253,7 @@ def test_transport_equals_bayes_on_gaussian_joints():
 
 def test_transport_mean_identity():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (1024,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (1024,))
     joint = lift(_state_mixture(ws, np.random.default_rng(13)), ws)
     mom = moments(joint)
     gain = kalman_gain(joint)[0, 0]
@@ -345,7 +346,7 @@ def test_maps_and_diagnostics_leave_their_inputs_untouched(d):
 
 def test_grid_mismatch_rejected():
     model = bounded_model_1d()
-    ws = default_workspace(model, [-7.0], [7.0], (256,))
+    ws = OperatorWorkspace(model, [-7.0], [7.0], (256,))
     off_grid = from_gaussian(GaussianMeasure([0.0], [[1.0]]),
                              box_lo=[-8.0], box_hi=[8.0], shape=(256,))
     for grid_map in (predict, lift):
@@ -353,15 +354,15 @@ def test_grid_mismatch_rejected():
             grid_map(off_grid, ws)
 
 
-def test_default_workspace_requires_bounded_h_or_explicit_axis():
+def test_workspace_requires_bounded_h_or_explicit_axis():
     with pytest.raises(ValueError):
-        default_workspace(linear_model_1d(), [-7.0], [7.0], (256,))
-    ws = default_workspace(linear_model_1d(), [-7.0], [7.0], (256,), y_lo=-9.0, y_hi=9.0)
+        OperatorWorkspace(linear_model_1d(), [-7.0], [7.0], (256,))
+    ws = OperatorWorkspace(linear_model_1d(), [-7.0], [7.0], (256,), y_lo=-9.0, y_hi=9.0)
     assert ws.y_axis[0] == -9.0 and ws.y_axis[-1] == 9.0
 
 
 def test_state_grid_views_gaussians_and_state_densities():
-    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0], (256,))
+    ws = OperatorWorkspace(bounded_model_1d(), [-7.0], [7.0], (256,))
     g = GaussianMeasure([0.3], [[0.5]])
     grid = ws.state_grid(g)
     assert np.array_equal(grid.values, from_gaussian(g, ws.state_lo, ws.state_hi, ws.state_shape).values)
@@ -370,8 +371,8 @@ def test_state_grid_views_gaussians_and_state_densities():
         ws.state_grid(from_gaussian(g, [-6.0], [6.0], (256,)))
 
 
-def test_default_workspace_takes_the_default_resolution():
-    ws = default_workspace(bounded_model_1d(), [-7.0], [7.0])
+def test_workspace_takes_the_default_resolution():
+    ws = OperatorWorkspace(bounded_model_1d(), [-7.0], [7.0])
     assert (ws.state_shape, ws.joint_shape[-1]) == ops.default_resolution(1) == ((1024,), 512)
     assert ops.default_resolution(2) == ((96, 96), 96)
 
@@ -455,13 +456,13 @@ def test_chunked_kernel_matches_cached(monkeypatch, case):
     # a diagonal Sigma caches per-axis kernel factors; shrinking the cache streams rows
     model, lo, hi, shape, prior = _KERNEL_CASES[case]
     mu = from_gaussian(prior, box_lo=lo, box_hi=hi, shape=shape)
-    ws_cached = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
+    ws_cached = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
     assert ws_cached._factors is not None and len(ws_cached._factors) == model.d
     assert sum(f.size for f in ws_cached._factors) == _FACTOR_ENTRIES[case]
     reference = predict(mu, ws_cached)
 
     monkeypatch.setattr(ops, "KERNEL_CACHE_MAX", 1024)
-    ws_chunked = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
+    ws_chunked = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=64)
     assert ws_chunked._factors is None
     assert_allclose(predict(mu, ws_chunked).values, reference.values,
                     rtol=1e-12, atol=1e-15)
@@ -471,7 +472,7 @@ def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
     sigma = np.array([[0.3, 0.1], [0.1, 0.2]])
     model = _linear_model_2d(sigma.tolist())
     lo, hi, shape = [-6.0, -5.0], [6.0, 5.0], (20, 18)
-    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
     assert ws._factors is None
     mu = from_gaussian(GaussianMeasure([0.5, -0.4], [[0.5, 0.1], [0.1, 0.4]]), lo, hi, shape)
     got = predict(mu, ws).values
@@ -489,10 +490,28 @@ def test_non_diagonal_sigma_streams_kernel_matching_brute_force():
     assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_streamed_kernel_rows_hold_one_block():
+    # a non-diagonal Sigma streams the kernel rows one block of _BLOCK_ENTRIES
+    # entries at a time, so a predict holds a few blocks, never the m^2 kernel
+    model = _linear_model_2d([[0.3, 0.1], [0.1, 0.25]])
+    lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (48, 48)
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    assert ws._factors is None
+    mu = from_gaussian(GaussianMeasure([0.5, -0.4], [[0.5, 0.1], [0.1, 0.4]]), lo, hi, shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        predict(mu, ws)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * density._BLOCK_ENTRIES
+
+
 def test_cached_1d_kernel_factor_matches_brute_force():
     model = bounded_model_1d()
     lo, hi, shape = [-7.0], [7.0], (200,)
-    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
     assert ws._factors is not None
     mu = from_gaussian(GaussianMeasure([0.4], [[0.8]]), lo, hi, shape)
     got = predict(mu, ws).values
@@ -513,7 +532,7 @@ def test_componentwise_workspace_holds_its_likelihood_and_axis_factors():
     lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (96, 96)
     tracemalloc.start()
     try:
-        ws = default_workspace(_tanh_sin_model_2d(), lo, hi, shape, y_lo=-8.0, y_hi=8.0,
+        ws = OperatorWorkspace(_tanh_sin_model_2d(), lo, hi, shape, y_lo=-8.0, y_hi=8.0,
                                y_points=96)
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -529,9 +548,9 @@ def test_covariances_are_factored_once_when_validated(monkeypatch):
     other = GaussianMeasure([0.0, 0.0], [[0.6, -0.1], [-0.1, 0.3]])
     model_1d = bounded_model_1d()
     model_2d = _linear_model_2d([[0.3, 0.1], [0.1, 0.2]])
-    ws_1d = default_workspace(model_1d, [-7.0], [7.0], (128,))
+    ws_1d = OperatorWorkspace(model_1d, [-7.0], [7.0], (128,))
     lo, hi, shape = [-6.0, -5.0], [6.0, 5.0], (20, 18)
-    ws_2d = default_workspace(model_2d, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
+    ws_2d = OperatorWorkspace(model_2d, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=32)
     assert ws_2d._factors is None  # a non-diagonal Sigma streams the kernel rows
     mu_1d = from_gaussian(GaussianMeasure([0.4], [[0.8]]), [-7.0], [7.0], (128,))
     mu_2d = from_gaussian(g, lo, hi, shape)
@@ -550,7 +569,7 @@ def test_covariances_are_factored_once_when_validated(monkeypatch):
 
 
 def _lifted_joint(model, lo, hi, shape, y_points, prior):
-    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=y_points)
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=y_points)
     return lift(predict(from_gaussian(prior, lo, hi, shape), ws), ws)
 
 
@@ -617,7 +636,7 @@ def test_lifted_joint_values_are_built_from_its_factors():
     # the joint keeps q = mu / M and shares the workspace's likelihood; its
     # values are built on request, read-only and not kept
     model, lo, hi, shape, prior = _KERNEL_CASES["2d"]
-    ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=24)
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=24)
     joint = lift(from_gaussian(prior, lo, hi, shape), ws)
     assert joint._likelihood is ws._likelihood and joint._q.shape == ws.state_shape
     values = joint.values
@@ -634,7 +653,7 @@ def test_streamed_kernels_hold_no_second_joint():
     lo, hi, shape = [-7.0, -7.0], [7.0, 7.0], (64, 64)
     tracemalloc.start()
     try:
-        ws = default_workspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=256)
+        ws = OperatorWorkspace(model, lo, hi, shape, y_lo=-8.0, y_hi=8.0, y_points=256)
         held, peak = tracemalloc.get_traced_memory()
         assert peak - held < 0.5 * ws._likelihood.nbytes
         mu = predict(from_gaussian(GaussianMeasure([0.4, -0.3], [[0.8, 0.2], [0.2, 0.6]]),
