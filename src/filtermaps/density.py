@@ -25,18 +25,18 @@ block size or on the order of the blocks.
 ``GridDensity`` (and :func:`normalized`, through which ``predict``, ``bayes``
 and ``transport`` return) copies the values it is given once and normalizes
 the copy; :func:`from_gaussian` normalizes the table it evaluated in place.
-A lifted joint mu(u) l(u, y) is kept as its two factors (:func:`_lifted`): the
-state-grid array q = mu / M and the workspace's likelihood l, shared and never
-copied, so no joint-sized array is made for it. The kernels read a joint only
-through :func:`_block`, which writes q l of one block into a buffer of the
-kernel's, or of a fraction of a block into a temporary; its moments come from
-q and three per-state-point sums of l; and its ``values`` are built on
-request and not kept.
+Every joint is a lifting mu(u) l(u, y), from ``operators.lift`` or from
+:func:`from_gaussian` with a ``BlockStructure``, which marks its trailing axis
+as the data axis. It is kept as its two factors (:func:`_lifted`): the
+state-grid array q = mu / M and the likelihood l of :func:`_likelihood`,
+shared and never copied, so no joint-sized array is made for it. The kernels
+read a joint only through :func:`_block`, which writes q l of one block into a
+buffer of the kernel's, or of a fraction of a block into a temporary; its
+moments come from q and three per-state-point sums of l; and its ``values``
+are built on request and not kept.
 A density is stored as its three arrays (``np.savez`` of ``box_lo``,
 ``box_hi`` and ``values``); passing them back to ``GridDensity`` validates it.
-
-Grids support n = 1, 2, 3 axes; joints carry a ``BlockStructure`` marking the
-trailing axes as the data block. Densities on different grids cannot be
+Grids support n = 1, 2, 3 axes. Densities on different grids cannot be
 compared; callers must construct compatible grids.
 """
 
@@ -46,7 +46,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -93,14 +93,14 @@ class GridDensity:
         Box corners, componentwise lo < hi.
     values : ndarray
         Nonnegative tensor with one axis per dimension, of any positive mass.
-    blocks : BlockStructure, optional
-        Present for joint state x data densities (trailing axes are data).
+
+    ``blocks`` is None; only a lifted joint (:func:`_lifted`) has one.
     """
 
+    blocks: ClassVar[BlockStructure | None] = None
     box_lo: Array
     box_hi: Array
     values: Array
-    blocks: BlockStructure | None = None
     _moments: GaussianMeasure | None = field(default=None, init=False, repr=False)
     _raw_mass: float = field(init=False, repr=False)  # mass of the values as given
 
@@ -123,8 +123,6 @@ class GridDensity:
             raise ValueError("box_lo must be componentwise below box_hi")
         if any(s < MIN_POINTS for s in vals.shape):
             raise ValueError(f"every axis needs at least {MIN_POINTS} points, got shape {vals.shape}")
-        if self.blocks is not None and self.blocks.n != vals.ndim:
-            raise ValueError(f"blocks cover {self.blocks.n} axes, values have {vals.ndim}")
         if vals.min() < 0.0:
             floor = -1e-12 * max(vals.max(), np.finfo(float).tiny)
             if vals.min() < floor:
@@ -185,10 +183,9 @@ def _lifted(mu: GridDensity, likelihood: Array, sums: tuple[Array, Array, Array]
             box_lo: Array, box_hi: Array, blocks: BlockStructure) -> GridDensity:
     """The joint mu(u) likelihood(u, y), normalized and kept as q = mu / M and the likelihood.
 
-    The likelihood is shared, not copied. ``sums`` are R0, R1, R2, its
-    data-axis trapezoid sums against w_y, w_y y and w_y y^2, which give the
-    mass M = sum_i w_i mu_i R0_i and the moments; a drift of M from 1 warns
-    as in :func:`normalized`.
+    The likelihood and its data-axis sums R0, R1, R2 (:func:`_likelihood`) are
+    shared, not copied; they give the mass M = sum_i w_i mu_i R0_i and the
+    moments. The caller checks M's drift from 1, naming itself.
     """
     mass = integrate(mu.values * sums[0], mu.box_lo, mu.box_hi)
     if mass <= 0.0 or not np.isfinite(mass):
@@ -196,9 +193,8 @@ def _lifted(mu: GridDensity, likelihood: Array, sums: tuple[Array, Array, Array]
     lo, hi, q = np.array(box_lo, dtype=float), np.array(box_hi, dtype=float), mu.values / mass
     for a in (lo, hi, q):
         a.setflags(write=False)
-    joint = _taken(_LiftedJoint, box_lo=lo, box_hi=hi, blocks=blocks, _raw_mass=mass, _q=q,
-                   _likelihood=likelihood, _sums=sums)
-    return _checked_drift(joint, True, "lift")
+    return _taken(_LiftedJoint, box_lo=lo, box_hi=hi, blocks=blocks, _raw_mass=mass, _q=q,
+                  _likelihood=likelihood, _sums=sums)
 
 
 def _taken(cls: type, **fields) -> GridDensity:
@@ -213,7 +209,7 @@ def _block(mu: GridDensity, s: slice, out: Array | None = None, axis: int = 0) -
     """The values of ``mu`` on the rows ``s`` of its first axis, or the planes ``s`` of its last.
 
     ``axis`` is 0 for rows, -1 for planes. This is how the kernels read a
-    joint: a stored tensor gives a view and ``out`` is not used; a lifted joint
+    density: a plain one gives a view and ``out`` is not used; a lifted joint
     writes q l of the block into the leading rows (planes) of ``out``, a buffer
     with room for the block, and returns them (a fresh array without ``out``).
     """
@@ -285,20 +281,15 @@ def _blocks(count: int, entries_each: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def normalized(
-    box_lo: Array,
-    box_hi: Array,
-    values: Array,
-    blocks: BlockStructure | None = None,
-    expect_unit_mass: bool = True,
-    context: str = "grid density",
-) -> GridDensity:
+def normalized(box_lo: Array, box_hi: Array, values: Array, expect_unit_mass: bool = True,
+               context: str = "grid density") -> GridDensity:
     """Build a GridDensity from raw nonnegative values, which it renormalizes to unit mass.
 
     When ``expect_unit_mass`` is set, a pre-normalization mass drift beyond
-    1e-3 emits a :class:`ResolutionWarning` naming ``context``.
+    1e-3 emits a :class:`ResolutionWarning` naming ``context``. The benchmark's
+    tracer binds every parameter but ``context`` by name, so their names stay.
     """
-    return _checked_drift(GridDensity(box_lo, box_hi, values, blocks), expect_unit_mass, context)
+    return _checked_drift(GridDensity(box_lo, box_hi, values), expect_unit_mass, context)
 
 
 def _checked_drift(mu: GridDensity, expect_unit_mass: bool, context: str) -> GridDensity:
@@ -331,47 +322,71 @@ def _gaussian_at(g: GaussianMeasure, x, out: Array | None = None) -> Array:
     return np.exp(values, out=values)
 
 
-def from_gaussian(
-    g: GaussianMeasure,
-    box_lo: Array,
-    box_hi: Array,
-    shape: Sequence[int],
-    blocks: BlockStructure | None = None,
-) -> GridDensity:
-    """Evaluate a Gaussian on a grid and normalize the table in place.
+def _gaussian_table(noise: GaussianMeasure, points, centres) -> Array:
+    """N(p_i - c_j; noise) over every pair (i, j) of ``points`` and ``centres``.
+
+    Both are given coordinate first, as ``log_density_at`` takes them; the
+    table is built in the last coordinate's differences, one buffer each.
+    """
+    t = [np.subtract.outer(p, c) for p, c in zip(points, centres)]
+    return _gaussian_at(noise, t, out=t[-1])
+
+
+def _likelihood(noise: GaussianMeasure, h: Array, lo: Array, hi: Array,
+                shape: Sequence[int]) -> tuple[Array, tuple[Array, Array, Array]]:
+    """The likelihood N(H(u_i) - y_k; noise) on a joint grid and its data-axis sums, read-only.
+
+    ``h`` holds H at the state grid's points in row-major order; the last axis
+    is y. The sums R0, R1, R2 are the table's trapezoid sums against w_y,
+    w_y y and w_y y^2, one value per state point.
+    """
+    y = np.linspace(lo[-1], hi[-1], shape[-1])
+    w_y = quad_weights(lo[-1:], hi[-1:], shape[-1:])[0]
+    table = _gaussian_table(noise, [h], [y]).reshape(shape)
+    sums = tuple(np.einsum("...i,i->...", table, w_y * y**p) for p in range(3))
+    for a in (table,) + sums:
+        a.setflags(write=False)
+    return table, sums
+
+
+def from_gaussian(g: GaussianMeasure, box_lo: Array, box_hi: Array, shape: Sequence[int],
+                  blocks: BlockStructure | None = None) -> GridDensity:
+    """Evaluate a Gaussian on a grid: its table, normalized in place, or with ``blocks`` a lifted joint.
 
     The box must cover mean +- 6 marginal stdev sqrt(C_aa) on every axis a,
     the rule planned workspace boxes are sized by (a smaller box raises
-    :class:`CoverageError`).
+    :class:`CoverageError`). A joint N(m, C) with one trailing data axis is
+    its state marginal N(m_u, C_uu), gridded by this function, lifted by the
+    likelihood N(y; m_y + B (u - m_u), S) (:func:`_likelihood`), where
+    B = C_yu C_uu^-1 is solved against the marginal's Cholesky factor and
+    S = C_yy - B C_uy: it is kept as q l, as ``operators.lift`` keeps a joint.
     """
     box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
     box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
     if box_lo.size != g.dim:
         raise ValueError(f"dimension mismatch: box has {box_lo.size} axes, measure has {g.dim}")
+    if blocks is not None and (blocks.K != 1 or blocks.n != g.dim or shape[-1] < MIN_POINTS):
+        raise ValueError(f"a grid joint needs blocks (d, K = 1) over the measure's {g.dim} axes and "
+                         f"{MIN_POINTS} data points, got {blocks} and shape {tuple(shape)}")
     half = 6.0 * np.sqrt(np.diag(g.cov))
     needed_lo, needed_hi = g.mean - half, g.mean + half
     if np.any(box_lo > needed_lo) or np.any(box_hi < needed_hi):
         raise CoverageError(
             f"box [{box_lo}, {box_hi}] does not cover mean +- 6 stdev ([{needed_lo}, {needed_hi}])"
         )
-    values = _gaussian_at(g, np.ix_(*_grid_axes(box_lo, box_hi, shape)))
-    mu = _taken(GridDensity, box_lo=box_lo, box_hi=box_hi, values=values, blocks=blocks)
-    mu._validate()
-    return _checked_drift(mu, True, "from_gaussian")
-
-
-def from_function(
-    f: Callable[[Array], Array],
-    box_lo: Array,
-    box_hi: Array,
-    shape: Sequence[int],
-    blocks: BlockStructure | None = None,
-) -> GridDensity:
-    """Grid an unnormalized nonnegative function; ``f`` maps (m, n) points to (m,) values."""
-    box_lo = np.asarray(box_lo, dtype=float).reshape(-1)
-    box_hi = np.asarray(box_hi, dtype=float).reshape(-1)
-    values = np.asarray(f(grid_points(box_lo, box_hi, shape)), dtype=float).reshape(tuple(shape))
-    return normalized(box_lo, box_hi, values, blocks, expect_unit_mass=False, context="from_function")
+    axes = _grid_axes(box_lo, box_hi, shape)
+    if blocks is None:
+        mu = _taken(GridDensity, box_lo=box_lo, box_hi=box_hi, values=_gaussian_at(g, np.ix_(*axes)))
+        mu._validate()
+        return _checked_drift(mu, True, "from_gaussian")
+    d = blocks.d
+    marginal = GaussianMeasure(g.mean[:d], g.cov[:d, :d])
+    slope = np.linalg.solve(marginal.chol.T, np.linalg.solve(marginal.chol, g.cov[:d, d:]))  # B^T
+    noise = GaussianMeasure(np.zeros(1), g.cov[d:, d:] - g.cov[d:, :d] @ slope)
+    h = g.mean[d:] + (grid_points(box_lo[:d], box_hi[:d], shape[:d]) - g.mean[:d]) @ slope
+    joint = _lifted(from_gaussian(marginal, box_lo[:d], box_hi[:d], shape[:d]),
+                    *_likelihood(noise, h.reshape(-1), box_lo, box_hi, shape), box_lo, box_hi, blocks)
+    return _checked_drift(joint, True, "from_gaussian")
 
 
 def moments(mu: GridDensity) -> GaussianMeasure:
@@ -443,7 +458,7 @@ def dg_distance(mu1: GridDensity, mu2: GridDensity) -> float:
     Both densities must live on the identical grid. The difference is taken a
     block of rows at a time in the call's one block buffer, so no array of the
     grid's size is made. It is filled an eighth of a block of rows at a time:
-    ``mu1``'s rows are views of a stored tensor, or q l of a lifted joint
+    ``mu1``'s rows are views of a plain density, or q l of a lifted joint
     written into the buffer, and ``mu2``'s rows, views or q l temporaries of
     an eighth of a block, are subtracted from them there. |rho1 - rho2| is
     |rho2 - rho1| entry by entry, so ``dg_distance(mu1, mu2)`` equals
@@ -523,9 +538,8 @@ def lifted_epsilon(joint: GridDensity) -> float:
     the second starts with the block the first pass evaluated last and
     evaluates each other block again. Every block of the projection, with its
     normalized values, their difference to the joint and its absolute value,
-    is written into the call's one block buffer. The joint is subtracted an
-    eighth of a block of rows at a time: views of a stored tensor, or q l
-    temporaries of that size of a lifted joint.
+    is written into the call's one block buffer. The joint's q l is subtracted
+    an eighth of a block of rows at a time, in temporaries of that size.
     """
     if joint.blocks is None:
         raise ValueError("lifted_epsilon requires a joint density with a BlockStructure")

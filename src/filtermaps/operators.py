@@ -32,8 +32,10 @@ from .density import (
     MIN_POINTS,
     _block,
     _blocks,
-    _gaussian_at,
+    _checked_drift,
+    _gaussian_table,
     _lifted,
+    _likelihood,
     from_gaussian,
     grid_points,
     integrate,
@@ -83,7 +85,7 @@ class OperatorWorkspace:
     state_shape : tuple of int, optional
         Points per state axis; ``default_resolution(d)``'s when omitted.
     y_lo, y_hi : float, optional
-        Data-axis bounds. When either is omitted the axis is
+        Data-axis bounds, both or neither. When both are omitted the axis is
         +-(kappa_H + 6 sqrt(2 kappa_H^2 + Gamma)), the a priori envelope of
         the lifted law, and an unbounded observation map raises ``ValueError``.
     y_points : int, optional
@@ -97,12 +99,10 @@ class OperatorWorkspace:
     The prediction kernel N(u_i; Psi(v_j), Sigma) w_j and the always cached
     likelihood N(y; H(u), Gamma) are tables of the noise Gaussians, whose
     covariances are factored once, when they are validated, and
-    :func:`_gaussian_table` builds every one of them. The likelihood is
-    N(H(u_i) - y_k; 0, Gamma), a joint-sized table built in its one buffer.
-    It is read-only: every lifted joint shares it as its data factor
-    (``lift``). Beside it the workspace keeps R0, R1 and R2, its data-axis
-    trapezoid sums against w_y, w_y y and w_y y^2, one value per state point,
-    from which a lifted joint's mass and moments follow. With a diagonal
+    ``density._gaussian_table`` builds every one of them. The likelihood and
+    its data-axis sums R0, R1, R2 come from ``density._likelihood``, which
+    :func:`density.from_gaussian` also builds its joints with; every lifted
+    joint shares them as its data factor (``lift``). With a diagonal
     Sigma the kernel factors exactly per axis:
     K[(i_1, ..., i_d), j] = prod_a N(u_a,i_a; Psi_a(v_j), Sigma_aa) w_j.
     When Psi is componentwise (``MapHandle.componentwise``), as every Psi is
@@ -139,7 +139,9 @@ class OperatorWorkspace:
         default_shape, default_points = default_resolution(model.d)
         state_shape = default_shape if state_shape is None else state_shape
         y_points = default_points if y_points is None else y_points
-        if y_lo is None or y_hi is None:
+        if (y_lo is None) != (y_hi is None):
+            raise ValueError(f"pass both of y_lo and y_hi or neither, got y_lo = {y_lo}, y_hi = {y_hi}")
+        if y_lo is None:
             kappa_h = model.h_bound()
             if kappa_h is None:
                 raise ValueError("observation map is unbounded; pass explicit y_lo/y_hi")
@@ -194,14 +196,9 @@ class OperatorWorkspace:
                 factor *= w
 
         h_mesh = np.asarray(model.h_apply(self._mesh), dtype=float).reshape(-1)
-        gamma_noise = GaussianMeasure(np.zeros(1), model.Gamma)
-        self._likelihood = _gaussian_table(
-            gamma_noise, [h_mesh], [self.y_axis]).reshape(self.joint_shape)
-        w_y = quad_weights(self.joint_lo[-1:], self.joint_hi[-1:], self.joint_shape[-1:])[0]
-        self._likelihood_sums = tuple(
-            np.einsum("...i,i->...", self._likelihood, w_y * self.y_axis**p) for p in range(3))
-        for a in (self._likelihood,) + self._likelihood_sums:
-            a.setflags(write=False)
+        self._likelihood, self._likelihood_sums = _likelihood(
+            GaussianMeasure(np.zeros(1), model.Gamma), h_mesh, self.joint_lo, self.joint_hi,
+            self.joint_shape)
 
     def state_matches(self, mu: GridDensity) -> bool:
         return (
@@ -237,16 +234,6 @@ class OperatorWorkspace:
         return out.reshape(self.state_shape)
 
 
-def _gaussian_table(noise: GaussianMeasure, points, centres) -> Array:
-    """N(p_i - c_j; noise) over every pair (i, j) of ``points`` and ``centres``.
-
-    Both are given coordinate first, as ``log_density_at`` takes them; the
-    table is built in the last coordinate's differences, one buffer each.
-    """
-    t = [np.subtract.outer(p, c) for p, c in zip(points, centres)]
-    return _gaussian_at(noise, t, out=t[-1])
-
-
 def predict(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """Prediction map: push a state density through the stochastic dynamics.
 
@@ -270,12 +257,13 @@ def lift(mu: GridDensity, ws: OperatorWorkspace) -> GridDensity:
     """
     if not ws.state_matches(mu):
         raise GridMismatchError("input density does not live on the workspace state grid")
-    return _lifted(mu, ws._likelihood, ws._likelihood_sums, ws.joint_lo, ws.joint_hi, ws.blocks)
+    return _checked_drift(_lifted(mu, ws._likelihood, ws._likelihood_sums, ws.joint_lo, ws.joint_hi,
+                                  ws.blocks), True, "lift")
 
 
 def _scalar_datum(joint: GridDensity, y_dagger, analysis: str) -> float:
     """The datum of a joint with a scalar data axis; it must hold exactly one value."""
-    if joint.blocks is None or joint.blocks.K != 1:
+    if joint.blocks is None:
         raise ValueError(f"grid {analysis} requires a joint with a scalar data axis")
     y = np.asarray(y_dagger, dtype=float).reshape(-1)
     if y.size != 1:
@@ -334,8 +322,8 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     buffer, z[i] <- (1 - f_j) z[i] + f_j z[i-1], the products f_j z[i-1] taken
     an eighth of a block at a time: axis 0 in chunks of its rows taken from
     the last, a later axis within contiguous slabs of axis-0 rows. Then each
-    of its planes is added into the output k_j cells on, in order of j. A
-    lifted joint's planes are written into that buffer and blended there. So
+    of its planes is added into the output k_j cells on, in order of j. The
+    joint's planes q l are written into that buffer and blended there, so
     the call holds one block buffer and the adds read planes that are still
     in cache; one code path serves d in {1, 2}. Points off the grid read
     zero, and entry 0 keeps its value only where f_j = 0, so nothing is
@@ -364,21 +352,19 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     # later pass contiguous, but its transposing copy made a 1-D run slower
     buf = np.empty(n + (blocks[0].stop,))
     for cols in blocks:
-        z = buf[..., : cols.stop - cols.start]
-        source = _block(joint, cols, buf, axis=-1)  # z itself for a lifted joint
+        z = _block(joint, cols, buf, axis=-1)
         for a in range(d):
             fa, keep = f[a, cols], 1.0 - f[a, cols]
             chunks = _blocks(n[0], 8 * z[0].size)
             if a == 0:
-                # chunks of rows from the last: where the source is z itself (a
-                # lifted joint), each reads its rows i - 1 before any is overwritten
+                # chunks of rows from the last, so each reads its rows i - 1
+                # before any is overwritten
                 for r in reversed(chunks):
-                    _blend(source, z, r, fa, keep)
+                    _blend(z, r, fa, keep)
             else:
                 # a later axis is blended within contiguous slabs of axis-0 rows
                 for r in chunks:
-                    slab = z[r].swapaxes(0, a)
-                    _blend(slab, slab, slice(0, n[a]), fa, keep)
+                    _blend(z[r].swapaxes(0, a), slice(0, n[a]), fa, keep)
         z *= wy[cols]
         # this block's slices, made as the adds take them: output first:stop
         # reads input first - k:stop - k; no list of every plane's slices is held
@@ -397,17 +383,16 @@ def transport(joint: GridDensity, y_dagger) -> GridDensity:
     return normalized(lo, hi, out, context="transport")
 
 
-def _blend(source: Array, z: Array, r: slice, f: Array, keep: Array) -> None:
-    """z[i] <- keep source[i] + f source[i - 1] for the rows i in ``r`` of the first axis.
+def _blend(z: Array, r: slice, f: Array, keep: Array) -> None:
+    """z[i] <- keep z[i] + f z[i - 1] in place, for the rows i in ``r`` of the first axis.
 
     ``f`` and ``keep`` = 1 - f hold one value per plane of the last axis. Row 0
     has no neighbour i - 1 on the grid: it reads zero, and keeps its value only
-    where f = 0. ``source`` may be ``z`` itself: every row i - 1 is read
-    before a row is written.
+    where f = 0. Every row i - 1 is read before a row is written.
     """
     below = max(r.start, 1)
-    lower = f * source[below - 1 : r.stop - 1]
-    np.multiply(source[r], keep, out=z[r])
+    lower = f * z[below - 1 : r.stop - 1]
+    z[r] *= keep
     if r.start == 0:
         z[0][..., f > 0.0] = 0.0
     z[below : r.stop] += lower

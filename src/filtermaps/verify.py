@@ -144,7 +144,7 @@ def _random_mixture(rng: np.random.Generator, lo, hi, shape) -> density.GridDens
             out += weights[i] * np.exp(-0.5 * np.sum(z * z, axis=1)) / norm
         return out
 
-    return density.from_function(pdf, lo, hi, shape)
+    return density.GridDensity(lo, hi, pdf(density.grid_points(lo, hi, shape)).reshape(shape))
 
 
 # -- gaussian suite -------------------------------------------------------------
@@ -315,7 +315,7 @@ def _eighth_buffers(count: int, shape) -> np.ndarray:
 def _row_blocks(mu: density.GridDensity, buffer: np.ndarray):
     """The values of ``mu`` an eighth of a block of rows at a time.
 
-    A stored tensor gives views; a lifted joint writes q l of each slice of rows
+    A plain density gives views; a lifted joint writes q l of each slice of rows
     into ``buffer`` (from :func:`_eighth_buffers`), so no tensor is built and
     every slice of rows reuses the same memory.
     """

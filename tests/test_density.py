@@ -13,9 +13,9 @@ from filtermaps.density import (
     GridMismatchError,
     ResolutionWarning,
     dg_distance,
-    from_function,
     from_gaussian,
     gaussian_projection,
+    grid_points,
     integrate,
     lifted_epsilon,
     moments,
@@ -160,11 +160,9 @@ def test_grid_density_validation():
     ok_d = normalized([0.0], [10.0], ok)
     assert ok_d.ndim == 1 and ok_d.shape == (32,)
     with pytest.raises(ValueError):
-        GridDensity(np.array([1.0]), np.array([0.0]), ok, None)  # lo >= hi
+        GridDensity(np.array([1.0]), np.array([0.0]), ok)  # lo >= hi
     with pytest.raises(ValueError):
-        GridDensity(np.array([0.0]), np.array([10.0]), np.full(8, 0.1), None)  # too coarse
-    with pytest.raises(ValueError, match="blocks cover 2 axes"):
-        GridDensity(np.array([0.0]), np.array([10.0]), ok, BlockStructure(1, 1))
+        GridDensity(np.array([0.0]), np.array([10.0]), np.full(8, 0.1))  # too coarse
     with pytest.raises(ValueError, match="values have 2 axes, box corners have 1/1"):
         GridDensity([0.0], [10.0], np.ones((32, 32)))
     with pytest.raises(ValueError, match="grids support 1 to 3 axes"):
@@ -186,7 +184,7 @@ def test_grid_density_validation():
     with pytest.raises(ValueError, match="cannot normalize a grid density: mass is 0.0"):
         lift(from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,)), ws)
     # values of any positive mass are normalized, not rejected
-    tripled = GridDensity(np.array([0.0]), np.array([10.0]), ok * 3.0, None)
+    tripled = GridDensity(np.array([0.0]), np.array([10.0]), ok * 3.0)
     assert_allclose(integrate(tripled.values, tripled.box_lo, tripled.box_hi), 1.0, rtol=1e-15)
     assert_allclose(tripled.values, ok_d.values, rtol=1e-15)
 
@@ -196,10 +194,10 @@ def test_grid_density_normalizes_like_normalized():
     raw = np.exp(-0.5 * (x[:, None] ** 2 + 2.0 * (x[None, :] - 0.5) ** 2)) * 7.3
     raw[0, 0] = -1e-15 * raw.max()  # clipped, as interpolation noise
     lo, hi = [-4.0, -4.0], [4.0, 4.0]
-    mu = GridDensity(lo, hi, raw, BlockStructure(1, 1))
+    mu = GridDensity(lo, hi, raw)
     assert_allclose(integrate(mu.values, mu.box_lo, mu.box_hi), 1.0, rtol=1e-14)
     assert mu.values[0, 0] == 0.0
-    ref = normalized(lo, hi, raw, BlockStructure(1, 1), expect_unit_mass=False)
+    ref = normalized(lo, hi, raw, expect_unit_mass=False)
     assert np.array_equal(mu.values, ref.values)
     assert np.array_equal(mu.box_lo, ref.box_lo) and np.array_equal(mu.box_hi, ref.box_hi)
 
@@ -228,11 +226,34 @@ def test_from_gaussian_coverage():
     assert_allclose(mom.cov, [[1.0]], atol=1e-8)
     with pytest.raises(ValueError, match="box has 2 axes, measure has 1"):
         from_gaussian(g, [-8.0, -8.0], [8.0, 8.0], (64, 64))
-    # a shape of another dimension than the box names both, for either builder
+    # a shape of another dimension than the box names both, for either grid builder
     with pytest.raises(ValueError, match=r"grid shape \(64, 64\) has 2 axes, box .* has 1/1"):
         from_gaussian(g, [-8.0], [8.0], (64, 64))
     with pytest.raises(ValueError, match=r"grid shape \(32, 32\) has 2 axes, box .* has 1/1"):
-        from_function(lambda pts: np.ones(len(pts)), [-1.0], [1.0], (32, 32))
+        grid_points([-1.0], [1.0], (32, 32))
+
+
+@pytest.mark.parametrize("g, shape", [
+    (GaussianMeasure([0.4, -0.3], [[1.3, 0.8], [0.8, 1.1]]), (384, 256)),
+    (GaussianMeasure([0.2, -0.5, 0.3], [[1.0, 0.3, 0.5], [0.3, 0.8, -0.4], [0.5, -0.4, 1.2]]),
+     (48, 40, 36)),
+], ids=["d1", "d2"])
+def test_from_gaussian_joint_matches_the_table(g, shape):
+    # the lifted joint q l equals the normalized table of N(m, C) to rounding
+    lo, hi = g.mean - 7.0 * np.sqrt(np.diag(g.cov)), g.mean + 7.0 * np.sqrt(np.diag(g.cov))
+    blocks = BlockStructure(g.dim - 1, 1)
+    joint = from_gaussian(g, lo, hi, shape, blocks)
+    table = GridDensity(lo, hi, np.exp(log_density_at(g, np.ix_(*joint.axes()))))
+    assert joint.blocks == blocks and joint.shape == table.shape
+    assert np.abs(joint.values - table.values).max() <= 1e-13 * table.values.max()
+    lifted, stored = moments(joint), moments(table)
+    assert_allclose(lifted.mean, stored.mean, rtol=0.0, atol=1e-12)
+    assert_allclose(lifted.cov, stored.cov, rtol=0.0, atol=1e-12)
+    # a grid joint has exactly one data axis (K = 1), and blocks covering every axis
+    for wrong in (BlockStructure(g.dim - 2, 2) if g.dim > 2 else BlockStructure(1, 2),
+                  BlockStructure(g.dim, 1)):
+        with pytest.raises(ValueError, match=r"needs blocks \(d, K = 1\) over the measure's"):
+            from_gaussian(g, lo, hi, shape, wrong)
 
 
 def test_dg_distance_against_refined_quadrature():
@@ -310,19 +331,55 @@ def test_gaussian_projection_and_kl_optimality():
         assert kl_to(other) >= base - 1e-12
 
 
+def _lifted_joint(model, lo, hi, shape, prior, y_lo, y_hi, y_points):
+    """``prior(*state mesh)``, normalized on the state grid, lifted by ``model``."""
+    from filtermaps.operators import OperatorWorkspace, lift
+
+    ws = OperatorWorkspace(model, lo, hi, shape, y_lo=y_lo, y_hi=y_hi, y_points=y_points)
+    values = prior(*np.meshgrid(*ws.state_axes, indexing="ij"))
+    return lift(normalized(ws.state_lo, ws.state_hi, values, expect_unit_mass=False), ws)
+
+
 def test_lifted_epsilon_gaussian_vs_mixture():
-    blocks = BlockStructure(1, 1)
+    from filtermaps.model import linear_model_1d
+
     joint_g = GaussianMeasure([0.0, 0.0], [[1.0, 0.5], [0.5, 1.2]])
-    grid_g = from_gaussian(joint_g, [-8.0, -8.0], [8.0, 8.0], (256, 256), blocks=blocks)
+    grid_g = from_gaussian(joint_g, [-8.0, -8.0], [8.0, 8.0], (256, 256), blocks=BlockStructure(1, 1))
     assert lifted_epsilon(grid_g) < 1e-6
 
-    def bimodal(pts):
-        u, y = pts[:, 0], pts[:, 1]
-        bump = lambda c: np.exp(-0.5 * ((u - c) ** 2 / 0.25 + (y - c) ** 2 / 0.25))
-        return bump(-2.0) + bump(2.0)
+    def bimodal(u):
+        return np.exp(-0.5 * (u + 2.0) ** 2 / 0.25) + np.exp(-0.5 * (u - 2.0) ** 2 / 0.25)
 
-    grid_b = from_function(bimodal, [-8.0, -8.0], [8.0, 8.0], (256, 256), blocks=blocks)
+    grid_b = _lifted_joint(linear_model_1d(), [-8.0], [8.0], (256,), bimodal, -8.0, 8.0, 256)
     assert lifted_epsilon(grid_b) > 1e-2
+
+
+def test_lifted_epsilon_matches_a_fine_midpoint_sum():
+    # eps on a lifted mixture against an independent value: the midpoint sum of
+    # (1 + u^2 + y^2) |pi - N| over 4096^2 cells, with pi = p(u) N(y; u, 0.25)
+    # the continuous joint and N the closed-form Gaussian of its moments. It
+    # pins eps's absolute scale, which its definition test does not.
+    from filtermaps.model import linear_model_1d
+
+    def mixture(u):
+        return sum(np.exp(-0.5 * (u - c) ** 2 / 0.09) for c in (-1.0, 1.0)) / (2.0 * np.sqrt(2 * np.pi * 0.09))
+
+    joint = _lifted_joint(linear_model_1d(), [-4.5], [4.5], (256,), mixture, -6.0, 6.0, 128)
+    cells = 4096
+    hu, hy = 9.0 / cells, 12.0 / cells
+    u = -4.5 + hu * (np.arange(cells) + 0.5)
+    y = -6.0 + hy * (np.arange(cells) + 0.5)
+    cov = np.array([[1.09, 1.09], [1.09, 1.34]])
+    prec = np.linalg.inv(cov)
+    norm = 1.0 / (2 * np.pi * np.sqrt(np.linalg.det(cov)))
+    total = 0.0
+    for rows in np.array_split(np.arange(cells), 16):
+        uu, yy = u[rows, None], y[None, :]
+        pi = mixture(uu) * np.exp(-0.5 * (yy - uu) ** 2 / 0.25) / np.sqrt(2 * np.pi * 0.25)
+        quad = prec[0, 0] * uu**2 + 2.0 * prec[0, 1] * uu * yy + prec[1, 1] * yy**2
+        total += float(np.sum((1.0 + uu**2 + yy**2) * np.abs(pi - norm * np.exp(-0.5 * quad))))
+    reference = total * hu * hy
+    assert abs(lifted_epsilon(joint) / reference - 1.0) < 1e-3
 
 
 def _lifted_1d_joint():
@@ -337,23 +394,29 @@ def _lifted_1d_joint():
     return lift(prior, ws)
 
 
-def _skewed_3_axis_joint():
-    def skewed(pts):
-        u1, u2, y = pts.T
-        return np.exp(-0.5 * (u1**2 + (u2 - 0.3 * u1**2) ** 2 + (y - u1 - np.sin(u2)) ** 2))
+def _linear_model(h, gamma):
+    """A model with the linear observation map ``h`` and noise variance ``gamma``."""
+    from filtermaps.model import MapSpec, ModelSpec
 
-    return from_function(skewed, [-6.0, -5.0, -7.0], [6.0, 9.0, 7.0], (40, 36, 32),
-                         blocks=BlockStructure(2, 1))
+    d = len(h)
+    return ModelSpec(d=d, K=1, psi=MapSpec("linear", {"matrix": np.eye(d).tolist()}),
+                     h=MapSpec("linear", {"matrix": [h]}), Sigma=np.eye(d).tolist(),
+                     Gamma=[[gamma]], m0=[0.0] * d, S0=np.eye(d).tolist())
+
+
+def _skewed_3_axis_joint():
+    def skewed(u1, u2):
+        return np.exp(-0.5 * (u1**2 + (u2 - 0.3 * u1**2) ** 2))
+
+    return _lifted_joint(_linear_model([1.0, 0.3], 1.0), [-6.0, -5.0], [6.0, 9.0], (40, 36),
+                         skewed, -7.0, 7.0, 32)
 
 
 def _truncated_joint():
     # a half-Gaussian in u: the box ends where the density is largest, so its
     # projection (mean ~0.8, sd ~0.6) loses a visible tail below u = 0
-    def half(pts):
-        u, y = pts.T
-        return np.exp(-0.5 * (u**2 + (y - u) ** 2 / 0.5))
-
-    return from_function(half, [0.0, -5.0], [5.0, 8.0], (128, 96), blocks=BlockStructure(1, 1))
+    return _lifted_joint(_linear_model([1.0], 0.5), [0.0], [5.0], (128,),
+                         lambda u: np.exp(-0.5 * u**2), -5.0, 8.0, 96)
 
 
 @pytest.mark.parametrize("make_joint, truncated", [
@@ -364,8 +427,7 @@ def test_lifted_epsilon_matches_its_definition(make_joint, truncated):
     joint = make_joint()
     projected = np.exp(log_density_at(gaussian_projection(joint), np.ix_(*joint.axes())))
     assert (integrate(projected, joint.box_lo, joint.box_hi) < 0.99) == truncated
-    gridded = normalized(joint.box_lo, joint.box_hi, projected, joint.blocks,
-                         expect_unit_mass=False)
+    gridded = normalized(joint.box_lo, joint.box_hi, projected, expect_unit_mass=False)
     expected = dg_distance(joint, gridded)
     assert expected > 1e-3
     assert lifted_epsilon(joint) == expected

@@ -206,15 +206,14 @@ def test_analyses_take_a_datum_of_exactly_one_value(analysis):
 
 
 def test_bayes_degenerate_evidence():
-    # joint whose mass lives entirely at negative y; conditioning at y = +0.5 finds nothing
-    x = np.linspace(-1.0, 1.0, 64)
-    y = np.linspace(-1.0, 1.0, 64)
-    vals = np.exp(-0.5 * (x[:, None] ** 2 + (y[None, :] + 0.6) ** 2) / 0.01)
-    vals[:, y > -0.2] = 0.0
-    joint = normalized([-1.0, -1.0], [1.0, 1.0], vals, blocks=BlockStructure(1, 1),
-                       expect_unit_mass=False, context="degenerate joint")
+    # |H| <= 1 and Gamma = 0.25, so at y = 20 the likelihood underflows to about
+    # 1e-314: the slice there carries no representable mass
+    ws = OperatorWorkspace(bounded_model_1d(), [-7.0], [7.0], (64,), y_lo=-25.0, y_hi=25.0,
+                           y_points=101)
+    joint = lift(from_gaussian(GaussianMeasure([0.0], [[1.0]]), [-7.0], [7.0], (64,)), ws)
+    assert 0.0 < ws._likelihood[:, ws.y_axis == 20.0].max() < 1e-300
     with pytest.raises(DegenerateEvidenceError):
-        bayes(joint, 0.5)
+        bayes(joint, 20.0)
 
 
 def test_transport_with_zero_gain_returns_state_marginal():
@@ -409,11 +408,17 @@ _WORKSPACE_2D = dict(state_lo=[-7.0, -7.0], state_hi=[7.0, 7.0], state_shape=(24
     ("y_lo", 8.0),
     ("state_shape", (24, 8)),
     ("y_points", 8),
-], ids=["lo_axes", "hi_axes", "shape_axes", "reversed_box", "reversed_y", "coarse_state", "coarse_y"])
+    ("y_hi", None),
+    ("y_lo", None),
+], ids=["lo_axes", "hi_axes", "shape_axes", "reversed_box", "reversed_y", "coarse_state", "coarse_y",
+        "lone_y_lo", "lone_y_hi"])
 def test_workspace_rejects_a_malformed_grid(field, value):
     # a 1-axis shape for a 2-D model used to fail deep in the kernel build
-    # with a bare IndexError, and a reversed box was accepted
-    model = _linear_model_2d((0.25 * np.eye(2)).tolist())
+    # with a bare IndexError, a reversed box was accepted, and a lone data-axis
+    # bound was dropped for the envelope of a bounded H
+    model = ModelSpec(d=2, K=1, psi=MapSpec("linear", {"matrix": [[0.8, 0.1], [0.0, 0.7]]}),
+                      h=MapSpec("constant", {"value": [0.5]}), Sigma=(0.25 * np.eye(2)).tolist(),
+                      Gamma=[[0.25]], m0=[0.0, 0.0], S0=np.eye(2).tolist())
     OperatorWorkspace(model, **_WORKSPACE_2D)
     with pytest.raises(ValueError, match=field):
         OperatorWorkspace(model, **dict(_WORKSPACE_2D, **{field: value}))
@@ -591,10 +596,10 @@ def test_block_size_cannot_change_a_result(monkeypatch, case):
         joint = _JOINTS[case]()  # a fresh joint, so its moments are computed again
         moved = transport(joint, 0.3)
         kept, image = moments(joint), moments(moved)
-        # d_g of two lifted joints, and of a lifted joint against its stored tensor;
+        # d_g of two lifted joints, and of a lifted joint against its plain tensor;
         # each equals d_g with its arguments swapped bit for bit, which
         # metric_axioms relies on
-        stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values, joint.blocks)
+        stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values)
         other = _JOINTS[case](GaussianMeasure(np.zeros(moved.ndim), np.eye(moved.ndim)))
         pairs = [(joint, other), (joint, stored), (stored, other)]
         dg = [dg_distance(a, b) for a, b in pairs]
@@ -626,7 +631,7 @@ def test_lifted_joint_moments_match_its_tensor(case):
     joint = {**_JOINTS, **_TRUNCATED}[case]()
     r0 = joint._sums[0]
     assert (max(r0[(0,) * r0.ndim], r0[(-1,) * r0.ndim]) < 0.98) == (case != "lifted_1d")
-    stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values, joint.blocks)
+    stored = density.GridDensity(joint.box_lo, joint.box_hi, joint.values)
     got, expected = moments(joint), density._quadrature_moments(stored)
     assert_allclose(got.mean, expected.mean, rtol=1e-12)
     assert_allclose(got.cov, expected.cov, rtol=1e-12)
@@ -687,8 +692,8 @@ def test_streamed_kernels_hold_no_second_joint():
         # plain TV is the first term of the same pass
         tv_peak, tv = peak_of(lambda: tv_distance(joint, other))
         assert tv_peak < 1.25 * rows
-        # a 512^2 Gaussian joint, as verify grids them: from_gaussian normalizes
-        # the table it evaluates in place and makes no copy of it
+        # a 512^2 Gaussian joint, as verify grids them: from_gaussian builds its
+        # likelihood in one buffer and makes no copy of it
         table_peak, table = peak_of(lambda: from_gaussian(
             GaussianMeasure([0.2, -0.1], [[2.0, 0.6], [0.6, 0.5]]), [-9.0, -9.0], [9.0, 9.0],
             (512, 512), blocks=BlockStructure(1, 1)))

@@ -264,7 +264,7 @@ _MEASURED_AT_SEEDS_0_1 = {
     "gaussian.kl_zero_and_nonnegative": (-4.440892098500626e-16, -2.220446049250313e-16),
     "gaussian.pinsker": (0.4665098705252129, 0.4673335996206718),
     "gaussian.dg_bound_dominates": (0.5577340041320432, 0.543993252145447),
-    "gaussian.conditioning_matches_bayes": (0.00042387552910161386, 0.00031969655499808347),
+    "gaussian.conditioning_matches_bayes": (0.00042387552910150283, 0.00031969655499808347),
     "gaussian.conditioning_spd": (0.37309015702585135, 0.3058102075522093),
     "density.moment_difference_bounds": (-0.1764887014447858, -0.19829524417809719),
     "density.metric_axioms": (0.0, 0.0),
@@ -273,7 +273,7 @@ _MEASURED_AT_SEEDS_0_1 = {
     "operators.p_lipschitz": (-2.239616364305295, -2.389264369617884),
     "operators.q_lipschitz": (-0.929654375836206, -1.2065869457594542),
     "operators.pq_linear": (1.6140482801879262e-15, 1.6042618976542061e-15),
-    "operators.transport_equals_bayes": (0.0009726336592892391, 0.0012069724656703364),
+    "operators.transport_equals_bayes": (0.0009726336592888521, 0.0012069724656711845),
     "operators.mass_conservation": (6.661338147750939e-16, 8.881784197001252e-16),
     "operators.moment_envelopes": (-0.000992814158569555, -0.008777833145585223),
 }
